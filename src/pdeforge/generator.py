@@ -177,6 +177,7 @@ def build_basis_pool(config: GenerationConfig) -> BasisPool:
             "index": i,
             "iterations": report.iterations,
             "relative_residual": report.final_relative_residual,
+            "wall_time": report.wall_time,
         })
     return BasisPool(grid, basis, provenance, pool_cache_key(config))
 
@@ -298,6 +299,13 @@ def generate_diffoas(
 
     basis_kind switches the pool to an ablation basis ("grf", "fourier",
     "chebyshev"); None uses solved basis functions.
+
+    The manifest records where the pool came from in generation["pool"]:
+    "cache" is "given" (the pool argument), "hit" or "miss" (basis_pool.npz
+    in out_dir) or "none" (ablation bases), and "solves" lists each basis
+    solve's index, iterations and final relative residual (empty on a hit).
+    Solve wall times go to generation["timings"]["pool_solve_seconds"], so
+    the rest of the manifest stays byte-identical across runs.
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
@@ -305,21 +313,29 @@ def generate_diffoas(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
+    cache = "given"
     if pool is None:
         if basis_kind is None:
-            cache = out_dir / "basis_pool.npz"
-            pool = load_basis_pool(cache, config)
+            cache_path = out_dir / "basis_pool.npz"
+            pool = load_basis_pool(cache_path, config)
+            cache = "miss" if pool is None else "hit"
             if pool is None:
                 pool = build_basis_pool(config)
-                save_basis_pool(pool, cache)
+                save_basis_pool(pool, cache_path)
         else:
             pool = make_ablation_pool(config, basis_kind)
+            cache = "none"
     basis_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     manifest = _base_manifest(
         config, "diffoas" if basis_kind is None else f"ablation-{basis_kind}")
     manifest.generation["pool_size"] = pool.size
+    manifest.generation["pool"] = {
+        "cache": cache,
+        "solves": [{k: v for k, v in solve.items() if k != "wall_time"}
+                   for solve in pool.provenance],
+    }
 
     def worker(k: int) -> dict:
         return _diffoas_sample(config, pool, k)
@@ -328,6 +344,7 @@ def generate_diffoas(
     manifest = write_dataset(out_dir, sample_iter, manifest)
     manifest.generation["timings"] = {
         "basis_seconds": basis_seconds,
+        "pool_solve_seconds": [solve["wall_time"] for solve in pool.provenance],
         "action_seconds": time.perf_counter() - t1,
     }
     manifest = write_dataset_manifest_only(out_dir, manifest)

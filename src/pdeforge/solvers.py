@@ -1,16 +1,27 @@
 """Krylov solvers: full (non-restarted) GMRES with iteration tracing, and CG.
 
-GMRES runs Arnoldi with modified Gram-Schmidt (plus a selective second
-orthogonalization pass when cancellation is detected) and solves the
-least-squares problem incrementally with Givens rotations. The trace records, per
-iteration, the recurrence residual norm, the Arnoldi subdiagonal h_{j+1,j},
-and |y_j| from the square Hessenberg solve; the residual norm is bounded by
-h_{j+1,j} * |y_j| (the square-system solve makes the bound exact up to
-rounding), which verify_residual_bound checks.
+GMRES runs Arnoldi with blocked classical Gram-Schmidt applied twice (CGS2):
+each new vector w is projected against the whole basis at once,
+c = V w; w -= V^T c, and the projection is repeated unconditionally. A
+single CGS pass loses orthogonality in proportion to the condition number
+of the Krylov basis; the second pass restores it to the level of machine
+precision as long as the new vector is not numerically dependent on the
+basis ("twice is enough", Giraud, Langou & Rozloznik, Comput. Math. Appl.
+2005). The dependent case is the happy breakdown, tested separately. Both
+passes are matrix-vector products, so the step costs two BLAS-2 calls
+rather than a Python loop over the basis. The SpMV uses one scipy CSR
+operator per solve.
+
+The least-squares problem is solved incrementally with Givens rotations. The
+trace records, per iteration, the recurrence residual norm, the Arnoldi
+subdiagonal h_{j+1,j}, and |y_j| from the square Hessenberg solve; the
+residual norm is bounded by h_{j+1,j} * |y_j| (the square-system solve makes
+the bound exact up to rounding), which verify_residual_bound checks.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -94,10 +105,11 @@ def gmres(
     t0 = time.perf_counter()
     b, x0 = _check_system(A, b, x0)
     n = A.nrows
+    S = A.to_scipy()  # one SpMV operator for the whole solve
     b_norm = float(np.linalg.norm(b))
     scale = b_norm if b_norm > 0 else 1.0
 
-    r0 = b - apply_operator(A, x0)
+    r0 = b - S @ x0
     beta = float(np.linalg.norm(r0))
     trace: Optional[list] = [] if opts.record_trace else None
     if beta / scale <= opts.tol:
@@ -112,46 +124,35 @@ def gmres(
     V = np.empty((cap, n))
     V[0] = r0 / beta
     H = np.zeros((m_cap + 1, m_cap))  # rotated upper-triangular columns
-    cs = np.zeros(m_cap)
-    sn = np.zeros(m_cap)
-    g = np.zeros(m_cap + 1)
-    g[0] = beta
-
-    def grow(j):
-        nonlocal V, cap
-        if j + 1 >= cap:
-            cap = min(max(2 * cap, j + 2), m_cap + 1)
-            V = np.resize(V, (cap, n))
+    cs, sn = [], []  # Givens rotations, as Python floats
+    g = [beta]  # rotated right-hand side beta * e_1
 
     def solve_y(j):
         return np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
 
-    def finish(j, converged, relres):
+    def finish(j, converged, relres, basis_rows):
         y = solve_y(j - 1) if j > 0 else np.zeros(0)
         x = x0 + V[:j].T @ y if j > 0 else x0.copy()
-        basis = V[: j + 1].copy() if keep_basis else None
+        basis = V[:basis_rows].copy() if keep_basis else None
         return SolveReport(x, j, converged, relres, b_norm,
                            time.perf_counter() - t0, trace, basis)
 
+    def true_residual(rep):
+        return float(np.linalg.norm(b - S @ rep.x) / scale)
+
     for j in range(m_cap):
-        grow(j)
-        w = apply_operator(A, V[j])
+        w = S @ V[j]
         if not np.all(np.isfinite(w)):
             raise NumericalBreakdownError(f"non-finite SpMV at iteration {j + 1}")
-        norm_before = float(np.linalg.norm(w))
-        h = np.zeros(j + 2)
-        for i in range(j + 1):  # modified Gram-Schmidt
-            h[i] = float(V[i] @ w)
-            w -= h[i] * V[i]
-        h[j + 1] = float(np.linalg.norm(w))
-        if h[j + 1] < norm_before / np.sqrt(2.0):
-            # heavy cancellation: one reorthogonalization pass (DGKS test)
-            for i in range(j + 1):
-                corr = float(V[i] @ w)
-                h[i] += corr
-                w -= corr * V[i]
-            h[j + 1] = float(np.linalg.norm(w))
-        h_subdiag = h[j + 1]
+        # classical Gram-Schmidt, applied twice
+        Vj = V[: j + 1]
+        c = Vj @ w
+        w -= c @ Vj
+        c2 = Vj @ w
+        w -= c2 @ Vj
+        h = (c + c2).tolist()
+        h_subdiag = float(np.linalg.norm(w))
+        h.append(h_subdiag)
         happy = h_subdiag <= breakdown_tol
 
         # previous rotations act on rows 0..j only
@@ -160,43 +161,43 @@ def gmres(
             h[i] = cs[i] * hi + sn[i] * hi1
             h[i + 1] = -sn[i] * hi + cs[i] * hi1
         r_diag = h[j]  # pre-rotation diagonal of the square Hessenberg solve
-        nu = float(np.hypot(h[j], h[j + 1]))
+        nu = math.hypot(h[j], h_subdiag)
         if nu == 0.0:
             raise NumericalBreakdownError(f"zero Givens norm at iteration {j + 1}")
-        cs[j], sn[j] = h[j] / nu, h[j + 1] / nu
+        cs.append(h[j] / nu)
+        sn.append(h_subdiag / nu)
+        h[j] = nu
         H[: j + 1, j] = h[: j + 1]
-        H[j, j] = nu
         g_pre = g[j]
         g[j] = cs[j] * g_pre
-        g[j + 1] = -sn[j] * g_pre
+        g.append(-sn[j] * g_pre)
         res_norm = abs(g[j + 1])
 
         if trace is not None:
-            y_last = abs(g_pre / r_diag) if r_diag != 0.0 else np.inf
+            y_last = abs(g_pre / r_diag) if r_diag != 0.0 else math.inf
             trace.append(IterationRecord(j + 1, res_norm, h_subdiag, y_last))
 
-        if happy:
-            rep = finish(j + 1, True, res_norm / scale)
-            true_rel = float(np.linalg.norm(b - apply_operator(A, rep.x)) / scale)
-            rep.final_relative_residual = true_rel
-            rep.converged = true_rel <= opts.tol
+        if happy:  # w is numerically in span(V): there is no V[j + 1]
+            rep = finish(j + 1, True, res_norm / scale, j + 1)
+            rep.final_relative_residual = true_residual(rep)
+            rep.converged = rep.final_relative_residual <= opts.tol
             return rep
 
-        grow(j)
+        if j + 1 >= cap:
+            cap = min(2 * cap, m_cap + 1)
+            V = np.resize(V, (cap, n))
         V[j + 1] = w / h_subdiag
 
         if res_norm / scale <= opts.tol:
             # guard against recurrence drift with an explicit residual
-            rep = finish(j + 1, True, res_norm / scale)
-            true_rel = float(np.linalg.norm(b - apply_operator(A, rep.x)) / scale)
-            rep.final_relative_residual = true_rel
-            if true_rel <= opts.tol:
+            rep = finish(j + 1, True, res_norm / scale, j + 2)
+            rep.final_relative_residual = true_residual(rep)
+            if rep.final_relative_residual <= opts.tol:
                 return rep
 
-    rep = finish(m_cap, False, abs(g[m_cap]) / scale)
-    true_rel = float(np.linalg.norm(b - apply_operator(A, rep.x)) / scale)
-    rep.final_relative_residual = true_rel
-    rep.converged = true_rel <= opts.tol
+    rep = finish(m_cap, False, abs(g[m_cap]) / scale, m_cap + 1)
+    rep.final_relative_residual = true_residual(rep)
+    rep.converged = rep.final_relative_residual <= opts.tol
     return rep
 
 

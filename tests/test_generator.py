@@ -181,6 +181,33 @@ class TestDiffoas:
         ds2 = generate_diffoas(config, tmp_path / "d")
         assert verify_dataset(ds2, 1e-12).passed
 
+    def test_pool_provenance_in_manifest(self, tmp_path):
+        config = small_config()
+        generate_diffoas(config, tmp_path / "d")
+        generation = read_dataset(tmp_path / "d").manifest.generation
+        assert generation["pool"]["cache"] == "miss"
+        solves = generation["pool"]["solves"]
+        assert [s["index"] for s in solves] == list(range(config.n_basis))
+        for solve in solves:
+            assert solve["iterations"] > 0
+            assert solve["relative_residual"] <= config.solver_tol
+        seconds = generation["timings"]["pool_solve_seconds"]
+        assert len(seconds) == config.n_basis and min(seconds) > 0
+
+        generate_diffoas(config, tmp_path / "d")
+        generation = read_dataset(tmp_path / "d").manifest.generation
+        assert generation["pool"] == {"cache": "hit", "solves": []}
+        assert generation["timings"]["pool_solve_seconds"] == []
+
+    def test_pool_provenance_given_pool(self, tmp_path):
+        config = small_config()
+        pool = build_basis_pool(config)
+        ds = generate_diffoas(config, tmp_path / "d", pool=pool)
+        recorded = ds.manifest.generation["pool"]
+        assert recorded["cache"] == "given"
+        assert [s["iterations"] for s in recorded["solves"]] == \
+            [p["iterations"] for p in pool.provenance]
+
     def test_boundary_zero_everywhere(self, tmp_path):
         config = small_config(num_samples=5)
         ds = generate_diffoas(config, tmp_path / "d")
@@ -222,6 +249,7 @@ class TestAblation:
         config = small_config(num_samples=3)
         ds = generate_ablation(config, kind, tmp_path / kind)
         assert ds.manifest.generation["pool_size"] == size
+        assert ds.manifest.generation["pool"] == {"cache": "none", "solves": []}
         assert ds.manifest.method == f"ablation-{kind}"
         assert verify_dataset(ds, 1e-12).passed
         for k in range(3):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdeforge.fields import GrfParams, RngStream, sample_grf, sample_uniform
+from pdeforge.generator import draw_coefficients
 from pdeforge.grid import FieldSample, Grid2D, GridError
 from pdeforge.grid_ops import (
     CsrMatrix,
@@ -228,6 +229,30 @@ class TestApplyOperator:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             apply_operator(CsrMatrix.identity(3), np.ones(4))
+
+    @pytest.mark.parametrize("pde", ["darcy", "helmholtz", "diffusion"])
+    def test_row_sequential_summation(self, pde):
+        # the docstring's claim, bit for bit: each row summed left to right
+        for seed in range(3):
+            gen = RngStream(seed, "sample_params", 0).generator()
+            A = draw_coefficients(pde, Grid2D(32), gen).assemble()
+            x = gen.standard_normal(A.ncols)
+            ref = np.zeros(A.nrows)
+            for i in range(A.nrows):
+                acc = 0.0
+                for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
+                    acc += float(A.values[k]) * float(x[A.col_idx[k]])
+                ref[i] = acc
+            np.testing.assert_array_equal(apply_operator(A, x), ref)
+
+    def test_empty_rows(self):
+        A = CsrMatrix(3, 3, np.array([0, 1, 1, 2]), np.array([2, 0]),
+                      np.array([2.0, -1.0]))
+        np.testing.assert_array_equal(
+            apply_operator(A, np.array([1.0, 2.0, 3.0])), [6.0, 0.0, -1.0])
+        empty = CsrMatrix(2, 2, np.zeros(3), np.zeros(0), np.zeros(0))
+        np.testing.assert_array_equal(apply_operator(empty, np.ones(2)),
+                                      np.zeros(2))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 6),

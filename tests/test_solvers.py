@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdeforge.fields import GrfParams, RngStream, sample_grf
+from pdeforge.generator import draw_coefficients, draw_forcing
 from pdeforge.grid import FieldSample, Grid2D
 from pdeforge.grid_ops import (
     CsrMatrix,
@@ -89,15 +90,35 @@ class TestGmres:
         G = V @ V.T
         assert np.max(np.abs(G - np.eye(len(G)))) <= 1e-8
 
+    @pytest.mark.parametrize("pde,iterations", [
+        ("darcy", 178), ("helmholtz", 127), ("diffusion", 182)])
+    def test_arnoldi_orthogonality_n32(self, pde, iterations):
+        # 1024 unknowns; iteration counts pinned to those of modified
+        # Gram-Schmidt with selective reorthogonalization
+        gen = RngStream(3, "basis_params", 0).generator()
+        A = draw_coefficients(pde, Grid2D(32), gen).assemble()
+        b = draw_forcing(pde, Grid2D(32), gen).interior()
+        rep = gmres(A, b, opts=SolveOptions(tol=1e-10, record_trace=True),
+                    keep_basis=True)
+        assert rep.converged and rep.final_relative_residual <= 1e-10
+        assert rep.iterations == iterations
+        V = rep.arnoldi_basis
+        assert np.max(np.abs(V @ V.T - np.eye(len(V)))) <= 1e-12
+        assert verify_residual_bound(rep).passed
+
     def test_happy_breakdown_invariant_subspace(self):
         # b in a 2-dimensional invariant subspace of a diagonal matrix
         vals = np.array([2.0, 2.0, 3.0, 5.0])
         A = CsrMatrix(4, 4, np.arange(5), np.arange(4), vals)
         b = np.array([1.0, 1.0, 1.0, 0.0])  # spans eigenvalues {2, 3}
-        rep = gmres(A, b, opts=SolveOptions(tol=1e-10))
+        rep = gmres(A, b, opts=SolveOptions(tol=1e-10), keep_basis=True)
         assert rep.converged
         assert rep.iterations <= 2
         np.testing.assert_allclose(rep.x, b / vals, atol=1e-10)
+        # the basis holds only the vectors Arnoldi actually built
+        V = rep.arnoldi_basis
+        assert V.shape == (rep.iterations, 4)
+        np.testing.assert_allclose(V @ V.T, np.eye(rep.iterations), atol=1e-14)
 
     def test_x0_respected(self):
         A, b = darcy_system(6, 8)
