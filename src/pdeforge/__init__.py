@@ -8,6 +8,7 @@ a fraction of the solve cost. Includes dataset IO with integrity checks and
 a benchmark harness for the speedup analysis.
 """
 
+from .families import FAMILIES, PdeCoefficients, PdeFamily
 from .fields import (
     GrfParams,
     RngStream,
@@ -22,7 +23,6 @@ from .generator import (
     GenerationConfig,
     build_basis_pool,
     combine_solution,
-    generate_ablation,
     generate_classic,
     generate_diffoas,
     verify_dataset,
@@ -30,7 +30,6 @@ from .generator import (
 from .grid import FieldSample, Grid2D
 from .grid_ops import (
     CsrMatrix,
-    PdeCoefficients,
     apply_operator,
     assemble_darcy,
     assemble_diffusion_reaction,

@@ -78,9 +78,8 @@ def _median(xs):
     return float(np.median(xs))
 
 
-def _time_solver_phase(systems, solver, tol, max_iter):
+def _time_solver_phase(systems, solver, opts):
     """Seconds to solve the prepared systems, solve time only."""
-    opts = SolveOptions(tol=tol, max_iter=max_iter)
     flags = []
     t0 = time.perf_counter()
     for A, b in systems:
@@ -123,6 +122,7 @@ def run_timing_suite(
         raise BenchConfigError("samples_per_point must be >= 1")
     if repeats < 3:
         raise BenchConfigError("repeats must be >= 3")
+    solvers = [("gmres", gmres)] + ([("cg", cg)] if include_cg else [])
     records = []
     for dim in dims:
         n_int = _interior_from_dim(dim)
@@ -132,7 +132,6 @@ def run_timing_suite(
             method="diffoas", master_seed=master_seed,
             n_basis=n_basis,
         )
-        max_iter = min(grid.n_unknowns, 10000)
 
         # prepare systems once per dim; assembly is deliberately untimed
         systems = []
@@ -167,22 +166,15 @@ def run_timing_suite(
             flags=[f"basis_seconds={basis_seconds:.6g}"]))
 
         for tol in tols:
-            _time_solver_phase(systems[:1], gmres, tol, max_iter)  # warm-up
-            runs, flags = [], []
-            for _ in range(repeats):
-                secs, fl = _time_solver_phase(systems, gmres, tol, max_iter)
-                runs.append(secs)
-                flags.extend(fl)
-            records.append(BenchRecord(dim, "gmres", tol, samples_per_point,
-                                       _median(runs), repeats, runs,
-                                       sorted(set(flags))))
-            if include_cg:
+            opts = SolveOptions.for_grid(grid, tol)
+            for method, solver in solvers:
+                _time_solver_phase(systems[:1], solver, opts)  # warm-up
                 runs, flags = [], []
                 for _ in range(repeats):
-                    secs, fl = _time_solver_phase(systems, cg, tol, max_iter)
+                    secs, fl = _time_solver_phase(systems, solver, opts)
                     runs.append(secs)
                     flags.extend(fl)
-                records.append(BenchRecord(dim, "cg", tol, samples_per_point,
+                records.append(BenchRecord(dim, method, tol, samples_per_point,
                                            _median(runs), repeats, runs,
                                            sorted(set(flags))))
     return records

@@ -21,10 +21,10 @@ from .bench import (
     run_timing_suite,
 )
 from .dataset_io import DatasetFormatError, DatasetIntegrityError, read_dataset
+from .families import FAMILIES
 from .generator import (
     GenerationConfig,
     GenerationError,
-    generate_ablation,
     generate_classic,
     generate_diffoas,
     verify_dataset,
@@ -39,7 +39,6 @@ EXIT_USAGE = 64
 
 METHODS = ("diffoas", "classic", "ablation-grf", "ablation-fourier",
            "ablation-chebyshev")
-PDES = ("darcy", "helmholtz", "diffusion")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,14 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a dataset")
     g.add_argument("--method", choices=METHODS, default="diffoas",
                    help="generation pipeline (default: diffoas)")
-    g.add_argument("--pde", choices=PDES, default="darcy",
+    g.add_argument("--pde", choices=tuple(FAMILIES), default="darcy",
                    help="PDE family (default: darcy)")
     g.add_argument("--grid", type=int, default=50, metavar="N_INTERIOR",
                    help="interior grid size per axis (default: 50)")
     g.add_argument("--samples", type=int, default=100,
                    help="number of samples (default: 100)")
     g.add_argument("--basis", type=int, default=None,
-                   help="basis pool size (default: 30 darcy, 50 others)")
+                   help="basis pool size (default: per-PDE)")
     g.add_argument("--tol", type=float, default=1e-5,
                    help="solver tolerance (default: 1e-5)")
     g.add_argument("--eta", type=float, default=0.01,
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 1e-12)")
 
     b = sub.add_parser("bench", help="timing suite and speedup regression")
-    b.add_argument("--pde", choices=PDES, default="darcy",
+    b.add_argument("--pde", choices=tuple(FAMILIES), default="darcy",
                    help="PDE family (default: darcy)")
     b.add_argument("--dims", default="2500,10000",
                    help="comma-separated matrix dims, each a perfect square "
@@ -149,12 +148,11 @@ def cmd_generate(args) -> int:
     try:
         if args.method == "classic":
             dataset = generate_classic(config, Path(args.out), args.threads)
-        elif args.method == "diffoas":
-            dataset = generate_diffoas(config, Path(args.out), args.threads)
         else:
             kind = args.method.removeprefix("ablation-")
-            dataset = generate_ablation(config, kind, Path(args.out),
-                                        args.threads)
+            dataset = generate_diffoas(
+                config, Path(args.out), args.threads,
+                basis_kind=None if kind == "diffoas" else kind)
     except GenerationError as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return EXIT_GENERATION

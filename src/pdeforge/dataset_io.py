@@ -17,15 +17,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .families import FAMILIES
 from .grid import FieldSample, Grid2D
 
 FORMAT_VERSION = 1
 
-FIELDS_BY_PDE = {
-    "darcy": ("a", "f", "u"),
-    "helmholtz": ("k2", "f", "u"),
-    "diffusion": ("k", "q", "f", "u"),
-}
+# the stored fields of each family at import; DatasetManifest.field_names
+# reads the registry at call time
+FIELDS_BY_PDE = {pde: fam.field_names for pde, fam in FAMILIES.items()}
 
 
 class DatasetIntegrityError(RuntimeError):
@@ -51,9 +50,9 @@ class DatasetManifest:
 
     @property
     def field_names(self) -> tuple:
-        if self.pde not in FIELDS_BY_PDE:
+        if self.pde not in FAMILIES:
             raise DatasetFormatError(f"unknown pde tag {self.pde!r}")
-        return FIELDS_BY_PDE[self.pde]
+        return FAMILIES[self.pde].field_names
 
     @property
     def nodes_per_sample(self) -> int:
@@ -108,13 +107,18 @@ def write_dataset(
     manifest_seed: DatasetManifest,
 ) -> DatasetManifest:
     """Stream samples (dicts of field name -> FieldSample or node array) to
-    disk; returns the completed manifest."""
+    disk; returns the completed manifest.
+
+    An existing manifest.json is removed before any field file is touched,
+    so the directory holds no manifest until the new one is complete.
+    """
     out = Path(dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest_seed
     names = manifest.field_names
     slab = manifest.nodes_per_sample
 
+    (out / "manifest.json").unlink(missing_ok=True)
     handles = {name: open(out / f"{name}.f64", "wb") for name in names}
     crcs = {name: 0 for name in names}
     count = 0
@@ -145,9 +149,14 @@ def write_dataset(
         }
         for name in names
     }
-    tmp = out / "manifest.json.tmp"
+    return write_manifest(out, manifest)
+
+
+def write_manifest(dir: os.PathLike, manifest: DatasetManifest) -> DatasetManifest:
+    """Write manifest.json atomically: a temporary file, then a rename."""
+    tmp = Path(dir) / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
-    os.replace(tmp, out / "manifest.json")
+    os.replace(tmp, Path(dir) / "manifest.json")
     return manifest
 
 

@@ -89,6 +89,9 @@ class GrfParams:
         return {"tau": self.tau, "alpha": self.alpha, "scale": self.scale,
                 "offset": self.offset, "transform": self.transform}
 
+    def sample(self, grid: Grid2D, rng) -> FieldSample:
+        return sample_grf(grid, self, rng)
+
 
 @lru_cache(maxsize=32)
 def _cosine_table(n_interior: int) -> np.ndarray:

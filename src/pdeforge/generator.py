@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset_io import Dataset, DatasetManifest, read_dataset, write_dataset
+from .dataset_io import Dataset, DatasetManifest, write_dataset, write_manifest
+from .families import FAMILIES, PdeCoefficients, family
 from .fields import (
     GrfParams,
     RngStream,
@@ -28,23 +29,16 @@ from .fields import (
     chebyshev_basis_field,
     fourier_basis_field,
     sample_grf,
-    sample_uniform,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import CsrMatrix, PdeCoefficients, apply_operator
+from .grid_ops import apply_operator
 from .solvers import SolveOptions, gmres
 
-DEFAULT_N_BASIS = {"darcy": 30, "helmholtz": 50, "diffusion": 50}
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
-DIFFUSION_MIN_COEF = 0.1
-
-# per-PDE field distributions
-DARCY_GRF = GrfParams(tau=7.0, alpha=2.5)
-DARCY_PERM_GRF = GrfParams(tau=7.0, alpha=2.5, transform="exp")
-HELMHOLTZ_GRF = GrfParams(tau=3.0, alpha=2.0, scale=0.1)
-DIFFUSION_COEF_GRF = GrfParams(tau=3.0, alpha=2.0, scale=10.0)
-DIFFUSION_FORCING_GRF = GrfParams(tau=3.0, alpha=2.0)
+ABLATION_GRF = GrfParams(tau=7.0, alpha=2.5)
 NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
+# bump when the content of basis_pool.npz for a given key changes
+POOL_FORMAT_VERSION = 2
 
 
 class GenerationError(RuntimeError):
@@ -72,14 +66,13 @@ class GenerationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.pde not in DEFAULT_N_BASIS:
-            raise ValueError(f"unknown pde tag {self.pde!r}")
+        pde_family = family(self.pde)
         if self.method not in ("diffoas", "classic"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
         if self.n_basis is None:
-            self.n_basis = DEFAULT_N_BASIS[self.pde]
+            self.n_basis = pde_family.n_basis
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
         if self.noise_eta < 0:
@@ -89,37 +82,17 @@ class GenerationConfig:
         if self.weight_resample_threshold <= 0:
             raise ValueError("weight_resample_threshold must be positive")
 
-    def field_params_dict(self) -> dict:
-        if self.pde == "darcy":
-            return {"a": DARCY_PERM_GRF.to_dict(), "f": DARCY_GRF.to_dict()}
-        if self.pde == "helmholtz":
-            return {"k2": HELMHOLTZ_GRF.to_dict(), "f": HELMHOLTZ_GRF.to_dict()}
-        return {
-            "k": {**DIFFUSION_COEF_GRF.to_dict(),
-                  "shift_to_min": DIFFUSION_MIN_COEF},
-            "q": {"distribution": "uniform", "lo": 0.0, "hi": 1.0},
-            "f": DIFFUSION_FORCING_GRF.to_dict(),
-        }
-
 
 def draw_coefficients(pde: str, grid: Grid2D, gen: np.random.Generator) -> PdeCoefficients:
     """One draw of the coefficient fields for a PDE family."""
-    if pde == "darcy":
-        return PdeCoefficients("darcy", a=sample_grf(grid, DARCY_PERM_GRF, gen))
-    if pde == "helmholtz":
-        return PdeCoefficients("helmholtz", k2=sample_grf(grid, HELMHOLTZ_GRF, gen))
-    k = sample_grf(grid, DIFFUSION_COEF_GRF, gen)
-    low = k.values.min()
-    if low < DIFFUSION_MIN_COEF:
-        k = FieldSample(grid, k.values + (DIFFUSION_MIN_COEF - low))
-    q = sample_uniform(grid, 0.0, 1.0, gen)
-    return PdeCoefficients("diffusion", k=k, q=q)
+    return PdeCoefficients(pde, **{
+        name: dist.sample(grid, gen)
+        for name, dist in family(pde).distributions.items()
+    })
 
 
 def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSample:
-    params = {"darcy": DARCY_GRF, "helmholtz": HELMHOLTZ_GRF,
-              "diffusion": DIFFUSION_FORCING_GRF}[pde]
-    return sample_grf(grid, params, gen)
+    return family(pde).forcing.sample(grid, gen)
 
 
 @dataclass
@@ -144,8 +117,11 @@ class BasisPool:
 
 
 def pool_cache_key(config: GenerationConfig) -> dict:
+    """Everything a solved pool depends on."""
     return {
+        "pool_format": POOL_FORMAT_VERSION,
         "pde": config.pde,
+        "field_params": FAMILIES[config.pde].field_params,
         "grid_interior": config.grid.n_interior,
         "n_basis": config.n_basis,
         "solver_tol": config.solver_tol,
@@ -153,11 +129,14 @@ def pool_cache_key(config: GenerationConfig) -> dict:
     }
 
 
+def _key_text(key: dict) -> str:
+    return json.dumps(key, sort_keys=True)
+
+
 def build_basis_pool(config: GenerationConfig) -> BasisPool:
     """Solve n_basis systems at solver_tol; the solutions seed the pool."""
     grid = config.grid
-    opts = SolveOptions(tol=config.solver_tol,
-                        max_iter=min(grid.n_unknowns, 10000))
+    opts = SolveOptions.for_grid(grid, config.solver_tol)
     basis, provenance = [], []
     for i in range(config.n_basis):
         gen = RngStream(config.master_seed, "basis_params", i).generator()
@@ -186,24 +165,27 @@ def save_basis_pool(pool: BasisPool, path: Path) -> None:
     np.savez(
         path,
         stack=pool.stacked(),
-        key=np.frombuffer(repr(sorted(pool.key.items())).encode(), dtype=np.uint8),
+        key=np.frombuffer(_key_text(pool.key).encode(), dtype=np.uint8),
     )
 
 
 def load_basis_pool(path: Path, config: GenerationConfig) -> Optional[BasisPool]:
+    """The pool saved at path when its key is config's, else None. A
+    missing, truncated or foreign file is a miss."""
     if not path.is_file():
         return None
+    key = pool_cache_key(config)
     try:
-        data = np.load(path)
-        key = bytes(data["key"]).decode()
-    except Exception:
-        return None
-    if key != repr(sorted(pool_cache_key(config).items())):
+        with np.load(path) as data:
+            if bytes(data["key"]).decode() != _key_text(key):
+                return None
+            stack = data["stack"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
     grid = config.grid
     m = grid.n_nodes
-    basis = [FieldSample(grid, row.reshape(m, m)) for row in data["stack"]]
-    return BasisPool(grid, basis, key=pool_cache_key(config))
+    basis = [FieldSample(grid, row.reshape(m, m)) for row in stack]
+    return BasisPool(grid, basis, key=key)
 
 
 def combine_solution(
@@ -253,7 +235,7 @@ def _base_manifest(config: GenerationConfig, method: str) -> DatasetManifest:
             "n_basis": config.n_basis,
             "noise_eta": config.noise_eta,
             "delta": config.weight_resample_threshold,
-            "field_params": config.field_params_dict(),
+            "field_params": FAMILIES[config.pde].field_params,
             "sign_convention": "darcy assembled as -div(a grad u) (SPD)",
             "timings": {},
         },
@@ -273,10 +255,7 @@ def _diffoas_sample(config: GenerationConfig, pool: BasisPool, k: int) -> dict:
         config.weight_resample_threshold,
     )
     f = FieldSample.from_interior(grid, apply_operator(A, u.interior()))
-    sample = {name: fs for name, fs in coeffs.field_map().items()}
-    sample["f"] = f
-    sample["u"] = u
-    return sample
+    return {**coeffs.field_map(), "f": f, "u": u}
 
 
 def _run_samples(worker, indices, threads: int):
@@ -347,16 +326,7 @@ def generate_diffoas(
         "pool_solve_seconds": [solve["wall_time"] for solve in pool.provenance],
         "action_seconds": time.perf_counter() - t1,
     }
-    manifest = write_dataset_manifest_only(out_dir, manifest)
-    return Dataset(out_dir, manifest)
-
-
-def write_dataset_manifest_only(out_dir: Path, manifest: DatasetManifest):
-    """Rewrite manifest.json (e.g. after filling in timings)."""
-    tmp = Path(out_dir) / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
-    os.replace(tmp, Path(out_dir) / "manifest.json")
-    return manifest
+    return Dataset(out_dir, write_manifest(out_dir, manifest))
 
 
 def generate_classic(
@@ -364,13 +334,14 @@ def generate_classic(
     out_dir: Path,
     threads: int = 1,
 ) -> Dataset:
-    """Solve-per-sample generation at solver_tol."""
+    """Solve-per-sample generation at solver_tol; samples whose solve does
+    not converge are skipped. When none converges, no manifest is written
+    and GenerationError is raised."""
     if config.method != "classic":
         raise GenerationError("generate_classic requires method='classic'")
     out_dir = Path(out_dir)
     grid = config.grid
-    opts = SolveOptions(tol=config.solver_tol,
-                        max_iter=min(grid.n_unknowns, 10000))
+    opts = SolveOptions.for_grid(grid, config.solver_tol)
     skipped = []
     t0 = time.perf_counter()
 
@@ -388,21 +359,18 @@ def generate_classic(
             if not report.converged:
                 skipped.append(k)
                 continue
-            sample = {name: fs for name, fs in coeffs.field_map().items()}
-            sample["f"] = forcing
-            sample["u"] = FieldSample.from_interior(grid, report.x)
-            yield sample
+            yield {**coeffs.field_map(), "f": forcing,
+                   "u": FieldSample.from_interior(grid, report.x)}
+        if len(skipped) == config.num_samples:
+            # raised inside write_dataset, before it writes a manifest
+            raise GenerationError("all samples failed to converge")
 
-    manifest = _base_manifest(config, "classic")
-    manifest = write_dataset(out_dir, emit(), manifest)
-    if manifest.num_samples == 0:
-        raise GenerationError("all samples failed to converge")
+    manifest = write_dataset(out_dir, emit(), _base_manifest(config, "classic"))
     manifest.skipped_samples = skipped
     manifest.generation["timings"] = {
         "solve_seconds": time.perf_counter() - t0,
     }
-    manifest = write_dataset_manifest_only(out_dir, manifest)
-    return Dataset(out_dir, manifest)
+    return Dataset(out_dir, write_manifest(out_dir, manifest))
 
 
 def make_ablation_pool(config: GenerationConfig, basis_kind: str) -> BasisPool:
@@ -416,7 +384,7 @@ def make_ablation_pool(config: GenerationConfig, basis_kind: str) -> BasisPool:
         mask = boundary_decay_mask(grid).values
         basis = []
         for i in range(count):
-            g = sample_grf(grid, DARCY_GRF,
+            g = sample_grf(grid, ABLATION_GRF,
                            RngStream(config.master_seed, "basis_params", i))
             basis.append(FieldSample(grid, g.values * mask))
     elif basis_kind == "fourier":
@@ -424,15 +392,6 @@ def make_ablation_pool(config: GenerationConfig, basis_kind: str) -> BasisPool:
     else:
         basis = [chebyshev_basis_field(grid, i + 1) for i in range(count)]
     return BasisPool(grid, basis, key={"ablation": basis_kind})
-
-
-def generate_ablation(
-    config: GenerationConfig,
-    basis_kind: str,
-    out_dir: Path,
-    threads: int = 1,
-) -> Dataset:
-    return generate_diffoas(config, out_dir, threads, basis_kind=basis_kind)
 
 
 @dataclass
@@ -445,20 +404,18 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failing_indices
+        """Every sample is within tol, and there is at least one."""
+        return self.num_samples > 0 and not self.failing_indices
 
 
 def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
     """Re-assemble each sample's operator and measure ||A u - f|| / ||f||."""
     residuals = []
     failing = []
-    grid = dataset.grid
     pde = dataset.manifest.pde
     for k, sample in enumerate(dataset.samples()):
         coeffs = PdeCoefficients(pde, **{
-            name: sample[name]
-            for name in dataset.manifest.field_names if name not in ("f", "u")
-        })
+            name: sample[name] for name in family(pde).coefficients})
         A = coeffs.assemble()
         f_int = sample["f"].interior()
         r = apply_operator(A, sample["u"].interior()) - f_int

@@ -1,4 +1,4 @@
-"""Finite-difference assembly of PDE operators into CSR, SpMV, dense oracle.
+"""Finite-difference assembly of PDE operators into scipy CSR, SpMV, dense oracle.
 
 Three operators on zero-Dirichlet interior unknowns:
 
@@ -8,14 +8,19 @@ Three operators on zero-Dirichlet interior unknowns:
 
 plus a unit-spacing Helmholtz assembly (diagonal -4+k, unit
 off-diagonals, no 1/h^2 scaling) kept for golden tests.
+
+Every operator is a `CsrMatrix`, a `scipy.sparse.csr_array` written in
+canonical form by one 5-point builder: each row stores its entries in
+ascending column order (north, west, center, east, south neighbors of the
+row-major interior numbering). scipy's CSR kernel sums each row left to
+right from 0.0, so `apply_operator` is bit-identical to a sequential loop
+over the stored entries of each row.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -42,73 +47,17 @@ class OracleSizeError(ValueError):
     pass
 
 
-@dataclass
-class CsrMatrix:
-    """Compressed-sparse-row matrix, double precision."""
-
-    nrows: int
-    ncols: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.row_ptr = np.ascontiguousarray(self.row_ptr, dtype=np.int64)
-        self.col_idx = np.ascontiguousarray(self.col_idx, dtype=np.int64)
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.row_ptr.shape != (self.nrows + 1,):
-            raise DimensionError("row_ptr length must be nrows+1")
-        if self.row_ptr[0] != 0 or self.row_ptr[-1] != len(self.values):
-            raise DimensionError("row_ptr endpoints inconsistent with values")
-        if len(self.col_idx) != len(self.values):
-            raise DimensionError("col_idx and values length mismatch")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise DimensionError("row_ptr must be nondecreasing")
-        if self.col_idx.size and (
-            self.col_idx.min() < 0 or self.col_idx.max() >= self.ncols
-        ):
-            raise DimensionError("column index out of range")
+class CsrMatrix(scipy.sparse.csr_array):
+    """A scipy CSR array, double precision, with its row and column counts
+    as `nrows` and `ncols`."""
 
     @property
-    def nnz(self) -> int:
-        return len(self.values)
+    def nrows(self) -> int:
+        return self.shape[0]
 
-    def entry(self, i: int, j: int) -> float:
-        """A_ij, zero if not stored."""
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        k = lo + np.searchsorted(self.col_idx[lo:hi], j)
-        if k < hi and self.col_idx[k] == j:
-            return float(self.values[k])
-        return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.nrows, self.ncols))
-        rows = np.repeat(np.arange(self.nrows), np.diff(self.row_ptr))
-        dense[rows, self.col_idx] = self.values
-        return dense
-
-    def to_scipy(self) -> scipy.sparse.csr_array:
-        """A scipy CSR view sharing these arrays (no copy of the values)."""
-        return scipy.sparse.csr_array(
-            (self.values, self.col_idx, self.row_ptr),
-            shape=(self.nrows, self.ncols))
-
-    @classmethod
-    def identity(cls, n: int) -> "CsrMatrix":
-        return cls(n, n, np.arange(n + 1), np.arange(n), np.ones(n))
-
-    @classmethod
-    def from_coo(
-        cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-        vals: np.ndarray,
-    ) -> "CsrMatrix":
-        """Build CSR from coordinate triplets (no duplicates expected)."""
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        return cls(nrows, ncols, row_ptr, cols, vals)
+    @property
+    def ncols(self) -> int:
+        return self.shape[1]
 
 
 def apply_operator(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -120,7 +69,7 @@ def apply_operator(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.ncols,):
         raise DimensionError(f"operand length {x.shape} != ncols {A.ncols}")
-    return A.to_scipy() @ x
+    return A @ x
 
 
 def _oracle_cap() -> int:
@@ -141,7 +90,7 @@ def dense_solve(A: CsrMatrix, b: np.ndarray) -> np.ndarray:
             f"n={A.nrows} exceeds dense oracle cap {cap} "
             "(set PDEFORGE_ORACLE_CAP to raise)"
         )
-    dense = A.to_dense()
+    dense = A.toarray()
     with warnings.catch_warnings():
         # singularity is detected from the U diagonal below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -158,53 +107,40 @@ def _check_field(grid: Grid2D, f: FieldSample, name: str) -> np.ndarray:
     return f.values
 
 
-def _stencil_coo(grid: Grid2D):
-    """Row/col index arrays for the 5-point pattern, one array per band.
-
-    Returns (rows, cols_center, cols_W, cols_E, cols_N, cols_S, mask_*) with
-    masks marking which interior nodes actually have that interior neighbor.
-    """
+def _five_point(grid: Grid2D, center, north, south, west, east) -> CsrMatrix:
+    """The 5-point operator whose row for interior node (i, j) holds center
+    on the diagonal and north/south/west/east at the neighbors (i-1, j),
+    (i+1, j), (i, j-1), (i, j+1) that are interior. Each coefficient is an
+    (n, n) array over the interior nodes or a scalar."""
     n = grid.n_interior
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    center = ii * n + jj
-    bands = {
-        "N": (ii > 0, center - n),
-        "S": (ii < n - 1, center + n),
-        "W": (jj > 0, center - 1),
-        "E": (jj < n - 1, center + 1),
-    }
-    return ii, jj, center, bands
+    node = np.arange(n * n).reshape(n, n)
+    # one slot per stencil entry, in ascending column order N, W, C, E, S
+    cols = np.stack([node - n, node - 1, node, node + 1, node + n], axis=-1)
+    vals = np.empty((n, n, 5))
+    for slot, coef in enumerate((north, west, center, east, south)):
+        vals[..., slot] = coef
+    keep = np.ones((n, n, 5), dtype=bool)
+    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    indptr = np.zeros(n * n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=-1).reshape(-1), out=indptr[1:])
+    return CsrMatrix((vals[keep], cols[keep], indptr), shape=(n * n, n * n))
 
 
-def _assemble_flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> CsrMatrix:
-    """sign * div(coef grad u) with face coefficients by arithmetic mean.
+def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
+    """Stencil (center, north, south, west, east) of sign * div(coef grad u)
+    with face coefficients by arithmetic mean.
 
     sign=-1 gives the SPD Darcy form -div(a grad u); sign=+1 the
     diffusion-reaction flux term div(k grad u).
     """
-    n = grid.n_interior
     h2 = grid.h ** 2
-    ii, jj, center, bands = _stencil_coo(grid)
-    # face coefficients around interior node (ii+1, jj+1) of the node grid
-    ci, cj = ii + 1, jj + 1
-    a_n = 0.5 * (coef[ci, cj] + coef[ci - 1, cj])
-    a_s = 0.5 * (coef[ci, cj] + coef[ci + 1, cj])
-    a_w = 0.5 * (coef[ci, cj] + coef[ci, cj - 1])
-    a_e = 0.5 * (coef[ci, cj] + coef[ci, cj + 1])
-    diag = sign * (-(a_n + a_s + a_w + a_e)) / h2
-    rows = [center]
-    cols = [center]
-    vals = [diag]
-    for name, a_f in (("N", a_n), ("S", a_s), ("W", a_w), ("E", a_e)):
-        mask, neighbor = bands[name]
-        rows.append(center[mask])
-        cols.append(neighbor[mask])
-        vals.append(sign * a_f[mask] / h2)
-    return CsrMatrix.from_coo(
-        n * n, n * n,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-    )
+    c = coef[1:-1, 1:-1]
+    a_n = 0.5 * (c + coef[:-2, 1:-1])
+    a_s = 0.5 * (c + coef[2:, 1:-1])
+    a_w = 0.5 * (c + coef[1:-1, :-2])
+    a_e = 0.5 * (c + coef[1:-1, 2:])
+    center = sign * (-(a_n + a_s + a_w + a_e)) / h2
+    return (center,) + tuple(sign * a_f / h2 for a_f in (a_n, a_s, a_w, a_e))
 
 
 def assemble_darcy(grid: Grid2D, a: FieldSample) -> CsrMatrix:
@@ -214,28 +150,15 @@ def assemble_darcy(grid: Grid2D, a: FieldSample) -> CsrMatrix:
         raise EllipticityError(
             f"permeability must be positive everywhere, min={coef.min():g}"
         )
-    return _assemble_flux_form(grid, coef, sign=-1.0)
+    return _five_point(grid, *_flux_form(grid, coef, sign=-1.0))
 
 
 def assemble_helmholtz(grid: Grid2D, k2: FieldSample) -> CsrMatrix:
     """lap(u) + k2*u, scaled 5-point stencil, zero Dirichlet boundary."""
     kv = _check_field(grid, k2, "squared wavenumber")
-    n = grid.n_interior
     h2 = grid.h ** 2
-    ii, jj, center, bands = _stencil_coo(grid)
-    diag = -4.0 / h2 + kv[ii + 1, jj + 1]
-    rows = [center]
-    cols = [center]
-    vals = [diag]
-    for name in ("N", "S", "W", "E"):
-        mask, neighbor = bands[name]
-        rows.append(center[mask])
-        cols.append(neighbor[mask])
-        vals.append(np.full(mask.sum(), 1.0 / h2))
-    return CsrMatrix.from_coo(
-        n * n, n * n,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-    )
+    off = 1.0 / h2
+    return _five_point(grid, -4.0 / h2 + kv[1:-1, 1:-1], off, off, off, off)
 
 
 def assemble_helmholtz_paper_normalized(grid, k: float) -> CsrMatrix:
@@ -245,20 +168,7 @@ def assemble_helmholtz_paper_normalized(grid, k: float) -> CsrMatrix:
     """
     if not isinstance(grid, Grid2D):
         grid = Grid2D(int(grid))
-    n = grid.n_interior
-    ii, jj, center, bands = _stencil_coo(grid)
-    rows = [center]
-    cols = [center]
-    vals = [np.full(n * n, -4.0 + k)]
-    for name in ("N", "S", "W", "E"):
-        mask, neighbor = bands[name]
-        rows.append(center[mask])
-        cols.append(neighbor[mask])
-        vals.append(np.ones(mask.sum()))
-    return CsrMatrix.from_coo(
-        n * n, n * n,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-    )
+    return _five_point(grid, -4.0 + k, 1.0, 1.0, 1.0, 1.0)
 
 
 def assemble_diffusion_reaction(
@@ -271,55 +181,5 @@ def assemble_diffusion_reaction(
         raise EllipticityError(
             f"diffusion coefficient must be positive, min={kv.min():g}"
         )
-    A = _assemble_flux_form(grid, kv, sign=+1.0)
-    # add diag(q) in place: every row stores exactly one diagonal entry
-    q_int = qv[1:-1, 1:-1].reshape(-1)
-    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
-    diag_mask = A.col_idx == rows
-    A.values[diag_mask] += q_int
-    return A
-
-
-@dataclass
-class PdeCoefficients:
-    """Coefficient fields of one PDE family, sharing one grid."""
-
-    pde: str  # "darcy" | "helmholtz" | "diffusion"
-    a: Optional[FieldSample] = None
-    k2: Optional[FieldSample] = None
-    k: Optional[FieldSample] = None
-    q: Optional[FieldSample] = None
-
-    def __post_init__(self):
-        required = {"darcy": ("a",), "helmholtz": ("k2",),
-                    "diffusion": ("k", "q")}
-        if self.pde not in required:
-            raise ValueError(f"unknown pde tag {self.pde!r}")
-        fields = [getattr(self, name) for name in required[self.pde]]
-        if any(f is None for f in fields):
-            raise DimensionError(f"{self.pde} requires {required[self.pde]}")
-        grids = {f.grid for f in fields}
-        if len(grids) != 1:
-            raise DimensionError("coefficient fields must share one grid")
-        self.grid = fields[0].grid
-
-    def field_map(self) -> dict:
-        names = {"darcy": ("a",), "helmholtz": ("k2",), "diffusion": ("k", "q")}
-        return {name: getattr(self, name) for name in names[self.pde]}
-
-    def assemble(self) -> CsrMatrix:
-        if self.pde == "darcy":
-            return assemble_darcy(self.grid, self.a)
-        if self.pde == "helmholtz":
-            return assemble_helmholtz(self.grid, self.k2)
-        return assemble_diffusion_reaction(self.grid, self.k, self.q)
-
-
-def to_matrix_market(A: CsrMatrix) -> str:
-    """Matrix Market coordinate text dump (debug/test aid)."""
-    lines = ["%%MatrixMarket matrix coordinate real general",
-             f"{A.nrows} {A.ncols} {A.nnz}"]
-    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
-    for r, c, v in zip(rows, A.col_idx, A.values):
-        lines.append(f"{r + 1} {c + 1} {v:.17g}")
-    return "\n".join(lines) + "\n"
+    center, *neighbors = _flux_form(grid, kv, sign=+1.0)
+    return _five_point(grid, center + qv[1:-1, 1:-1], *neighbors)

@@ -174,3 +174,25 @@ class TestManifestFuzzing:
         assert code == 3
         code, _, _ = run(["inspect", "--data", str(tmp_path)], capsys)
         assert code == 3
+
+
+class TestFailedGenerate:
+    def test_unconverged_classic_leaves_no_dataset(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code, _, err = run(["generate", "--method", "classic", "--pde",
+                            "darcy", "--grid", "4", "--samples", "3",
+                            "--tol", "1e-300", "--out", str(out)], capsys)
+        assert code == 2
+        assert "all samples failed to converge" in err
+        assert not (out / "manifest.json").exists()
+        code, out_text, _ = run(["verify", "--data", str(out)], capsys)
+        assert code != 0
+        assert '"passed": true' not in out_text
+
+    def test_verify_empty_dataset_fails(self, capsys, tmp_path):
+        from pdeforge.dataset_io import DatasetManifest, write_dataset
+        write_dataset(tmp_path, [], DatasetManifest(
+            pde="darcy", grid_interior=4, num_samples=0, method="classic"))
+        code, out, _ = run(["verify", "--data", str(tmp_path)], capsys)
+        assert code == 1
+        assert json.loads(out)["passed"] is False

@@ -75,6 +75,22 @@ class TestWrite:
         with pytest.raises(DatasetIntegrityError):
             read_dataset(tmp_path)
 
+    def test_failed_rewrite_removes_old_manifest(self, tmp_path):
+        # the old manifest must not vouch for half-rewritten field files
+        grid, _ = write_small(tmp_path, n=2, count=2)
+        manifest = DatasetManifest(pde="darcy", grid_interior=2,
+                                   num_samples=2, method="classic")
+
+        def broken():
+            yield make_samples(grid, 1, seed=1)[0]
+            raise RuntimeError("simulated crash")
+
+        with pytest.raises(RuntimeError):
+            write_dataset(tmp_path, broken(), manifest)
+        assert not (tmp_path / "manifest.json").exists()
+        with pytest.raises(DatasetIntegrityError):
+            read_dataset(tmp_path)
+
 
 class TestRead:
     def test_corruption_detected_and_named(self, tmp_path):

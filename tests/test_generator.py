@@ -1,18 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from pdeforge import generator
 from pdeforge.dataset_io import read_dataset
-from pdeforge.fields import RngStream
+from pdeforge.families import FAMILIES
+from pdeforge.fields import GrfParams, RngStream
 from pdeforge.generator import (
     BasisPool,
     BasisConstructionError,
     DegenerateWeightsError,
     GenerationConfig,
+    VerificationReport,
     build_basis_pool,
     combine_solution,
-    generate_ablation,
     generate_classic,
     generate_diffoas,
     verify_dataset,
@@ -208,6 +211,41 @@ class TestDiffoas:
         assert [s["iterations"] for s in recorded["solves"]] == \
             [p["iterations"] for p in pool.provenance]
 
+    def test_pool_cache_misses_on_changed_distribution(self, tmp_path,
+                                                       monkeypatch):
+        config = small_config()
+        generate_diffoas(config, tmp_path / "d")
+        darcy = FAMILIES["darcy"]
+        monkeypatch.setitem(FAMILIES, "darcy", dataclasses.replace(
+            darcy, forcing=GrfParams(tau=3.0, alpha=2.0)))
+        ds = generate_diffoas(config, tmp_path / "d")
+        assert ds.manifest.generation["pool"]["cache"] == "miss"
+        assert verify_dataset(ds, 1e-12).passed
+
+    def test_truncated_pool_cache_is_a_miss(self, tmp_path):
+        config = small_config()
+        generate_diffoas(config, tmp_path / "d")
+        path = tmp_path / "d" / "basis_pool.npz"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        ds = generate_diffoas(config, tmp_path / "d")
+        assert ds.manifest.generation["pool"]["cache"] == "miss"
+
+    def test_interrupted_regenerate_leaves_no_manifest(self, tmp_path,
+                                                       monkeypatch):
+        config = small_config()
+        generate_diffoas(config, tmp_path / "d")
+        real = generator._diffoas_sample
+
+        def crash_after_first(config, pool, k):
+            if k >= 1:
+                raise KeyboardInterrupt
+            return real(config, pool, k)
+
+        monkeypatch.setattr(generator, "_diffoas_sample", crash_after_first)
+        with pytest.raises(KeyboardInterrupt):
+            generate_diffoas(config, tmp_path / "d")
+        assert not (tmp_path / "d" / "manifest.json").exists()
+
     def test_boundary_zero_everywhere(self, tmp_path):
         config = small_config(num_samples=5)
         ds = generate_diffoas(config, tmp_path / "d")
@@ -247,7 +285,7 @@ class TestAblation:
         ("grf", 30), ("fourier", 100), ("chebyshev", 100)])
     def test_pool_sizes_and_validity(self, tmp_path, kind, size):
         config = small_config(num_samples=3)
-        ds = generate_ablation(config, kind, tmp_path / kind)
+        ds = generate_diffoas(config, tmp_path / kind, basis_kind=kind)
         assert ds.manifest.generation["pool_size"] == size
         assert ds.manifest.generation["pool"] == {"cache": "none", "solves": []}
         assert ds.manifest.method == f"ablation-{kind}"
@@ -257,6 +295,9 @@ class TestAblation:
 
 
 class TestVerify:
+    def test_empty_report_does_not_pass(self):
+        assert not VerificationReport(0, 0.0, 0.0, [], 1e-12).passed
+
     def test_classic_fails_tight_tolerance(self, tmp_path):
         config = GenerationConfig("darcy", Grid2D(8), 3, method="classic",
                                   solver_tol=1e-5, master_seed=9)

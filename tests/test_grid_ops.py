@@ -18,7 +18,6 @@ from pdeforge.grid_ops import (
     assemble_helmholtz,
     assemble_helmholtz_paper_normalized,
     dense_solve,
-    to_matrix_market,
 )
 
 PAPER_4X4 = np.array([
@@ -65,14 +64,14 @@ class TestDarcy:
             [-1.0, 0.0, 4.0, -1.0],
             [0.0, -1.0, -1.0, 4.0],
         ])
-        np.testing.assert_array_equal(A.to_dense(), expected)
+        np.testing.assert_array_equal(A.toarray(), expected)
 
     def test_laplacian_eigenvalues_n3(self):
         # analytic Dirichlet eigenvalues vs dense eigensolve oracle
         g = Grid2D(3)
         h = g.h
         A = assemble_darcy(g, FieldSample.constant(g, 1.0))
-        computed = np.sort(np.linalg.eigvalsh(A.to_dense()))
+        computed = np.sort(np.linalg.eigvalsh(A.toarray()))
         analytic = np.sort([
             (4.0 / h**2) * (np.sin(np.pi * p * h / 2) ** 2
                             + np.sin(np.pi * q * h / 2) ** 2)
@@ -83,7 +82,7 @@ class TestDarcy:
     def test_symmetry_bruteforce(self):
         g = Grid2D(4)
         A = assemble_darcy(g, random_field(g, 11))
-        dense = A.to_dense()
+        dense = A.toarray()
         for i in range(16):
             for j in range(16):
                 assert dense[i, j] == dense[j, i]
@@ -92,13 +91,13 @@ class TestDarcy:
         for n in (2, 4, 8):
             g = Grid2D(n)
             A = assemble_darcy(g, random_field(g, n))
-            assert np.linalg.eigvalsh(A.to_dense()).min() > 0
+            assert np.linalg.eigvalsh(A.toarray()).min() > 0
 
     def test_constant_scaling(self):
         g = Grid2D(5)
         A1 = assemble_darcy(g, FieldSample.constant(g, 1.0))
         Ac = assemble_darcy(g, FieldSample.constant(g, 3.5))
-        np.testing.assert_array_equal(Ac.values, 3.5 * A1.values)
+        np.testing.assert_array_equal(Ac.data, 3.5 * A1.data)
 
     def test_rejects_nonpositive_permeability(self):
         g = Grid2D(3)
@@ -113,7 +112,7 @@ class TestDarcy:
         for n in (2, 3, 7):
             g = Grid2D(n)
             A = assemble_darcy(g, random_field(g, n))
-            assert np.max(np.diff(A.row_ptr)) <= 5
+            assert np.max(np.diff(A.indptr)) <= 5
             # brute-force stencil count: 1 diagonal + interior neighbors
             expected = 0
             for i in range(n):
@@ -128,7 +127,7 @@ class TestHelmholtz:
         g = Grid2D(2)
         H = assemble_helmholtz(g, FieldSample.constant(g, 0.0))
         D = assemble_darcy(g, FieldSample.constant(g, 1.0))
-        np.testing.assert_array_equal(H.to_dense(), -D.to_dense())
+        np.testing.assert_array_equal(H.toarray(), -D.toarray())
 
     def test_constant_shift(self):
         g = Grid2D(3)
@@ -136,7 +135,7 @@ class TestHelmholtz:
         H0 = assemble_helmholtz(g, FieldSample.constant(g, 0.0))
         Hc = assemble_helmholtz(g, FieldSample.constant(g, c))
         np.testing.assert_array_equal(
-            Hc.to_dense(), H0.to_dense() + c * np.eye(9))
+            Hc.toarray(), H0.toarray() + c * np.eye(9))
 
     def test_grf_coefficient_rowsums(self):
         g = Grid2D(4)
@@ -144,7 +143,7 @@ class TestHelmholtz:
                         RngStream(5, "sample_params", 0))
         A = assemble_helmholtz(g, k2)
         np.testing.assert_allclose(
-            apply_operator(A, np.ones(16)), A.to_dense().sum(axis=1),
+            apply_operator(A, np.ones(16)), A.toarray().sum(axis=1),
             rtol=1e-13, atol=1e-9)
 
 
@@ -153,11 +152,11 @@ class TestPaperNormalized:
     def test_printed_matrix(self, k):
         A = assemble_helmholtz_paper_normalized(Grid2D(2), k)
         np.testing.assert_array_equal(
-            A.to_dense(), PAPER_4X4 + k * np.eye(4))
+            A.toarray(), PAPER_4X4 + k * np.eye(4))
 
     def test_n3_structure(self):
         A = assemble_helmholtz_paper_normalized(Grid2D(3), 0.0)
-        dense = A.to_dense()
+        dense = A.toarray()
         for i in range(3):
             for j in range(3):
                 row = dense[3 * i + j]
@@ -172,7 +171,7 @@ class TestDiffusionReaction:
         q = FieldSample.constant(g, 0.0)
         A = assemble_diffusion_reaction(g, k, q)
         D = assemble_darcy(g, k)
-        np.testing.assert_array_equal(A.to_dense(), -D.to_dense())
+        np.testing.assert_array_equal(A.toarray(), -D.toarray())
 
     def test_reaction_is_diagonal_shift(self):
         g = Grid2D(4)
@@ -181,7 +180,7 @@ class TestDiffusionReaction:
         A0 = assemble_diffusion_reaction(g, k, FieldSample.constant(g, 0.0))
         Ac = assemble_diffusion_reaction(g, k, FieldSample.constant(g, c))
         np.testing.assert_allclose(
-            Ac.to_dense() - A0.to_dense(), c * np.eye(16), atol=1e-12)
+            Ac.toarray() - A0.toarray(), c * np.eye(16), atol=1e-12)
 
     def test_spmv_matches_dense(self):
         g = Grid2D(4)
@@ -191,7 +190,7 @@ class TestDiffusionReaction:
         k = FieldSample(g, k_raw.values + shift)
         q = sample_uniform(g, 0.0, 1.0, RngStream(9, "sample_params", 1))
         A = assemble_diffusion_reaction(g, k, q)
-        dense = A.to_dense()
+        dense = A.toarray()
         gen = np.random.default_rng(0)
         for _ in range(3):
             x = gen.standard_normal(16)
@@ -207,7 +206,7 @@ class TestDiffusionReaction:
 
 class TestApplyOperator:
     def test_identity(self):
-        A = CsrMatrix.identity(7)
+        A = CsrMatrix(np.eye(7))
         x = np.arange(7.0)
         np.testing.assert_array_equal(apply_operator(A, x), x)
 
@@ -219,7 +218,7 @@ class TestApplyOperator:
     def test_matches_dense_random(self):
         g = Grid2D(5)
         A = assemble_darcy(g, random_field(g, 21))
-        dense = A.to_dense()
+        dense = A.toarray()
         gen = np.random.default_rng(1)
         x = gen.standard_normal(25)
         b = apply_operator(A, x)
@@ -228,7 +227,7 @@ class TestApplyOperator:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            apply_operator(CsrMatrix.identity(3), np.ones(4))
+            apply_operator(CsrMatrix(np.eye(3)), np.ones(4))
 
     @pytest.mark.parametrize("pde", ["darcy", "helmholtz", "diffusion"])
     def test_row_sequential_summation(self, pde):
@@ -240,17 +239,18 @@ class TestApplyOperator:
             ref = np.zeros(A.nrows)
             for i in range(A.nrows):
                 acc = 0.0
-                for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
-                    acc += float(A.values[k]) * float(x[A.col_idx[k]])
+                for k in range(A.indptr[i], A.indptr[i + 1]):
+                    acc += float(A.data[k]) * float(x[A.indices[k]])
                 ref[i] = acc
             np.testing.assert_array_equal(apply_operator(A, x), ref)
 
     def test_empty_rows(self):
-        A = CsrMatrix(3, 3, np.array([0, 1, 1, 2]), np.array([2, 0]),
-                      np.array([2.0, -1.0]))
+        A = CsrMatrix((np.array([2.0, -1.0]), np.array([2, 0]),
+                       np.array([0, 1, 1, 2])), shape=(3, 3))
         np.testing.assert_array_equal(
             apply_operator(A, np.array([1.0, 2.0, 3.0])), [6.0, 0.0, -1.0])
-        empty = CsrMatrix(2, 2, np.zeros(3), np.zeros(0), np.zeros(0))
+        empty = CsrMatrix((np.zeros(0), np.zeros(0, dtype=int),
+                           np.zeros(3, dtype=int)), shape=(2, 2))
         np.testing.assert_array_equal(apply_operator(empty, np.ones(2)),
                                       np.zeros(2))
 
@@ -272,7 +272,7 @@ class TestApplyOperator:
 class TestDenseSolve:
     def test_identity(self):
         b = np.arange(5.0)
-        np.testing.assert_array_equal(dense_solve(CsrMatrix.identity(5), b), b)
+        np.testing.assert_array_equal(dense_solve(CsrMatrix(np.eye(5)), b), b)
 
     def test_paper_inverse(self):
         A = assemble_helmholtz_paper_normalized(Grid2D(2), 0.0)
@@ -288,21 +288,13 @@ class TestDenseSolve:
         assert np.linalg.norm(r) / np.linalg.norm(b) <= 1e-12
 
     def test_singular_detection(self):
-        A = CsrMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 0]),
-                      np.array([1.0, 1.0]))
+        A = CsrMatrix((np.array([1.0, 1.0]), np.array([0, 0]),
+                       np.array([0, 1, 2])), shape=(2, 2))
         with pytest.raises(SingularMatrixError):
             dense_solve(A, np.ones(2))
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setenv("PDEFORGE_ORACLE_CAP", "3")
         with pytest.raises(OracleSizeError):
-            dense_solve(CsrMatrix.identity(4), np.ones(4))
+            dense_solve(CsrMatrix(np.eye(4)), np.ones(4))
 
-
-def test_matrix_market_dump():
-    A = assemble_helmholtz_paper_normalized(Grid2D(2), 0.0)
-    text = to_matrix_market(A)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    assert lines[1] == "4 4 12"
-    assert len(lines) == 2 + A.nnz

@@ -1,0 +1,37 @@
+"""Imports the benchmark harness under perfbench/ against this source tree,
+so a renamed or reshaped name it uses fails here rather than in a
+benchmark run."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+USED_NAMES = {
+    "pdeforge.generator": ("BasisPool", "draw_coefficients", "draw_forcing",
+                           "pool_cache_key", "make_ablation_pool"),
+    "pdeforge.dataset_io": ("FIELDS_BY_PDE", "DatasetManifest",
+                            "read_dataset", "write_dataset"),
+    "pdeforge": ("PdeCoefficients", "apply_operator", "gmres",
+                 "combine_solution", "SolveOptions", "RngStream",
+                 "FieldSample"),
+}
+
+
+def test_benchmark_harness_imports_and_counts(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # keep perfbench/ clean
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import record
+        import tracing  # noqa: F401
+        import workloads
+
+        for module, names in USED_NAMES.items():
+            for name in names:
+                assert hasattr(sys.modules[module], name), f"{module}.{name}"
+        for wl in workloads.WORKLOADS.values():
+            counts = record.computed_counts(wl, 1 << 20)
+            assert counts["grid_ops.nnz"][0] == 5 * wl.n ** 2 - 4 * wl.n
+    finally:
+        for name in ("record", "tracing", "workloads"):
+            sys.modules.pop(name, None)

@@ -36,7 +36,7 @@ def darcy_system(n, seed, lognormal=True):
 
 class TestGmres:
     def test_identity_one_iteration(self):
-        A = CsrMatrix.identity(6)
+        A = CsrMatrix(np.eye(6))
         b = np.arange(1.0, 7.0)
         rep = gmres(A, b, opts=SolveOptions(tol=1e-12))
         assert rep.converged and rep.iterations == 1
@@ -60,7 +60,7 @@ class TestGmres:
         assert np.linalg.norm(rep.x - xd) / np.linalg.norm(xd) <= 1e-5
 
     def test_zero_rhs(self):
-        A = CsrMatrix.identity(4)
+        A = CsrMatrix(np.eye(4))
         rep = gmres(A, np.zeros(4), opts=SolveOptions(tol=1e-10))
         assert rep.converged and rep.iterations == 0
         np.testing.assert_array_equal(rep.x, np.zeros(4))
@@ -73,7 +73,7 @@ class TestGmres:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            gmres(CsrMatrix.identity(3), np.ones(4))
+            gmres(CsrMatrix(np.eye(3)), np.ones(4))
 
     def test_residual_monotonicity(self):
         A, b = darcy_system(9, 17)
@@ -109,7 +109,7 @@ class TestGmres:
     def test_happy_breakdown_invariant_subspace(self):
         # b in a 2-dimensional invariant subspace of a diagonal matrix
         vals = np.array([2.0, 2.0, 3.0, 5.0])
-        A = CsrMatrix(4, 4, np.arange(5), np.arange(4), vals)
+        A = CsrMatrix((vals, np.arange(4), np.arange(5)), shape=(4, 4))
         b = np.array([1.0, 1.0, 1.0, 0.0])  # spans eigenvalues {2, 3}
         rep = gmres(A, b, opts=SolveOptions(tol=1e-10), keep_basis=True)
         assert rep.converged
@@ -129,7 +129,7 @@ class TestGmres:
 
 class TestResidualBound:
     def test_identity_trace(self):
-        A = CsrMatrix.identity(5)
+        A = CsrMatrix(np.eye(5))
         rep = gmres(A, np.ones(5),
                     opts=SolveOptions(tol=1e-12, record_trace=True))
         check = verify_residual_bound(rep)
@@ -150,14 +150,14 @@ class TestResidualBound:
         assert len(check.per_iteration) == rep.iterations
 
     def test_missing_trace(self):
-        rep = gmres(CsrMatrix.identity(3), np.ones(3))
+        rep = gmres(CsrMatrix(np.eye(3)), np.ones(3))
         with pytest.raises(MissingTraceError):
             verify_residual_bound(rep)
 
 
 class TestCg:
     def test_scaled_identity(self):
-        A = CsrMatrix(3, 3, np.arange(4), np.arange(3), np.full(3, 2.0))
+        A = CsrMatrix(2.0 * np.eye(3))
         b = np.array([2.0, 4.0, 6.0])
         rep = cg(A, b, opts=SolveOptions(tol=1e-12))
         assert rep.converged and rep.iterations == 1
@@ -178,10 +178,20 @@ class TestCg:
         assert rep.iterations <= 2 * 64  # exact-arithmetic bound, 2x slack
 
     def test_rejects_asymmetric(self):
-        A = CsrMatrix(2, 2, np.array([0, 2, 3]), np.array([0, 1, 1]),
-                      np.array([2.0, 1.0, 2.0]))
+        A = CsrMatrix((np.array([2.0, 1.0, 2.0]), np.array([0, 1, 1]),
+                       np.array([0, 2, 3])), shape=(2, 2))
         with pytest.raises(NotSpdError):
             cg(A, np.ones(2))
+
+    def test_rejects_single_asymmetric_entry(self):
+        # one asymmetric pair among ~10^4 stored entries: every entry is
+        # checked, not a random sample of them
+        g = Grid2D(40)
+        A = assemble_darcy(g, FieldSample.constant(g, 1.0)).tolil()
+        A[700, 701] *= 1.0 + 1e-9
+        A = CsrMatrix(A)
+        with pytest.raises(NotSpdError, match=r"\(70[01], 70[01]\)"):
+            cg(A, np.ones(A.nrows))
 
     def test_rejects_indefinite(self):
         g = Grid2D(4)
