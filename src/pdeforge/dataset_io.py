@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -110,7 +111,9 @@ def write_dataset(
     disk; returns the completed manifest.
 
     An existing manifest.json is removed before any field file is touched,
-    so the directory holds no manifest until the new one is complete.
+    so the directory holds no manifest until the new one is complete. Field
+    files that another registered family stores and this one does not are
+    removed too, so no stale field of an earlier dataset is left behind.
     """
     out = Path(dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,6 +122,9 @@ def write_dataset(
     slab = manifest.nodes_per_sample
 
     (out / "manifest.json").unlink(missing_ok=True)
+    registered = {name for fam in FAMILIES.values() for name in fam.field_names}
+    for name in sorted(registered - set(names)):
+        (out / f"{name}.f64").unlink(missing_ok=True)
     handles = {name: open(out / f"{name}.f64", "wb") for name in names}
     crcs = {name: 0 for name in names}
     count = 0
@@ -168,6 +174,18 @@ class Dataset:
         self.manifest = manifest
         self.grid = Grid2D(manifest.grid_interior)
 
+    def _path(self, field_name: str) -> Path:
+        return self.dir / self.manifest.field_files[field_name]["filename"]
+
+    def _read_slab(self, fh) -> FieldSample:
+        """The next sample of a field file open at a slab boundary."""
+        m = self.grid.n_nodes
+        values = np.empty((m, m), dtype="<f8")
+        if fh.readinto(values) != values.nbytes:
+            raise DatasetIntegrityError(
+                f"{Path(fh.name).name} ends inside a sample")
+        return FieldSample(self.grid, values)
+
     def field_sample(self, field_name: str, k: int) -> FieldSample:
         if field_name not in self.manifest.field_names:
             raise DatasetFormatError(
@@ -175,19 +193,19 @@ class Dataset:
             )
         if not (0 <= k < self.manifest.num_samples):
             raise DatasetFormatError(f"sample index {k} out of range")
-        slab = self.manifest.nodes_per_sample
-        m = self.grid.n_nodes
-        path = self.dir / self.manifest.field_files[field_name]["filename"]
-        with open(path, "rb") as fh:
-            fh.seek(k * slab * 8)
-            raw = fh.read(slab * 8)
-        values = np.frombuffer(raw, dtype="<f8").reshape(m, m)
-        return FieldSample(self.grid, values.copy())
+        with open(self._path(field_name), "rb") as fh:
+            fh.seek(k * self.manifest.nodes_per_sample * 8)
+            return self._read_slab(fh)
 
     def samples(self) -> Iterator[dict]:
-        for k in range(self.manifest.num_samples):
-            yield {name: self.field_sample(name, k)
-                   for name in self.manifest.field_names}
+        """Every sample in order; each field file is opened once and read
+        one sample at a time."""
+        with ExitStack() as stack:
+            handles = {name: stack.enter_context(open(self._path(name), "rb"))
+                       for name in self.manifest.field_names}
+            for _ in range(self.manifest.num_samples):
+                yield {name: self._read_slab(fh)
+                       for name, fh in handles.items()}
 
 
 def read_dataset(dir: os.PathLike) -> Dataset:

@@ -2,21 +2,28 @@
 
 A record is all the program knows about a family: its coefficient fields
 and the distribution each is drawn from, the forcing distribution, the
-assembler and the default basis-pool size. Generation, the dataset
-manifest (field names and `field_params`), the pool cache key,
+operator's 5-point stencil and the default basis-pool size. Generation,
+the dataset manifest (field names and `field_params`), the pool cache key,
 verification and the CLI's `--pde` choices all read the record at call
 time.
 
-Adding a family costs one record. Write an assembler
-`assemble(grid, **coefficient_fields) -> CsrMatrix` (`grid_ops._five_point`
-writes the CSR from five stencil arrays), give each coefficient a
-distribution (anything with `sample(grid, rng) -> FieldSample` and
-`to_dict()`, such as `GrfParams`), and add the record:
+The stencil is the one description of the operator. `PdeCoefficients`
+gives it two forms: `assemble()` writes it as a CSR matrix (basis and
+classic solves, `verify_dataset`), and `apply(u)` applies it matrix-free
+(operator-action generation). Generation and verification therefore
+check each other through two independent representations.
+
+Adding a family costs one record. Write a stencil function
+`stencil(grid, **coefficient_fields) -> (center, north, south, west,
+east)`, each an (n, n) array over the interior nodes or a scalar, give
+each coefficient a distribution (anything with
+`sample(grid, rng) -> FieldSample` and `to_dict()`, such as `GrfParams`),
+and add the record:
 
     FAMILIES["poisson"] = PdeFamily(
         distributions={"c": Uniform(1.0, 2.0)},
         forcing=GrfParams(tau=3.0, alpha=2.0),
-        assemble=lambda grid, c: assemble_darcy(grid, c),
+        stencil=lambda grid, c: darcy_stencil(grid, c),
         n_basis=30,
     )
 
@@ -35,9 +42,11 @@ from .grid import FieldSample, Grid2D
 from .grid_ops import (
     CsrMatrix,
     DimensionError,
-    assemble_darcy,
-    assemble_diffusion_reaction,
-    assemble_helmholtz,
+    _five_point,
+    apply_stencil,
+    darcy_stencil,
+    diffusion_stencil,
+    helmholtz_stencil,
 )
 
 
@@ -81,7 +90,8 @@ class PdeFamily:
     # coefficient field name -> distribution, in draw order
     distributions: dict
     forcing: GrfParams
-    assemble: Callable[..., CsrMatrix]
+    # (grid, **coefficient fields) -> (center, north, south, west, east)
+    stencil: Callable[..., tuple]
     n_basis: int
 
     @property
@@ -105,13 +115,13 @@ FAMILIES = {
     "darcy": PdeFamily(
         distributions={"a": GrfParams(tau=7.0, alpha=2.5, transform="exp")},
         forcing=GrfParams(tau=7.0, alpha=2.5),
-        assemble=assemble_darcy,
+        stencil=darcy_stencil,
         n_basis=30,
     ),
     "helmholtz": PdeFamily(
         distributions={"k2": GrfParams(tau=3.0, alpha=2.0, scale=0.1)},
         forcing=GrfParams(tau=3.0, alpha=2.0, scale=0.1),
-        assemble=assemble_helmholtz,
+        stencil=helmholtz_stencil,
         n_basis=50,
     ),
     "diffusion": PdeFamily(
@@ -120,7 +130,7 @@ FAMILIES = {
             "q": Uniform(0.0, 1.0),
         },
         forcing=GrfParams(tau=3.0, alpha=2.0),
-        assemble=assemble_diffusion_reaction,
+        stencil=diffusion_stencil,
         n_basis=50,
     ),
 }
@@ -151,5 +161,22 @@ class PdeCoefficients:
     def field_map(self) -> dict:
         return dict(self.fields)
 
+    def stencil(self) -> tuple:
+        """(center, north, south, west, east) of the family's operator."""
+        return family(self.pde).stencil(self.grid, **self.fields)
+
     def assemble(self) -> CsrMatrix:
-        return family(self.pde).assemble(self.grid, **self.fields)
+        """The operator as a CSR matrix over the interior unknowns."""
+        return _five_point(self.grid, *self.stencil())
+
+    def apply(self, u: FieldSample) -> FieldSample:
+        """f = A u matrix-free, with zero boundary. u must vanish on the
+        boundary; then f's interior equals `apply_operator(self.assemble(),
+        u.interior())` bit for bit."""
+        if u.grid != self.grid:
+            raise DimensionError("u is defined on a different grid")
+        v = u.values
+        if v[0].any() or v[-1].any() or v[:, 0].any() or v[:, -1].any():
+            raise ValueError("u must vanish on the boundary")
+        return FieldSample.from_interior(
+            self.grid, apply_stencil(self.stencil(), v))

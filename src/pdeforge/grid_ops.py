@@ -1,4 +1,4 @@
-"""Finite-difference assembly of PDE operators into scipy CSR, SpMV, dense oracle.
+"""Finite-difference 5-point operators: stencils, scipy CSR, SpMV, dense oracle.
 
 Three operators on zero-Dirichlet interior unknowns:
 
@@ -9,18 +9,27 @@ Three operators on zero-Dirichlet interior unknowns:
 plus a unit-spacing Helmholtz assembly (diagonal -4+k, unit
 off-diagonals, no 1/h^2 scaling) kept for golden tests.
 
-Every operator is a `CsrMatrix`, a `scipy.sparse.csr_array` written in
-canonical form by one 5-point builder: each row stores its entries in
-ascending column order (north, west, center, east, south neighbors of the
-row-major interior numbering). scipy's CSR kernel sums each row left to
-right from 0.0, so `apply_operator` is bit-identical to a sequential loop
-over the stored entries of each row.
+Each family's operator is described once, as a stencil `(center, north,
+south, west, east)` of coefficients over the interior nodes
+(`darcy_stencil`, `helmholtz_stencil`, `diffusion_stencil`). The stencil
+has two consumers:
+
+- `_five_point` writes it as a `CsrMatrix`, a `scipy.sparse.csr_array` in
+  canonical form: each row stores its entries in ascending column order
+  (north, west, center, east, south neighbors of the row-major interior
+  numbering). scipy's CSR kernel sums each row left to right from 0.0, so
+  `apply_operator` is bit-identical to a sequential loop over the stored
+  entries of each row. Solvers and verification use this form.
+- `apply_stencil` applies it matrix-free to a node array in the same
+  order, N, W, C, E, S, so on a zero-boundary `u` it is bit-identical to
+  `apply_operator` on `u`'s interior. Generation uses this form.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -107,23 +116,49 @@ def _check_field(grid: Grid2D, f: FieldSample, name: str) -> np.ndarray:
     return f.values
 
 
+@lru_cache(maxsize=8)
+def _five_point_pattern(n: int) -> tuple:
+    """(keep, indices, indptr) of the canonical 5-point CSR on an n x n
+    interior: keep masks the (n, n, 5) stencil slots that are stored. The
+    arrays are read-only; a matrix gets copies of the index arrays."""
+    node = np.arange(n * n).reshape(n, n)
+    # one slot per stencil entry, in ascending column order N, W, C, E, S
+    cols = np.stack([node - n, node - 1, node, node + 1, node + n], axis=-1)
+    keep = np.ones((n, n, 5), dtype=bool)
+    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    indptr = np.zeros(n * n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=-1).reshape(-1), out=indptr[1:])
+    pattern = (keep, cols[keep], indptr)
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
 def _five_point(grid: Grid2D, center, north, south, west, east) -> CsrMatrix:
     """The 5-point operator whose row for interior node (i, j) holds center
     on the diagonal and north/south/west/east at the neighbors (i-1, j),
     (i+1, j), (i, j-1), (i, j+1) that are interior. Each coefficient is an
     (n, n) array over the interior nodes or a scalar."""
     n = grid.n_interior
-    node = np.arange(n * n).reshape(n, n)
-    # one slot per stencil entry, in ascending column order N, W, C, E, S
-    cols = np.stack([node - n, node - 1, node, node + 1, node + n], axis=-1)
+    keep, indices, indptr = _five_point_pattern(n)
     vals = np.empty((n, n, 5))
     for slot, coef in enumerate((north, west, center, east, south)):
         vals[..., slot] = coef
-    keep = np.ones((n, n, 5), dtype=bool)
-    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
-    indptr = np.zeros(n * n + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=-1).reshape(-1), out=indptr[1:])
-    return CsrMatrix((vals[keep], cols[keep], indptr), shape=(n * n, n * n))
+    return CsrMatrix((vals[keep], indices.copy(), indptr.copy()),
+                     shape=(n * n, n * n))
+
+
+def apply_stencil(stencil: tuple, u_nodes: np.ndarray) -> np.ndarray:
+    """The (n, n) interior values of the 5-point operator applied to the
+    (n+2, n+2) node array u_nodes, summed N, W, C, E, S as the CSR rows
+    are. With a zero boundary the result equals `apply_operator` on the
+    interior bit for bit. stencil is (center, north, south, west, east),
+    each an (n, n) array or a scalar."""
+    center, north, south, west, east = stencil
+    u = u_nodes
+    return (north * u[:-2, 1:-1] + west * u[1:-1, :-2]
+            + center * u[1:-1, 1:-1] + east * u[1:-1, 2:]
+            + south * u[2:, 1:-1])
 
 
 def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
@@ -143,22 +178,44 @@ def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
     return (center,) + tuple(sign * a_f / h2 for a_f in (a_n, a_s, a_w, a_e))
 
 
-def assemble_darcy(grid: Grid2D, a: FieldSample) -> CsrMatrix:
+def darcy_stencil(grid: Grid2D, a: FieldSample) -> tuple:
     """-div(a grad u) with zero Dirichlet boundary; SPD for a > 0."""
     coef = _check_field(grid, a, "permeability")
     if coef.min() <= 0.0:
         raise EllipticityError(
             f"permeability must be positive everywhere, min={coef.min():g}"
         )
-    return _five_point(grid, *_flux_form(grid, coef, sign=-1.0))
+    return _flux_form(grid, coef, sign=-1.0)
 
 
-def assemble_helmholtz(grid: Grid2D, k2: FieldSample) -> CsrMatrix:
+def helmholtz_stencil(grid: Grid2D, k2: FieldSample) -> tuple:
     """lap(u) + k2*u, scaled 5-point stencil, zero Dirichlet boundary."""
     kv = _check_field(grid, k2, "squared wavenumber")
     h2 = grid.h ** 2
     off = 1.0 / h2
-    return _five_point(grid, -4.0 / h2 + kv[1:-1, 1:-1], off, off, off, off)
+    return (-4.0 / h2 + kv[1:-1, 1:-1], off, off, off, off)
+
+
+def diffusion_stencil(grid: Grid2D, k: FieldSample, q: FieldSample) -> tuple:
+    """div(k grad u) + q*u, zero Dirichlet boundary."""
+    kv = _check_field(grid, k, "diffusion coefficient")
+    qv = _check_field(grid, q, "reaction coefficient")
+    if kv.min() <= 0.0:
+        raise EllipticityError(
+            f"diffusion coefficient must be positive, min={kv.min():g}"
+        )
+    center, *neighbors = _flux_form(grid, kv, sign=+1.0)
+    return (center + qv[1:-1, 1:-1], *neighbors)
+
+
+def assemble_darcy(grid: Grid2D, a: FieldSample) -> CsrMatrix:
+    """CSR of `darcy_stencil`."""
+    return _five_point(grid, *darcy_stencil(grid, a))
+
+
+def assemble_helmholtz(grid: Grid2D, k2: FieldSample) -> CsrMatrix:
+    """CSR of `helmholtz_stencil`."""
+    return _five_point(grid, *helmholtz_stencil(grid, k2))
 
 
 def assemble_helmholtz_paper_normalized(grid, k: float) -> CsrMatrix:
@@ -174,12 +231,5 @@ def assemble_helmholtz_paper_normalized(grid, k: float) -> CsrMatrix:
 def assemble_diffusion_reaction(
     grid: Grid2D, k: FieldSample, q: FieldSample
 ) -> CsrMatrix:
-    """div(k grad u) + q*u, zero Dirichlet boundary."""
-    kv = _check_field(grid, k, "diffusion coefficient")
-    qv = _check_field(grid, q, "reaction coefficient")
-    if kv.min() <= 0.0:
-        raise EllipticityError(
-            f"diffusion coefficient must be positive, min={kv.min():g}"
-        )
-    center, *neighbors = _flux_form(grid, kv, sign=+1.0)
-    return _five_point(grid, center + qv[1:-1, 1:-1], *neighbors)
+    """CSR of `diffusion_stencil`."""
+    return _five_point(grid, *diffusion_stencil(grid, k, q))

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from pdeforge import dataset_io
 from pdeforge.dataset_io import (
     Dataset,
     DatasetFormatError,
@@ -92,6 +93,23 @@ class TestWrite:
             read_dataset(tmp_path)
 
 
+    def test_rewrite_removes_fields_of_another_family(self, tmp_path):
+        write_small(tmp_path, n=2, count=2)
+        (tmp_path / "q.f64").write_bytes(b"stale")
+        (tmp_path / "notes.f64").write_bytes(b"not a field")
+        grid = Grid2D(2)
+        samples = [{"k2": s["a"], "f": s["f"], "u": s["u"]}
+                   for s in make_samples(grid, 2)]
+        write_dataset(tmp_path, samples, DatasetManifest(
+            pde="helmholtz", grid_interior=2, num_samples=2,
+            method="classic"))
+        assert not (tmp_path / "a.f64").exists()
+        assert not (tmp_path / "q.f64").exists()
+        assert (tmp_path / "notes.f64").exists()
+        assert read_dataset(tmp_path).manifest.field_names == \
+            ("k2", "f", "u")
+
+
 class TestRead:
     def test_corruption_detected_and_named(self, tmp_path):
         write_small(tmp_path, n=3, count=2)
@@ -138,6 +156,35 @@ class TestRead:
             ds.field_sample("a", 2)
         with pytest.raises(DatasetFormatError):
             ds.field_sample("k2", 0)
+
+
+    def test_samples_open_each_file_once(self, tmp_path, monkeypatch):
+        _, written = write_small(tmp_path, n=3, count=5)
+        ds = read_dataset(tmp_path)
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_io, "open", counting_open, raising=False)
+        read = list(ds.samples())
+        assert len(opened) == 3
+        assert len(read) == 5
+        for k, (got, want) in enumerate(zip(read, written)):
+            for name in ("a", "f", "u"):
+                np.testing.assert_array_equal(got[name].values,
+                                              want[name].values)
+                np.testing.assert_array_equal(
+                    ds.field_sample(name, k).values, want[name].values)
+
+    def test_samples_detect_file_cut_after_read(self, tmp_path):
+        write_small(tmp_path, n=3, count=2)
+        ds = read_dataset(tmp_path)
+        path = tmp_path / "u.f64"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DatasetIntegrityError, match="u.f64"):
+            list(ds.samples())
 
 
 class TestChecksum:

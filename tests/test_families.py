@@ -11,7 +11,12 @@ from pdeforge.generator import (
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
-from pdeforge.grid_ops import DimensionError, assemble_darcy
+from pdeforge.grid_ops import (
+    DimensionError,
+    EllipticityError,
+    apply_operator,
+    darcy_stencil,
+)
 
 
 @pytest.mark.parametrize("pde", sorted(FAMILIES))
@@ -33,6 +38,29 @@ class TestRegistry:
         assert A.shape == (n * n, n * n)
         assert A.nnz == 5 * n * n - 4 * n
         assert A.has_canonical_format
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 31, 64])
+    def test_matrix_free_apply_matches_csr_bitwise(self, pde, n):
+        grid = Grid2D(n)
+        gen = RngStream(n, "sample_params", 1).generator()
+        coeffs = draw_coefficients(pde, grid, gen)
+        u = FieldSample.from_interior(grid, gen.standard_normal(n * n))
+        f = coeffs.apply(u)
+        csr = apply_operator(coeffs.assemble(), u.interior())
+        np.testing.assert_array_equal(f.interior().view(np.uint64),
+                                      csr.view(np.uint64))
+        assert f.boundary_max_abs() == 0.0
+
+    def test_apply_rejects_foreign_u(self, pde):
+        grid = Grid2D(4)
+        gen = RngStream(0, "sample_params", 0).generator()
+        coeffs = draw_coefficients(pde, grid, gen)
+        with pytest.raises(DimensionError):
+            coeffs.apply(FieldSample.from_interior(Grid2D(5), np.ones(25)))
+        u = FieldSample.from_interior(grid, np.ones(16))
+        u.values[0, 2] = 1e-300
+        with pytest.raises(ValueError, match="boundary"):
+            coeffs.apply(u)
 
     def test_manifest_field_params(self, pde, tmp_path):
         config = GenerationConfig(pde, Grid2D(4), 2, master_seed=1)
@@ -60,12 +88,24 @@ class ConstantField:
         return {"distribution": "constant", "value": 1.0}
 
 
+@pytest.mark.parametrize("pde, name", [("darcy", "a"), ("diffusion", "k")])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_matrix_free_path_checks_ellipticity(pde, name, bad):
+    grid = Grid2D(4)
+    fields = {c: FieldSample.constant(grid, 1.0)
+              for c in FAMILIES[pde].coefficients}
+    fields[name].values[2, 3] = bad
+    coeffs = PdeCoefficients(pde, **fields)
+    with pytest.raises(EllipticityError):
+        coeffs.apply(FieldSample.from_interior(grid, np.ones(16)))
+
+
 def test_new_family_costs_one_record(monkeypatch, tmp_path):
     # -lap(u) = f with a constant unit coefficient, registered and nothing else
     monkeypatch.setitem(FAMILIES, "poisson", PdeFamily(
         distributions={"c": ConstantField()},
         forcing=GrfParams(tau=3.0, alpha=2.0),
-        assemble=lambda grid, c: assemble_darcy(grid, c),
+        stencil=lambda grid, c: darcy_stencil(grid, c),
         n_basis=3,
     ))
     config = GenerationConfig("poisson", Grid2D(6), 4, master_seed=2)

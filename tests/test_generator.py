@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pdeforge import generator
+from pdeforge import generator, grid_ops
 from pdeforge.dataset_io import read_dataset
 from pdeforge.families import FAMILIES
 from pdeforge.fields import GrfParams, RngStream
@@ -245,6 +245,35 @@ class TestDiffoas:
         with pytest.raises(KeyboardInterrupt):
             generate_diffoas(config, tmp_path / "d")
         assert not (tmp_path / "d" / "manifest.json").exists()
+
+    def test_given_pool_assembles_no_matrix(self, tmp_path, monkeypatch):
+        config = small_config(num_samples=3)
+        pool = build_basis_pool(config)
+
+        def no_csr(*args, **kwargs):
+            raise AssertionError("operator action assembled a matrix")
+
+        monkeypatch.setattr(grid_ops, "_five_point", no_csr)
+        ds = generate_diffoas(config, tmp_path / "d", pool=pool)
+        assert ds.manifest.num_samples == 3
+
+    # field CRC32s of `pdeforge generate --pde <pde> --grid 24 --samples 12
+    # --seed 3`; operator action built a CSR matrix per sample when they
+    # were recorded, so they pin the matrix-free path to its bytes
+    GOLDEN_CRC32 = {
+        "darcy": {"a": 0xd1df8af7, "f": 0x4fc83c8d, "u": 0x9d0f9e82},
+        "helmholtz": {"k2": 0x4305ab23, "f": 0x27db7ac1, "u": 0x89bc3f31},
+        "diffusion": {"k": 0x20fafc87, "q": 0x062df759, "f": 0xe2d5f731,
+                      "u": 0x52b973f6},
+    }
+
+    @pytest.mark.parametrize("pde", sorted(GOLDEN_CRC32))
+    def test_golden_field_crc32(self, pde, tmp_path):
+        config = GenerationConfig(pde, Grid2D(24), 12, master_seed=3)
+        ds = generate_diffoas(config, tmp_path / "d")
+        crcs = {name: entry["crc32"]
+                for name, entry in ds.manifest.field_files.items()}
+        assert crcs == self.GOLDEN_CRC32[pde]
 
     def test_boundary_zero_everywhere(self, tmp_path):
         config = small_config(num_samples=5)

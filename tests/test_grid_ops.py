@@ -122,6 +122,21 @@ class TestDarcy:
             assert A.nnz == expected == 5 * n * n - 4 * n
 
 
+    def test_matrices_share_no_index_arrays(self):
+        grid = Grid2D(5)
+        A = assemble_darcy(grid, random_field(grid, 1))
+        B = assemble_darcy(grid, random_field(grid, 2))
+        indices, indptr = B.indices.copy(), B.indptr.copy()
+        A.indices[:3] = A.indices[:3][::-1]
+        A.has_sorted_indices = False
+        A.sort_indices()
+        A.indices[-1] = 0
+        A.indptr[1] = 0
+        for C in (B, assemble_darcy(grid, random_field(grid, 3))):
+            np.testing.assert_array_equal(C.indices, indices)
+            np.testing.assert_array_equal(C.indptr, indptr)
+
+
 class TestHelmholtz:
     def test_zero_k_is_negated_darcy(self):
         g = Grid2D(2)
