@@ -1,10 +1,14 @@
 """Timing harness: generation cost vs matrix size vs solver tolerance.
 
-Assembly and coefficient drawing are timed separately and excluded from both
-methods' phases, so the GMRES-vs-action speedup compares solve time against
-combine+SpMV time like for like. Medians over >= 3 repeats with one
-discarded warm-up; phases too short for the clock trigger automatic
-sample-count escalation.
+Each phase times the per-sample function that a generate path runs, drawing
+included. The operator-action phase runs `_diffoas_sample` (draw the
+coefficients, combine the pool, apply the stencil) as `generate_diffoas`
+does; the solver phases run `solve_sample` (draw, assemble, solve) as
+`generate_classic` does. The GMRES-vs-action speedup is thus the ratio of
+the two paths' per-sample costs; writing the dataset is in neither. The
+pool build is timed once per dim and added in `diffoas_total`. Medians over
+>= 3 repeats with one discarded warm-up; phases too short for the clock
+trigger automatic sample-count escalation.
 """
 
 from __future__ import annotations
@@ -20,17 +24,13 @@ from typing import Optional
 import numpy as np
 import scipy.stats
 
-from .fields import RngStream
 from .generator import (
-    BasisPool,
     GenerationConfig,
+    _diffoas_sample,
     build_basis_pool,
-    combine_solution,
-    draw_coefficients,
-    draw_forcing,
+    solve_sample,
 )
 from .grid import Grid2D
-from .grid_ops import apply_operator
 from .solvers import SolveOptions, cg, gmres
 
 MIN_PHASE_SECONDS = 1e-4  # ~100 ticks of a ~1us-resolution wall clock
@@ -78,31 +78,11 @@ def _median(xs):
     return float(np.median(xs))
 
 
-def _time_solver_phase(systems, solver, opts):
-    """Seconds to solve the prepared systems, solve time only."""
-    flags = []
-    t0 = time.perf_counter()
-    for A, b in systems:
-        report = solver(A, b, opts=opts)
-        if not report.converged:
-            flags.append(f"non-convergence at relres "
-                         f"{report.final_relative_residual:.2e}")
-    return time.perf_counter() - t0, flags
-
-
-def _time_action_phase(config, pool, systems, n_samples):
-    """Seconds for combine + SpMV over n_samples, reusing prepared systems."""
+def _time_samples(sample, n_samples):
+    """Seconds for sample(0), ..., sample(n_samples - 1)."""
     t0 = time.perf_counter()
     for k in range(n_samples):
-        A, _ = systems[k % len(systems)]
-        u = combine_solution(
-            pool,
-            RngStream(config.master_seed, "weights", k),
-            RngStream(config.master_seed, "noise", k),
-            config.noise_eta,
-            config.weight_resample_threshold,
-        )
-        apply_operator(A, u.interior())
+        sample(k)
     return time.perf_counter() - t0
 
 
@@ -133,29 +113,21 @@ def run_timing_suite(
             n_basis=n_basis,
         )
 
-        # prepare systems once per dim; assembly is deliberately untimed
-        systems = []
-        for k in range(samples_per_point):
-            gen = RngStream(master_seed, "sample_params", k).generator()
-            coeffs = draw_coefficients(pde, grid, gen)
-            forcing = draw_forcing(pde, grid, gen)
-            systems.append((coeffs.assemble(), forcing.interior()))
-
         t_pool = time.perf_counter()
         pool = build_basis_pool(config)
         basis_seconds = time.perf_counter() - t_pool
 
+        def action(k):
+            _diffoas_sample(config, pool, k)
+
         # warm-up, then timed repeats, escalating if below clock resolution
         n_action = samples_per_point
         for _ in range(MAX_ESCALATIONS):
-            if _time_action_phase(config, pool, systems, n_action) \
-                    >= MIN_PHASE_SECONDS:
+            if _time_samples(action, n_action) >= MIN_PHASE_SECONDS:
                 break
             n_action *= 10
-        action_times = [
-            _time_action_phase(config, pool, systems, n_action)
-            for _ in range(repeats)
-        ]
+        action_times = [_time_samples(action, n_action)
+                        for _ in range(repeats)]
         records.append(BenchRecord(dim, "diffoas_action", None, n_action,
                                    _median(action_times), repeats,
                                    action_times))
@@ -168,15 +140,21 @@ def run_timing_suite(
         for tol in tols:
             opts = SolveOptions.for_grid(grid, tol)
             for method, solver in solvers:
-                _time_solver_phase(systems[:1], solver, opts)  # warm-up
-                runs, flags = [], []
-                for _ in range(repeats):
-                    secs, fl = _time_solver_phase(systems, solver, opts)
-                    runs.append(secs)
-                    flags.extend(fl)
+                flags = set()
+
+                def solve(k):
+                    _, _, report = solve_sample(config, "sample_params", k,
+                                                opts, solver)
+                    if not report.converged:
+                        flags.add(f"non-convergence at relres "
+                                  f"{report.final_relative_residual:.2e}")
+
+                solve(0)  # warm-up
+                runs = [_time_samples(solve, samples_per_point)
+                        for _ in range(repeats)]
                 records.append(BenchRecord(dim, method, tol, samples_per_point,
                                            _median(runs), repeats, runs,
-                                           sorted(set(flags))))
+                                           sorted(flags)))
     return records
 
 

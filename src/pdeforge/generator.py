@@ -42,6 +42,7 @@ ABLATION_GRF = GrfParams(tau=7.0, alpha=2.5)
 NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
 # bump when the content of basis_pool.npz for a given key changes
 POOL_FORMAT_VERSION = 2
+POOL_CACHE_NAME = "basis_pool.npz"  # in the dataset directory
 
 
 class GenerationError(RuntimeError):
@@ -65,7 +66,6 @@ class GenerationConfig:
     solver_tol: float = 1e-5
     n_basis: Optional[int] = None
     noise_eta: float = 0.01
-    weight_resample_threshold: Optional[float] = None
     master_seed: int = 0
 
     def __post_init__(self):
@@ -80,10 +80,12 @@ class GenerationConfig:
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
         if self.noise_eta < 0:
             raise ValueError(f"noise_eta must be >= 0, got {self.noise_eta}")
-        if self.weight_resample_threshold is None:
-            self.weight_resample_threshold = 1e-3 * math.sqrt(self.n_basis)
-        if self.weight_resample_threshold <= 0:
-            raise ValueError("weight_resample_threshold must be positive")
+
+    @property
+    def weight_resample_threshold(self) -> float:
+        """delta: weight draws whose sum is below it in magnitude are
+        redrawn (manifest "delta")."""
+        return 1e-3 * math.sqrt(self.n_basis)
 
 
 def draw_coefficients(pde: str, grid: Grid2D, gen: np.random.Generator) -> PdeCoefficients:
@@ -96,6 +98,18 @@ def draw_coefficients(pde: str, grid: Grid2D, gen: np.random.Generator) -> PdeCo
 
 def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSample:
     return family(pde).forcing.sample(grid, gen)
+
+
+def solve_sample(config: GenerationConfig, role: str, k: int,
+                 opts: SolveOptions, solver) -> tuple:
+    """Draw coefficients and forcing from the (master_seed, role, k) stream,
+    assemble and solve with solver (gmres or cg): (coeffs, forcing,
+    report)."""
+    gen = RngStream(config.master_seed, role, k).generator()
+    coeffs = draw_coefficients(config.pde, config.grid, gen)
+    forcing = draw_forcing(config.pde, config.grid, gen)
+    return coeffs, forcing, solver(coeffs.assemble(), forcing.interior(),
+                                   opts=opts)
 
 
 @dataclass
@@ -142,12 +156,7 @@ def build_basis_pool(config: GenerationConfig) -> BasisPool:
     opts = SolveOptions.for_grid(grid, config.solver_tol)
     basis, provenance = [], []
     for i in range(config.n_basis):
-        gen = RngStream(config.master_seed, "basis_params", i).generator()
-        coeffs = draw_coefficients(config.pde, grid, gen)
-        forcing = draw_forcing(config.pde, grid, gen)
-        A = coeffs.assemble()
-        report = gmres(A, forcing.interior(),
-                       opts=opts)
+        _, _, report = solve_sample(config, "basis_params", i, opts, gmres)
         if not report.converged:
             raise BasisConstructionError(
                 f"basis solve {i} did not converge: relative residual "
@@ -296,7 +305,7 @@ def generate_diffoas(
     cache = "given"
     if pool is None:
         if basis_kind is None:
-            cache_path = out_dir / "basis_pool.npz"
+            cache_path = out_dir / POOL_CACHE_NAME
             pool = load_basis_pool(cache_path, config)
             cache = "miss" if pool is None else "hit"
             if pool is None:
@@ -337,7 +346,8 @@ def generate_classic(
 ) -> Dataset:
     """Solve-per-sample generation at solver_tol; samples whose solve does
     not converge are skipped. When none converges, no manifest is written
-    and GenerationError is raised."""
+    and GenerationError is raised. A pool cache left in out_dir by an
+    operator-action run is removed: no classic manifest covers it."""
     if config.method != "classic":
         raise GenerationError("generate_classic requires method='classic'")
     out_dir = Path(out_dir)
@@ -347,16 +357,11 @@ def generate_classic(
     t0 = time.perf_counter()
 
     def worker(k: int):
-        gen = RngStream(config.master_seed, "sample_params", k).generator()
-        coeffs = draw_coefficients(config.pde, grid, gen)
-        forcing = draw_forcing(config.pde, grid, gen)
-        A = coeffs.assemble()
-        report = gmres(A, forcing.interior(), opts=opts)
-        return k, coeffs, forcing, report
+        return solve_sample(config, "sample_params", k, opts, gmres)
 
     def emit():
-        for k, coeffs, forcing, report in _run_samples(
-                worker, range(config.num_samples), threads):
+        for k, (coeffs, forcing, report) in enumerate(_run_samples(
+                worker, range(config.num_samples), threads)):
             if not report.converged:
                 skipped.append(k)
                 continue
@@ -366,6 +371,7 @@ def generate_classic(
             # raised inside write_dataset, before it writes a manifest
             raise GenerationError("all samples failed to converge")
 
+    (out_dir / POOL_CACHE_NAME).unlink(missing_ok=True)
     manifest = write_dataset(out_dir, emit(), _base_manifest(config, "classic"))
     manifest.skipped_samples = skipped
     manifest.generation["timings"] = {

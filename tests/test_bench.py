@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from pdeforge import bench
 from pdeforge.bench import (
     BenchConfigError,
     BenchRecord,
@@ -11,6 +13,10 @@ from pdeforge.bench import (
     fit_speedup_regression,
     run_timing_suite,
 )
+from pdeforge.families import PdeCoefficients
+from pdeforge.generator import GenerationConfig, generate_classic
+from pdeforge.grid import Grid2D
+from pdeforge.solvers import gmres
 
 
 def synthetic_records(speedups):
@@ -110,3 +116,37 @@ class TestTimingSuite:
                              n_basis=2)
         assert [(r.method, r.matrix_dim, r.samples) for r in a] == \
             [(r.method, r.matrix_dim, r.samples) for r in b]
+
+
+class TestPhasesRunGeneratePaths:
+    def test_action_phase_applies_the_stencil(self, monkeypatch):
+        real = PdeCoefficients.apply
+        calls = []
+
+        def counting(self, u):
+            calls.append(u)
+            return real(self, u)
+
+        monkeypatch.setattr(PdeCoefficients, "apply", counting)
+        records = run_timing_suite("darcy", [64], [1e-3], 2, 3,
+                                   master_seed=4, n_basis=2)
+        action = next(r for r in records if r.method == "diffoas_action")
+        assert len(calls) >= action.repeats * action.samples
+
+    def test_first_gmres_solve_is_classic_sample_0(self, monkeypatch,
+                                                   tmp_path):
+        solutions = []
+
+        def recording(A, b, **kwargs):
+            report = gmres(A, b, **kwargs)
+            solutions.append(report.x)
+            return report
+
+        monkeypatch.setattr(bench, "gmres", recording)
+        run_timing_suite("darcy", [64], [1e-5], 1, 3, master_seed=5,
+                         n_basis=2)
+        config = GenerationConfig("darcy", Grid2D(8), 1, method="classic",
+                                  solver_tol=1e-5, master_seed=5)
+        u = next(generate_classic(config, tmp_path / "c").samples())["u"]
+        assert np.array_equal(solutions[0].view(np.uint64),
+                              u.interior().view(np.uint64))

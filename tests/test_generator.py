@@ -54,6 +54,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             GenerationConfig("burgers", g, 1)
 
+    def test_resample_threshold_follows_pool_size(self):
+        config = GenerationConfig("darcy", Grid2D(4), 1, n_basis=16)
+        assert config.weight_resample_threshold == 1e-3 * 4.0
+        with pytest.raises(TypeError):
+            GenerationConfig("darcy", Grid2D(4), 1,
+                             weight_resample_threshold=0.5)
+
 
 class TestBasisPool:
     def test_single_basis_residual(self):
@@ -307,6 +314,14 @@ class TestClassic:
     def test_method_mismatch(self, tmp_path):
         with pytest.raises(Exception):
             generate_classic(small_config(), tmp_path / "x")
+
+    def test_classic_over_diffoas_removes_pool_cache(self, tmp_path):
+        out = tmp_path / "d"
+        generate_diffoas(small_config(), out)
+        assert (out / "basis_pool.npz").exists()
+        ds = generate_classic(small_config(method="classic"), out)
+        assert not (out / "basis_pool.npz").exists()
+        assert verify_dataset(ds, ds.manifest.generation["solver_tol"]).passed
 
 
 class TestAblation:

@@ -14,8 +14,13 @@ USED_NAMES = {
                             "read_dataset", "write_dataset"),
     "pdeforge": ("PdeCoefficients", "apply_operator", "gmres",
                  "combine_solution", "SolveOptions", "RngStream",
-                 "FieldSample"),
+                 "FieldSample", "GenerationConfig", "Grid2D",
+                 "build_basis_pool", "generate_classic", "generate_diffoas",
+                 "verify_dataset"),
 }
+# GenerationConfig attributes the harness reads besides the constructor's
+CONFIG_ATTRIBUTES = ("weight_resample_threshold", "noise_eta", "n_basis",
+                     "solver_tol")
 
 
 def test_benchmark_harness_imports_and_counts(monkeypatch):
@@ -32,6 +37,13 @@ def test_benchmark_harness_imports_and_counts(monkeypatch):
         for wl in workloads.WORKLOADS.values():
             counts = record.computed_counts(wl, 1 << 20)
             assert counts["grid_ops.nnz"][0] == 5 * wl.n ** 2 - 4 * wl.n
+            configs = [wl.config(0)]
+            if wl.classic_samples:
+                configs.append(wl.classic_config(0))
+            for config in configs:
+                for name in CONFIG_ATTRIBUTES:
+                    assert isinstance(getattr(config, name), (int, float)), \
+                        f"GenerationConfig.{name}"
     finally:
         for name in ("record", "tracing", "workloads"):
             sys.modules.pop(name, None)
