@@ -6,7 +6,10 @@ coefficients, combine the pool, apply the stencil) as `generate_diffoas`
 does; the solver phases run `solve_sample` (draw, assemble, solve) as
 `generate_classic` does. The GMRES-vs-action speedup is thus the ratio of
 the two paths' per-sample costs; writing the dataset is in neither. The
-pool build is timed once per dim and added in `diffoas_total`. Medians over
+`gmres_pc` phase solves the same classic samples with the fast-Poisson
+preconditioner the pool solves use: the speedup over a preconditioned
+solve, reported but not in the regression. The pool build is timed once
+per dim and added in `diffoas_total`. Medians over
 >= 3 repeats with one discarded warm-up; phases too short for the clock
 trigger automatic sample-count escalation.
 """
@@ -44,7 +47,7 @@ class BenchConfigError(ValueError):
 @dataclass
 class BenchRecord:
     matrix_dim: int
-    method: str  # diffoas_total | diffoas_action | gmres | cg
+    method: str  # diffoas_total | diffoas_action | gmres | gmres_pc | cg
     tol: Optional[float]
     samples: int
     wall_seconds: float  # median over repeats
@@ -96,13 +99,16 @@ def run_timing_suite(
     n_basis: Optional[int] = None,
     include_cg: bool = False,
 ) -> list:
-    """BenchRecords for DiffOAS (total and action-only) and GMRES at each
-    (dim, tol); optionally CG for SPD problems."""
+    """BenchRecords for DiffOAS (total and action-only), GMRES and
+    preconditioned GMRES at each (dim, tol); optionally CG for SPD
+    problems."""
     if samples_per_point < 1:
         raise BenchConfigError("samples_per_point must be >= 1")
     if repeats < 3:
         raise BenchConfigError("repeats must be >= 3")
-    solvers = [("gmres", gmres)] + ([("cg", cg)] if include_cg else [])
+    solvers = [("gmres", gmres, False), ("gmres_pc", gmres, True)]
+    if include_cg:
+        solvers.append(("cg", cg, False))
     records = []
     for dim in dims:
         n_int = _interior_from_dim(dim)
@@ -139,12 +145,12 @@ def run_timing_suite(
 
         for tol in tols:
             opts = SolveOptions.for_grid(grid, tol)
-            for method, solver in solvers:
+            for method, solver, preconditioned in solvers:
                 flags = set()
 
                 def solve(k):
                     _, _, report = solve_sample(config, "sample_params", k,
-                                                opts, solver)
+                                                opts, solver, preconditioned)
                     if not report.converged:
                         flags.add(f"non-convergence at relres "
                                   f"{report.final_relative_residual:.2e}")

@@ -159,10 +159,15 @@ def cmd_generate(args) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    timings = dataset.manifest.generation.get("timings", {})
+    generation = dataset.manifest.generation
+    pool = generation.get("pool", {})  # classic runs have no pool
     _telemetry(event="generate-done", out=str(args.out),
                samples=dataset.manifest.num_samples,
-               skipped=len(dataset.manifest.skipped_samples), **timings)
+               skipped=len(dataset.manifest.skipped_samples),
+               pool_cache=pool.get("cache"),
+               pool_iterations=sum(solve["iterations"]
+                                   for solve in pool.get("solves", [])),
+               **generation.get("timings", {}))
     return EXIT_OK
 
 

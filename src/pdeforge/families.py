@@ -2,7 +2,8 @@
 
 A record is all the program knows about a family: its coefficient fields
 and the distribution each is drawn from, the forcing distribution, the
-operator's 5-point stencil and the default basis-pool size. Generation,
+operator's 5-point stencil, the default basis-pool size and the flux
+coefficient that scales the pool solves' preconditioner. Generation,
 the dataset manifest (field names and `field_params`), the pool cache key,
 verification and the CLI's `--pde` choices all read the record at call
 time.
@@ -12,6 +13,9 @@ gives it two forms: `assemble()` writes it as a CSR matrix (basis and
 classic solves, `verify_dataset`), and `apply(u)` applies it matrix-free
 (operator-action generation). Generation and verification therefore
 check each other through two independent representations.
+`preconditioner()` gives the pool solves' M^{-1}: a fast Poisson solve
+scaled by the flux coefficient, M = s C^{1/2} (-lap_h) C^{1/2}
+(Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
 
 Adding a family costs one record. Write a stencil function
 `stencil(grid, **coefficient_fields) -> (center, north, south, west,
@@ -25,6 +29,7 @@ and add the record:
         forcing=GrfParams(tau=3.0, alpha=2.0),
         stencil=lambda grid, c: darcy_stencil(grid, c),
         n_basis=30,
+        flux="c",  # optional: None preconditions with the bare Laplacian
     )
 
 A family needs at least one coefficient field: the fields carry the grid.
@@ -35,7 +40,9 @@ that order is part of the byte contract of every dataset of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
+
+import numpy as np
 
 from .fields import GrfParams, sample_grf, sample_uniform
 from .grid import FieldSample, Grid2D
@@ -47,6 +54,7 @@ from .grid_ops import (
     darcy_stencil,
     diffusion_stencil,
     helmholtz_stencil,
+    poisson_preconditioner,
 )
 
 
@@ -93,6 +101,14 @@ class PdeFamily:
     # (grid, **coefficient fields) -> (center, north, south, west, east)
     stencil: Callable[..., tuple]
     n_basis: int
+    # the coefficient field the operator's flux term carries, which scales
+    # the pool solves' fast-Poisson preconditioner; None: a bare Laplacian
+    flux: Optional[str] = None
+
+    @property
+    def preconditioner_name(self) -> str:
+        """The pool solves' preconditioner, as the manifest records it."""
+        return "poisson" if self.flux is None else f"poisson({self.flux})"
 
     @property
     def coefficients(self) -> tuple:
@@ -117,6 +133,7 @@ FAMILIES = {
         forcing=GrfParams(tau=7.0, alpha=2.5),
         stencil=darcy_stencil,
         n_basis=30,
+        flux="a",
     ),
     "helmholtz": PdeFamily(
         distributions={"k2": GrfParams(tau=3.0, alpha=2.0, scale=0.1)},
@@ -132,6 +149,7 @@ FAMILIES = {
         forcing=GrfParams(tau=3.0, alpha=2.0),
         stencil=diffusion_stencil,
         n_basis=50,
+        flux="k",
     ),
 }
 
@@ -168,6 +186,16 @@ class PdeCoefficients:
     def assemble(self) -> CsrMatrix:
         """The operator as a CSR matrix over the interior unknowns."""
         return _five_point(self.grid, *self.stencil())
+
+    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """M^{-1} for M = s C^{1/2} (-lap_h) C^{1/2}: C is the family's
+        flux coefficient at the interior nodes (none for a bare
+        Laplacian), s the sign of the stencil's center. For a constant
+        flux coefficient and no other term, M is the operator itself."""
+        flux = family(self.pde).flux
+        sign = 1.0 if np.sum(self.stencil()[0]) > 0 else -1.0
+        coef = None if flux is None else self.fields[flux].interior()
+        return poisson_preconditioner(self.grid, sign, coef)
 
     def apply(self, u: FieldSample) -> FieldSample:
         """f = A u matrix-free, with zero boundary. u must vanish on the

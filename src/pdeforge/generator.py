@@ -1,8 +1,10 @@
 """Dataset generation pipelines.
 
-Classic path: draw coefficients and forcing, assemble, solve per sample.
+Classic path: draw coefficients and forcing, assemble, solve per sample
+with unpreconditioned GMRES (the paper's baseline).
 Operator-action path (DiffOAS): solve once for a small pool of basis
-solutions, then per sample combine them with normalized Gaussian weights,
+solutions, with GMRES right-preconditioned by the family's fast Poisson
+solve, then per sample combine them with normalized Gaussian weights,
 add edge-decaying noise, and compute the forcing by one application of the
 family's 5-point stencil to the node array (`PdeCoefficients.apply`): the
 sparse matrix-vector product without building the matrix. Verification
@@ -41,7 +43,7 @@ ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
 ABLATION_GRF = GrfParams(tau=7.0, alpha=2.5)
 NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
 # bump when the content of basis_pool.npz for a given key changes
-POOL_FORMAT_VERSION = 2
+POOL_FORMAT_VERSION = 3
 POOL_CACHE_NAME = "basis_pool.npz"  # in the dataset directory
 
 
@@ -101,15 +103,18 @@ def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSampl
 
 
 def solve_sample(config: GenerationConfig, role: str, k: int,
-                 opts: SolveOptions, solver) -> tuple:
+                 opts: SolveOptions, solver,
+                 preconditioned: bool = False) -> tuple:
     """Draw coefficients and forcing from the (master_seed, role, k) stream,
     assemble and solve with solver (gmres or cg): (coeffs, forcing,
-    report)."""
+    report). preconditioned passes the family's fast-Poisson
+    preconditioner to the solver as precond."""
     gen = RngStream(config.master_seed, role, k).generator()
     coeffs = draw_coefficients(config.pde, config.grid, gen)
     forcing = draw_forcing(config.pde, config.grid, gen)
+    kwargs = {"precond": coeffs.preconditioner()} if preconditioned else {}
     return coeffs, forcing, solver(coeffs.assemble(), forcing.interior(),
-                                   opts=opts)
+                                   opts=opts, **kwargs)
 
 
 @dataclass
@@ -139,6 +144,7 @@ def pool_cache_key(config: GenerationConfig) -> dict:
         "pool_format": POOL_FORMAT_VERSION,
         "pde": config.pde,
         "field_params": FAMILIES[config.pde].field_params,
+        "preconditioner": FAMILIES[config.pde].preconditioner_name,
         "grid_interior": config.grid.n_interior,
         "n_basis": config.n_basis,
         "solver_tol": config.solver_tol,
@@ -151,12 +157,15 @@ def _key_text(key: dict) -> str:
 
 
 def build_basis_pool(config: GenerationConfig) -> BasisPool:
-    """Solve n_basis systems at solver_tol; the solutions seed the pool."""
+    """Solve n_basis systems at solver_tol with GMRES, right-preconditioned
+    by the family's fast-Poisson preconditioner; the solutions seed the
+    pool."""
     grid = config.grid
     opts = SolveOptions.for_grid(grid, config.solver_tol)
     basis, provenance = [], []
     for i in range(config.n_basis):
-        _, _, report = solve_sample(config, "basis_params", i, opts, gmres)
+        _, _, report = solve_sample(config, "basis_params", i, opts, gmres,
+                                    preconditioned=True)
         if not report.converged:
             raise BasisConstructionError(
                 f"basis solve {i} did not converge: relative residual "
@@ -293,8 +302,12 @@ def generate_diffoas(
     "cache" is "given" (the pool argument), "hit" or "miss" (basis_pool.npz
     in out_dir) or "none" (ablation bases), and "solves" lists each basis
     solve's index, iterations and final relative residual (empty on a hit).
-    Solve wall times go to generation["timings"]["pool_solve_seconds"], so
-    the rest of the manifest stays byte-identical across runs.
+    A solved pool also records the "preconditioner" of its solves (from
+    the pool's key). Solve wall times go to
+    generation["timings"]["pool_solve_seconds"], so the rest of the
+    manifest stays byte-identical across runs. A given or ablation pool
+    removes a basis_pool.npz an earlier run left in out_dir: no manifest
+    of this run covers it.
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
@@ -302,16 +315,17 @@ def generate_diffoas(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    cache = "given"
-    if pool is None:
-        if basis_kind is None:
-            cache_path = out_dir / POOL_CACHE_NAME
-            pool = load_basis_pool(cache_path, config)
-            cache = "miss" if pool is None else "hit"
-            if pool is None:
-                pool = build_basis_pool(config)
-                save_basis_pool(pool, cache_path)
-        else:
+    cache_path = out_dir / POOL_CACHE_NAME
+    if pool is None and basis_kind is None:
+        pool = load_basis_pool(cache_path, config)
+        cache = "miss" if pool is None else "hit"
+        if pool is None:
+            pool = build_basis_pool(config)
+            save_basis_pool(pool, cache_path)
+    else:
+        cache_path.unlink(missing_ok=True)
+        cache = "given"
+        if pool is None:
             pool = make_ablation_pool(config, basis_kind)
             cache = "none"
     basis_seconds = time.perf_counter() - t0
@@ -325,6 +339,9 @@ def generate_diffoas(
         "solves": [{k: v for k, v in solve.items() if k != "wall_time"}
                    for solve in pool.provenance],
     }
+    if "preconditioner" in pool.key:
+        manifest.generation["pool"]["preconditioner"] = \
+            pool.key["preconditioner"]
 
     def worker(k: int) -> dict:
         return _diffoas_sample(config, pool, k)

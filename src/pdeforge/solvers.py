@@ -17,6 +17,16 @@ trace records, per iteration, the recurrence residual norm, the Arnoldi
 subdiagonal h_{j+1,j}, and |y_j| from the square Hessenberg solve; the
 residual norm is bounded by h_{j+1,j} * |y_j| (the square-system solve makes
 the bound exact up to rounding), which verify_residual_bound checks.
+
+GMRES takes an optional right preconditioner, a callable applying M^{-1}.
+Arnoldi then runs on A M^{-1} from r0 = b - A x0, and the iterate is
+x = x0 + M^{-1} V^T y. Right preconditioning leaves the residual alone:
+b - A x = r0 - A M^{-1} V^T y, so the recurrence residual, the trace, the
+bound check and the explicit true-residual check all still measure
+||b - A x||. With a preconditioner, `keep_basis` returns the orthonormal
+basis of the Krylov space of A M^{-1}, not of A, and the happy-breakdown
+test is scaled to A M^{-1} (the largest ||A M^{-1} v_j|| seen) rather
+than to ||A||_F.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -106,9 +116,11 @@ def gmres(
     x0: Optional[np.ndarray] = None,
     opts: SolveOptions = SolveOptions(),
     keep_basis: bool = False,
+    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> SolveReport:
     """Full GMRES; terminates on relative true residual <= tol, happy
-    breakdown, or max_iter."""
+    breakdown, or max_iter. precond, when given, applies M^{-1} on the
+    right: Arnoldi runs on A M^{-1} and x = x0 + M^{-1} V^T y."""
     t0 = time.perf_counter()
     b, x0 = _check_system(A, b, x0)
     n = A.nrows
@@ -122,8 +134,10 @@ def gmres(
         return SolveReport(x0.copy(), 0, True, beta / scale, b_norm,
                            time.perf_counter() - t0, trace)
 
-    frob = float(np.linalg.norm(A.data))
-    breakdown_tol = HAPPY_BREAKDOWN_REL * frob
+    # the scale of the operator Arnoldi runs on: ||A||_F, or for A M^{-1}
+    # the largest ||A M^{-1} v_j|| seen so far (||A||_F would be far too
+    # loose a scale for a preconditioned operator near the identity)
+    op_scale = float(np.linalg.norm(A.data)) if precond is None else 0.0
 
     m_cap = min(opts.max_iter, n)
     cap = min(64, m_cap + 1)
@@ -137,8 +151,11 @@ def gmres(
         return np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
 
     def finish(j, converged, relres, basis_rows):
-        y = solve_y(j - 1) if j > 0 else np.zeros(0)
-        x = x0 + V[:j].T @ y if j > 0 else x0.copy()
+        if j > 0:
+            z = V[:j].T @ solve_y(j - 1)
+            x = x0 + (z if precond is None else precond(z))
+        else:
+            x = x0.copy()
         basis = V[:basis_rows].copy() if keep_basis else None
         return SolveReport(x, j, converged, relres, b_norm,
                            time.perf_counter() - t0, trace, basis)
@@ -147,7 +164,11 @@ def gmres(
         return float(np.linalg.norm(b - A @ rep.x) / scale)
 
     for j in range(m_cap):
-        w = A @ V[j]
+        if precond is None:
+            w = A @ V[j]
+        else:
+            w = A @ precond(V[j])
+            op_scale = max(op_scale, float(np.linalg.norm(w)))
         if not np.all(np.isfinite(w)):
             raise NumericalBreakdownError(f"non-finite SpMV at iteration {j + 1}")
         # classical Gram-Schmidt, applied twice
@@ -159,7 +180,7 @@ def gmres(
         h = (c + c2).tolist()
         h_subdiag = float(np.linalg.norm(w))
         h.append(h_subdiag)
-        happy = h_subdiag <= breakdown_tol
+        happy = h_subdiag <= HAPPY_BREAKDOWN_REL * op_scale
 
         # previous rotations act on rows 0..j only
         for i in range(j):

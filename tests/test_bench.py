@@ -100,6 +100,7 @@ class TestTimingSuite:
             assert (dim, "diffoas_total", None) in methods
             for tol in (1e-3, 1e-5):
                 assert (dim, "gmres", tol) in methods
+                assert (dim, "gmres_pc", tol) in methods
         for r in records:
             assert r.wall_seconds >= 0.0
             assert len(r.per_repeat) == r.repeats

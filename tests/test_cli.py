@@ -77,6 +77,29 @@ class TestGenerateVerifyInspect:
         assert event["event"] == "generate-done"
         assert "basis_seconds" in event and "action_seconds" in event
 
+    def test_generate_telemetry_reports_pool(self, capsys, tmp_path):
+        args = ["generate", "--grid", "8", "--samples", "2", "--basis", "2",
+                "--out", str(tmp_path / "d")]
+        _, _, stderr = run(args, capsys)
+        event = json.loads(stderr.strip().splitlines()[-1])
+        solves = json.loads((tmp_path / "d" / "manifest.json").read_text())[
+            "generation"]["pool"]["solves"]
+        assert event["pool_cache"] == "miss"
+        assert event["pool_iterations"] == \
+            sum(s["iterations"] for s in solves) > 0
+        _, _, stderr = run(args, capsys)
+        event = json.loads(stderr.strip().splitlines()[-1])
+        assert (event["pool_cache"], event["pool_iterations"]) == ("hit", 0)
+
+    def test_ablation_over_solved_removes_pool_cache(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        args = ["--grid", "8", "--samples", "2", "--out", str(out)]
+        assert run(["generate", "--basis", "2"] + args, capsys)[0] == 0
+        assert (out / "basis_pool.npz").exists()
+        assert run(["generate", "--method", "ablation-fourier"] + args,
+                   capsys)[0] == 0
+        assert not (out / "basis_pool.npz").exists()
+
     def test_repeat_invocation_byte_identical(self, capsys, tmp_path):
         args = ["generate", "--grid", "8", "--samples", "3", "--basis", "2",
                 "--seed", "7"]
@@ -142,8 +165,9 @@ class TestBenchCommand:
         assert code == 0
         lines = report.read_text().strip().splitlines()
         assert lines[0].startswith("method,")
-        # 3 dims x (action + total + 1 gmres tol) + regression rows
-        assert len(lines) == 1 + 3 * 3 + 2
+        # 3 dims x (action + total + gmres + gmres_pc at 1 tol)
+        # + regression rows
+        assert len(lines) == 1 + 3 * 4 + 2
 
     def test_json_format(self, capsys, tmp_path):
         report = tmp_path / "r.json"
@@ -153,7 +177,7 @@ class TestBenchCommand:
              "--out", str(report)], capsys)
         assert code == 0
         payload = json.loads(report.read_text())
-        assert len(payload["records"]) == 6
+        assert len(payload["records"]) == 2 * 4
 
 
 class TestManifestFuzzing:

@@ -21,7 +21,7 @@ from pdeforge.generator import (
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
-from pdeforge.grid_ops import apply_operator
+from pdeforge.grid_ops import apply_operator, dense_solve
 from pdeforge.solvers import SolveOptions, gmres
 
 
@@ -104,6 +104,67 @@ class TestBasisPool:
                 build_basis_pool(config)
         finally:
             gen_mod.gmres = saved
+
+
+class TestPreconditionedPool:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    def test_pool_solves(self, pde, n):
+        config = GenerationConfig(pde, Grid2D(n), 1, n_basis=10,
+                                  master_seed=0)
+        pool = build_basis_pool(config)
+        for i, (u, solve) in enumerate(zip(pool.basis, pool.provenance)):
+            assert solve["iterations"] <= 20
+            gen = RngStream(0, "basis_params", i).generator()
+            A = generator.draw_coefficients(pde, config.grid, gen).assemble()
+            b = generator.draw_forcing(pde, config.grid, gen).interior()
+            x = u.interior()
+            assert (np.linalg.norm(A @ x - b)
+                    <= config.solver_tol * np.linalg.norm(b))
+            if n <= 32:
+                x_ref = dense_solve(A, b)
+                assert (np.linalg.norm(x - x_ref)
+                        <= 1e-4 * np.linalg.norm(x_ref))
+
+    def test_seed_0_iteration_totals(self):
+        # unpreconditioned, these pools took 6205, 7494 and 11633 iterations
+        totals = {}
+        for pde in sorted(FAMILIES):
+            pool = build_basis_pool(GenerationConfig(pde, Grid2D(64), 1,
+                                                     master_seed=0))
+            totals[pde] = sum(s["iterations"] for s in pool.provenance)
+        assert totals == {"darcy": 192, "diffusion": 468, "helmholtz": 100}
+
+    def test_only_pool_solves_are_preconditioned(self, tmp_path,
+                                                 monkeypatch):
+        # classic generation is the paper's unpreconditioned baseline
+        preconds = []
+
+        def recording(A, b, **kwargs):
+            preconds.append(kwargs.get("precond"))
+            return gmres(A, b, **kwargs)
+
+        monkeypatch.setattr(generator, "gmres", recording)
+        generate_classic(small_config(method="classic", num_samples=3),
+                         tmp_path / "c")
+        assert preconds == [None] * 3
+        preconds.clear()
+        build_basis_pool(small_config(n_basis=3))
+        assert len(preconds) == 3 and all(map(callable, preconds))
+
+    def test_format_2_pool_cache_is_a_miss(self, tmp_path):
+        # a pool of unpreconditioned solves, keyed as before the bump
+        config = small_config()
+        out = tmp_path / "d"
+        out.mkdir()
+        key = generator.pool_cache_key(config)
+        del key["preconditioner"]
+        key["pool_format"] = 2
+        generator.save_basis_pool(
+            BasisPool(config.grid, build_basis_pool(config).basis, key=key),
+            out / "basis_pool.npz")
+        ds = generate_diffoas(config, out)
+        assert ds.manifest.generation["pool"]["cache"] == "miss"
 
 
 class TestCombine:
@@ -196,6 +257,7 @@ class TestDiffoas:
         generate_diffoas(config, tmp_path / "d")
         generation = read_dataset(tmp_path / "d").manifest.generation
         assert generation["pool"]["cache"] == "miss"
+        assert generation["pool"]["preconditioner"] == "poisson(a)"
         solves = generation["pool"]["solves"]
         assert [s["index"] for s in solves] == list(range(config.n_basis))
         for solve in solves:
@@ -206,7 +268,8 @@ class TestDiffoas:
 
         generate_diffoas(config, tmp_path / "d")
         generation = read_dataset(tmp_path / "d").manifest.generation
-        assert generation["pool"] == {"cache": "hit", "solves": []}
+        assert generation["pool"] == {"cache": "hit", "solves": [],
+                                      "preconditioner": "poisson(a)"}
         assert generation["timings"]["pool_solve_seconds"] == []
 
     def test_pool_provenance_given_pool(self, tmp_path):
@@ -215,8 +278,16 @@ class TestDiffoas:
         ds = generate_diffoas(config, tmp_path / "d", pool=pool)
         recorded = ds.manifest.generation["pool"]
         assert recorded["cache"] == "given"
+        assert recorded["preconditioner"] == "poisson(a)"
         assert [s["iterations"] for s in recorded["solves"]] == \
             [p["iterations"] for p in pool.provenance]
+
+    def test_given_pool_removes_pool_cache(self, tmp_path):
+        config = small_config()
+        generate_diffoas(config, tmp_path / "d")
+        pool = build_basis_pool(small_config(n_basis=2))
+        generate_diffoas(config, tmp_path / "d", pool=pool)
+        assert not (tmp_path / "d" / "basis_pool.npz").exists()
 
     def test_pool_cache_misses_on_changed_distribution(self, tmp_path,
                                                        monkeypatch):
@@ -265,13 +336,15 @@ class TestDiffoas:
         assert ds.manifest.num_samples == 3
 
     # field CRC32s of `pdeforge generate --pde <pde> --grid 24 --samples 12
-    # --seed 3`; operator action built a CSR matrix per sample when they
-    # were recorded, so they pin the matrix-free path to its bytes
+    # --seed 3`. The coefficient CRCs date from when operator action built
+    # a CSR matrix per sample; f and u were re-pinned when the pool solves
+    # became preconditioned, which moves the pool at the solver-tolerance
+    # level
     GOLDEN_CRC32 = {
-        "darcy": {"a": 0xd1df8af7, "f": 0x4fc83c8d, "u": 0x9d0f9e82},
-        "helmholtz": {"k2": 0x4305ab23, "f": 0x27db7ac1, "u": 0x89bc3f31},
-        "diffusion": {"k": 0x20fafc87, "q": 0x062df759, "f": 0xe2d5f731,
-                      "u": 0x52b973f6},
+        "darcy": {"a": 0xd1df8af7, "f": 0x2a0f5d5a, "u": 0xfd0ab9b5},
+        "helmholtz": {"k2": 0x4305ab23, "f": 0x48c149ca, "u": 0x837f490d},
+        "diffusion": {"k": 0x20fafc87, "q": 0x062df759, "f": 0x97654045,
+                      "u": 0x2c548502},
     }
 
     @pytest.mark.parametrize("pde", sorted(GOLDEN_CRC32))

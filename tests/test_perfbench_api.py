@@ -2,8 +2,11 @@
 so a renamed or reshaped name it uses fails here rather than in a
 benchmark run."""
 
+import inspect
 import sys
 from pathlib import Path
+
+from pdeforge import gmres
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +50,8 @@ def test_benchmark_harness_imports_and_counts(monkeypatch):
     finally:
         for name in ("record", "tracing", "workloads"):
             sys.modules.pop(name, None)
+
+
+def test_gmres_is_unpreconditioned_by_default():
+    # the harness replays pool and classic solves as gmres(A, b, opts=...)
+    assert inspect.signature(gmres).parameters["precond"].default is None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdeforge.families import PdeCoefficients
 from pdeforge.fields import GrfParams, RngStream, sample_grf
 from pdeforge.generator import draw_coefficients, draw_forcing
 from pdeforge.grid import FieldSample, Grid2D
@@ -153,6 +154,61 @@ class TestResidualBound:
         rep = gmres(CsrMatrix(np.eye(3)), np.ones(3))
         with pytest.raises(MissingTraceError):
             verify_residual_bound(rep)
+
+
+class TestPoissonPreconditioner:
+    def test_laplacian_breaks_down_at_iteration_1(self):
+        # k2 = 0 leaves the bare Laplacian, which M is exactly: A M^-1 = I
+        g = Grid2D(16)
+        coeffs = PdeCoefficients("helmholtz", k2=FieldSample.constant(g, 0.0))
+        A = coeffs.assemble()
+        b = np.random.default_rng(0).standard_normal(A.nrows)
+        rep = gmres(A, b, opts=SolveOptions(tol=1e-13), keep_basis=True,
+                    precond=coeffs.preconditioner())
+        assert rep.converged and rep.iterations == 1
+        assert rep.arnoldi_basis.shape == (1, A.nrows)  # happy breakdown
+        np.testing.assert_allclose(rep.x, dense_solve(A, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("pde,fields", [
+        ("darcy", {"a": 2.5}), ("diffusion", {"k": 0.7, "q": 0.0})])
+    def test_constant_flux_inverts_operator(self, pde, fields):
+        # a constant flux coefficient and no other term: M is A itself
+        g = Grid2D(16)
+        coeffs = PdeCoefficients(pde, **{
+            name: FieldSample.constant(g, v) for name, v in fields.items()})
+        A = coeffs.assemble()
+        x = np.random.default_rng(1).standard_normal(A.nrows)
+        y = coeffs.preconditioner()(A @ x)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_breakdown_is_scaled_to_the_preconditioned_operator(self):
+        # A M^-1 = I + O(1e-9): its first Arnoldi residual, ~1e-9, is far
+        # below 1e-14 ||A||_F (~1e-8 at n=64) but is no breakdown
+        g = Grid2D(64)
+        rng = np.random.default_rng(0)
+        a = FieldSample(g, 1.0 + 1e-9 * rng.uniform(size=(66, 66)))
+        coeffs = PdeCoefficients("darcy", a=a)
+        A = coeffs.assemble()
+        b = rng.standard_normal(A.nrows)
+        rep = gmres(A, b, opts=SolveOptions(tol=1e-12),
+                    precond=coeffs.preconditioner())
+        assert rep.converged and rep.iterations == 2
+
+    def test_bound_holds_on_random_preconditioned_traces(self):
+        rng = np.random.default_rng(61)
+        opts = SolveOptions(tol=1e-12, max_iter=500, record_trace=True)
+        pdes = ("darcy", "helmholtz", "diffusion")
+        for case in range(20):
+            grid = Grid2D(int(rng.integers(3, 21)))
+            coeffs = draw_coefficients(pdes[case % 3], grid, rng)
+            A = coeffs.assemble()
+            b = rng.standard_normal(A.nrows)
+            rep = gmres(A, b, opts=opts, precond=coeffs.preconditioner())
+            assert rep.converged
+            check = verify_residual_bound(rep)
+            assert check.passed, f"case {case}: violation {check.max_violation}"
+            x_ref = dense_solve(A, b)
+            assert np.linalg.norm(rep.x - x_ref) <= 1e-6 * np.linalg.norm(x_ref)
 
 
 class TestCg:
