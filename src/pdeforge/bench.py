@@ -1,9 +1,11 @@
 """Timing harness: generation cost vs matrix size vs solver tolerance.
 
-Each phase times the per-sample function that a generate path runs, drawing
-included. The operator-action phase runs `_diffoas_sample` (draw the
-coefficients, combine the pool, apply the stencil) as `generate_diffoas`
-does; the solver phases run `solve_sample` (draw, assemble, solve) as
+Each phase times the function that a generate path runs per work item,
+drawing included. The operator-action phase runs `_diffoas_block` (draw
+the coefficients, combine the pool, apply the stencil) over blocks of
+SAMPLE_BLOCK samples as `generate_diffoas` does, and its per-sample
+seconds are the blocks' seconds over the sample count; the solver phases
+run `solve_sample` (draw, assemble, solve) per sample as
 `generate_classic` does. The GMRES-vs-action speedup is thus the ratio of
 the two paths' per-sample costs; writing the dataset is in neither. The
 `gmres_pc` phase solves the same classic samples with the fast-Poisson
@@ -29,7 +31,8 @@ import scipy.stats
 
 from .generator import (
     GenerationConfig,
-    _diffoas_sample,
+    _diffoas_block,
+    _sample_blocks,
     build_basis_pool,
     solve_sample,
 )
@@ -81,11 +84,11 @@ def _median(xs):
     return float(np.median(xs))
 
 
-def _time_samples(sample, n_samples):
-    """Seconds for sample(0), ..., sample(n_samples - 1)."""
+def _time_items(run, items):
+    """Seconds for run(item) over items."""
     t0 = time.perf_counter()
-    for k in range(n_samples):
-        sample(k)
+    for item in items:
+        run(item)
     return time.perf_counter() - t0
 
 
@@ -123,16 +126,17 @@ def run_timing_suite(
         pool = build_basis_pool(config)
         basis_seconds = time.perf_counter() - t_pool
 
-        def action(k):
-            _diffoas_sample(config, pool, k)
+        def action(indices):
+            _diffoas_block(config, pool, indices)
 
         # warm-up, then timed repeats, escalating if below clock resolution
         n_action = samples_per_point
         for _ in range(MAX_ESCALATIONS):
-            if _time_samples(action, n_action) >= MIN_PHASE_SECONDS:
+            if (_time_items(action, _sample_blocks(n_action))
+                    >= MIN_PHASE_SECONDS):
                 break
             n_action *= 10
-        action_times = [_time_samples(action, n_action)
+        action_times = [_time_items(action, _sample_blocks(n_action))
                         for _ in range(repeats)]
         records.append(BenchRecord(dim, "diffoas_action", None, n_action,
                                    _median(action_times), repeats,
@@ -156,7 +160,7 @@ def run_timing_suite(
                                   f"{report.final_relative_residual:.2e}")
 
                 solve(0)  # warm-up
-                runs = [_time_samples(solve, samples_per_point)
+                runs = [_time_items(solve, range(samples_per_point))
                         for _ in range(repeats)]
                 records.append(BenchRecord(dim, method, tol, samples_per_point,
                                            _median(runs), repeats, runs,

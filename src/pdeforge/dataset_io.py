@@ -4,6 +4,11 @@ Layout contract: one `<name>.f64` file per field, IEEE-754 binary64
 little-endian, sample-major then row-major over the (n+2) x (n+2) node set
 including boundary. `manifest.json` is written last via atomic rename, so a
 crashed write never leaves a readable dataset.
+
+`write_dataset` takes a stream of items. An item holds one sample, or a
+block of b consecutive samples as (b, m, m) arrays, which operator-action
+generation emits; the bytes on disk are the same either way, and a block
+costs one write and one CRC-32 update per field.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .families import FAMILIES
 from .grid import FieldSample, Grid2D
 
 FORMAT_VERSION = 1
+CHECKSUM_CHUNK = 1 << 20  # bytes per read in checksum_field
 
 # the stored fields of each family at import; DatasetManifest.field_names
 # reads the registry at call time
@@ -93,12 +99,15 @@ class DatasetManifest:
 
 
 def checksum_field(dir: os.PathLike, field_name: str) -> int:
-    """CRC-32 (IEEE polynomial) of a field file's raw bytes."""
+    """CRC-32 (IEEE polynomial) of a field file's raw bytes, read in
+    CHECKSUM_CHUNK pieces into one reused buffer."""
     path = Path(dir) / f"{field_name}.f64"
     crc = 0
+    buf = bytearray(CHECKSUM_CHUNK)
+    view = memoryview(buf)
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            crc = zlib.crc32(chunk, crc)
+        while size := fh.readinto(buf):
+            crc = zlib.crc32(view[:size], crc)
     return crc & 0xFFFFFFFF
 
 
@@ -107,8 +116,14 @@ def write_dataset(
     samples: Iterable[dict],
     manifest_seed: DatasetManifest,
 ) -> DatasetManifest:
-    """Stream samples (dicts of field name -> FieldSample or node array) to
-    disk; returns the completed manifest.
+    """Stream items to disk; returns the completed manifest.
+
+    An item is a dict of field name -> FieldSample or node array. It holds
+    one sample, or a block of b consecutive samples when every field is a
+    (b, m, m) array; a block costs one write and one CRC-32 update per
+    field. DatasetFormatError is raised before any field of an item is
+    written when its fields disagree on b or hold other than m^2 nodes per
+    sample.
 
     An existing manifest.json is removed before any field file is touched,
     so the directory holds no manifest until the new one is complete. Field
@@ -129,19 +144,12 @@ def write_dataset(
     crcs = {name: 0 for name in names}
     count = 0
     try:
-        for sample in samples:
-            for name in names:
-                value = sample[name]
-                arr = value.values if isinstance(value, FieldSample) else value
-                arr = np.ascontiguousarray(arr, dtype="<f8").reshape(-1)
-                if arr.size != slab:
-                    raise DatasetFormatError(
-                        f"field {name!r} has {arr.size} nodes, expected {slab}"
-                    )
-                raw = arr.tobytes()
-                handles[name].write(raw)
-                crcs[name] = zlib.crc32(raw, crcs[name])
-            count += 1
+        for item in samples:
+            b, arrays = _item_arrays(item, names, slab)
+            for name, arr in arrays.items():
+                handles[name].write(arr)
+                crcs[name] = zlib.crc32(arr, crcs[name])
+            count += b
     finally:
         for fh in handles.values():
             fh.close()
@@ -156,6 +164,29 @@ def write_dataset(
         for name in names
     }
     return write_manifest(out, manifest)
+
+
+def _item_arrays(item: dict, names: tuple, slab: int) -> tuple:
+    """(b, field name -> (b, slab) little-endian float64 C-contiguous
+    array) of one write_dataset item; b is 1 unless the fields are
+    (b, m, m) arrays."""
+    arrays = {}
+    for name in names:
+        value = item[name]
+        arr = value.values if isinstance(value, FieldSample) else value
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        b = arr.shape[0] if arr.ndim == 3 else 1
+        if arr.size != b * slab:
+            raise DatasetFormatError(
+                f"field {name!r} of shape {arr.shape} does not hold {slab} "
+                f"nodes per sample")
+        arrays[name] = arr.reshape(b, slab)
+    counts = {len(arr) for arr in arrays.values()}
+    if len(counts) > 1:
+        raise DatasetFormatError(
+            "fields of one item hold different sample counts: " + ", ".join(
+                f"{name} {len(arr)}" for name, arr in arrays.items()))
+    return counts.pop(), arrays
 
 
 def write_manifest(dir: os.PathLike, manifest: DatasetManifest) -> DatasetManifest:

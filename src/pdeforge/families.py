@@ -10,16 +10,22 @@ time.
 
 The stencil is the one description of the operator. `PdeCoefficients`
 gives it two forms: `assemble()` writes it as a CSR matrix (basis and
-classic solves, `verify_dataset`), and `apply(u)` applies it matrix-free
-(operator-action generation). Generation and verification therefore
-check each other through two independent representations.
+classic solves, `verify_dataset`), and `apply(u)` applies it matrix-free.
+Generation and verification therefore check each other through two
+independent representations. Operator-action generation applies it to a
+block of samples at once with `apply_block`, on (b, m, m) stacks of the
+coefficient and solution node arrays; the stencil is elementwise, so
+each sample gets the bits `apply` gives it alone.
 `preconditioner()` gives the pool solves' M^{-1}: a fast Poisson solve
 scaled by the flux coefficient, M = s C^{1/2} (-lap_h) C^{1/2}
 (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
 
 Adding a family costs one record. Write a stencil function
 `stencil(grid, **coefficient_fields) -> (center, north, south, west,
-east)`, each an (n, n) array over the interior nodes or a scalar, give
+east)`, each an (n, n) array over the interior nodes or a scalar. It must
+also accept (b, m, m) node arrays for the fields and then return (b, n, n)
+arrays: index the fields with `...` and keep every step elementwise, as
+the stencils in grid_ops do. Give
 each coefficient a distribution (anything with
 `sample(grid, rng) -> FieldSample` and `to_dict()`, such as `GrfParams`),
 and add the record:
@@ -175,13 +181,18 @@ class PdeCoefficients:
         self.pde = pde
         self.grid = grids.pop()
         self.fields = {name: fields[name] for name in names}
+        self._stencil: Optional[tuple] = None
 
     def field_map(self) -> dict:
         return dict(self.fields)
 
     def stencil(self) -> tuple:
-        """(center, north, south, west, east) of the family's operator."""
-        return family(self.pde).stencil(self.grid, **self.fields)
+        """(center, north, south, west, east) of the family's operator,
+        built on the first call and shared by `assemble`,
+        `preconditioner` and `apply`, so a pool solve builds it once."""
+        if self._stencil is None:
+            self._stencil = family(self.pde).stencil(self.grid, **self.fields)
+        return self._stencil
 
     def assemble(self) -> CsrMatrix:
         """The operator as a CSR matrix over the interior unknowns."""
@@ -198,13 +209,30 @@ class PdeCoefficients:
         return poisson_preconditioner(self.grid, sign, coef)
 
     def apply(self, u: FieldSample) -> FieldSample:
-        """f = A u matrix-free, with zero boundary. u must vanish on the
-        boundary; then f's interior equals `apply_operator(self.assemble(),
-        u.interior())` bit for bit."""
+        """f = A u matrix-free, with zero boundary: the one-sample case of
+        `apply_block`. u must vanish on the boundary; then f's interior
+        equals `apply_operator(self.assemble(), u.interior())` bit for
+        bit."""
         if u.grid != self.grid:
             raise DimensionError("u is defined on a different grid")
-        v = u.values
-        if v[0].any() or v[-1].any() or v[:, 0].any() or v[:, -1].any():
-            raise ValueError("u must vanish on the boundary")
-        return FieldSample.from_interior(
-            self.grid, apply_stencil(self.stencil(), v))
+        return FieldSample(self.grid, _apply(self.stencil(), u.values))
+
+
+def apply_block(pde: str, grid: Grid2D, fields: dict,
+                u: np.ndarray) -> np.ndarray:
+    """f = A u matrix-free for a block of samples: fields maps each
+    coefficient name of the family to (b, m, m) node arrays, u is (b, m, m)
+    and must vanish on the boundary. Sample i of f is bit-identical to
+    `PdeCoefficients.apply` on sample i alone: every step is elementwise."""
+    return _apply(family(pde).stencil(grid, **fields), u)
+
+
+def _apply(stencil: tuple, u: np.ndarray) -> np.ndarray:
+    """The (..., m, m) node arrays of the stencil applied to u, with a zero
+    boundary; u must vanish on the boundary."""
+    if (u[..., 0, :].any() or u[..., -1, :].any() or u[..., 0].any()
+            or u[..., -1].any()):
+        raise ValueError("u must vanish on the boundary")
+    f = np.zeros(u.shape)
+    apply_stencil(stencil, u, out=f[..., 1:-1, 1:-1])
+    return f

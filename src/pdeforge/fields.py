@@ -120,9 +120,10 @@ def sample_grf(grid: Grid2D, params: GrfParams, rng) -> FieldSample:
     xi = gen.standard_normal(lam.shape)
     B = _cosine_table(grid.n_interior)
     values = B.T @ (lam * xi) @ B
-    values = params.scale * values + params.offset
+    values *= params.scale
+    values += params.offset
     if params.transform == "exp":
-        values = np.exp(values)
+        np.exp(values, out=values)
     return FieldSample(grid, values)
 
 
@@ -150,12 +151,15 @@ def _diagonal_pair(index: int, start: int) -> tuple[int, int]:
     return k1, k2
 
 
-def _sine_window(grid: Grid2D) -> np.ndarray:
-    """sin(pi x) sin(pi y) on the node set, boundary forced to exact zero."""
-    x = grid.node_coords()
+@lru_cache(maxsize=32)
+def _sine_window(n_interior: int) -> np.ndarray:
+    """sin(pi x) sin(pi y) on the node set, boundary forced to exact zero.
+    Read-only."""
+    x = Grid2D(n_interior).node_coords()
     w = np.outer(np.sin(np.pi * x), np.sin(np.pi * x))
     w[0, :] = w[-1, :] = 0.0
     w[:, 0] = w[:, -1] = 0.0
+    w.flags.writeable = False
     return w
 
 
@@ -176,10 +180,11 @@ def chebyshev_basis_field(grid: Grid2D, index: int) -> FieldSample:
     t = 2.0 * x - 1.0
     tx = npcheb.chebval(t, np.eye(k1 + 1)[k1])
     ty = npcheb.chebval(t, np.eye(k2 + 1)[k2])
-    v = np.outer(tx, ty) * _sine_window(grid)
+    v = np.outer(tx, ty) * _sine_window(grid.n_interior)
     return FieldSample(grid, v)
 
 
 def boundary_decay_mask(grid: Grid2D) -> FieldSample:
-    """Smooth bump sin(pi x) sin(pi y): 1 at the center, 0 on the boundary."""
-    return FieldSample(grid, _sine_window(grid))
+    """Smooth bump sin(pi x) sin(pi y): 1 at the center, 0 on the boundary.
+    Its values are a cached, read-only array."""
+    return FieldSample(grid, _sine_window(grid.n_interior))

@@ -6,10 +6,25 @@ Operator-action path (DiffOAS): solve once for a small pool of basis
 solutions, with GMRES right-preconditioned by the family's fast Poisson
 solve, then per sample combine them with normalized Gaussian weights,
 add edge-decaying noise, and compute the forcing by one application of the
-family's 5-point stencil to the node array (`PdeCoefficients.apply`): the
-sparse matrix-vector product without building the matrix. Verification
-re-assembles each sample's CSR matrix, so it checks the stencil against
-an independent representation; the two agree bit for bit.
+family's 5-point stencil to the node array: the sparse matrix-vector
+product without building the matrix. Verification re-assembles each
+sample's CSR matrix, so it checks the stencil against an independent
+representation; the two agree bit for bit.
+
+Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
+indices (`_diffoas_block`), one work item per block. Within a block, what
+defines a sample's random content runs per sample with the operand shapes
+of a single sample: its three `RngStream` generators and their draws, the
+two GEMMs of each GRF (coefficient and noise), the weight redraw loop and
+the weights @ pool product. BLAS results can depend on operand shapes, so
+stacking these would change the bytes. The rest is elementwise and runs
+once per block on (b, m, m) arrays: noise normalization and amplitude, the
+mask, the stencil, its application and the embedding of f. A block item
+is a dict of field name -> (b, m, m) node arrays, which `write_dataset`
+writes with one write and one CRC-32 update per field. Sample k's bytes
+depend on k alone, not on its block or the thread count.
+`draw_coefficients`, `combine_solution` and `PdeCoefficients.apply` are
+the one-sample forms of the same code.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset_io import Dataset, DatasetManifest, write_dataset, write_manifest
-from .families import FAMILIES, PdeCoefficients, family
+from .families import FAMILIES, PdeCoefficients, apply_block, family
 from .fields import (
     GrfParams,
     RngStream,
@@ -45,6 +60,8 @@ NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
 # bump when the content of basis_pool.npz for a given key changes
 POOL_FORMAT_VERSION = 3
 POOL_CACHE_NAME = "basis_pool.npz"  # in the dataset directory
+# consecutive samples per operator-action work item (see _diffoas_block)
+SAMPLE_BLOCK = 8
 
 
 class GenerationError(RuntimeError):
@@ -216,32 +233,55 @@ def combine_solution(
     eta: float,
     delta: float,
 ) -> FieldSample:
-    """Normalized Gaussian-weighted combination of the pool plus masked noise."""
+    """Normalized Gaussian-weighted combination of the pool plus masked
+    noise: the one-sample case of `_combine_block`."""
+    return FieldSample(pool.grid, _combine_block(
+        pool, [rng_weights], [rng_noise], eta, delta)[0])
+
+
+def _combine_block(pool: BasisPool, weight_streams: list, noise_streams: list,
+                   eta: float, delta: float) -> np.ndarray:
+    """(b, m, m) node arrays: sample i combines the pool with weights from
+    weight_streams[i] and adds masked noise from noise_streams[i].
+
+    The draws, each noise GRF's two GEMMs and each weights @ pool product
+    run per sample with the operand shapes of a single sample: BLAS results
+    can depend on operand shapes, so batching them would change the bytes.
+    The noise normalization, its amplitude and the mask act on the whole
+    block; they are elementwise, so each sample gets the same bits as when
+    combined alone."""
     if pool.size < 1:
         raise GenerationError("basis pool is empty")
     if eta < 0 or delta <= 0:
         raise GenerationError("need eta >= 0 and delta > 0")
-    gen_w = rng_weights.generator()
-    for _ in range(100):
-        mu = gen_w.standard_normal(pool.size)
-        total = mu.sum()
-        if abs(total) >= delta:
-            break
-    else:
-        raise DegenerateWeightsError(
-            "100 consecutive weight draws below the resample threshold"
-        )
-    weights = mu / total
     grid = pool.grid
     m = grid.n_nodes
-    u_comb = (weights @ pool.stacked()).reshape(m, m)
+    stack = pool.stacked()
+    u = np.empty((len(weight_streams), m * m))
+    for i, stream in enumerate(weight_streams):
+        gen_w = stream.generator()
+        for _ in range(100):
+            mu = gen_w.standard_normal(pool.size)
+            total = mu.sum()
+            if abs(total) >= delta:
+                break
+        else:
+            raise DegenerateWeightsError(
+                "100 consecutive weight draws below the resample threshold"
+            )
+        u[i] = (mu / total) @ stack
+    u = u.reshape(-1, m, m)
     if eta > 0:
-        g = sample_grf(grid, NOISE_GRF, rng_noise)
-        g_max = np.max(np.abs(g.values))
-        noise = np.zeros((m, m)) if g_max == 0 else g.values / g_max
-        amplitude = eta * np.max(np.abs(u_comb))
-        u_comb = u_comb + amplitude * boundary_decay_mask(grid).values * noise
-    return FieldSample(grid, u_comb)
+        g = np.stack([sample_grf(grid, NOISE_GRF, stream).values
+                      for stream in noise_streams])
+        g_max = np.abs(g).max(axis=(1, 2), keepdims=True)
+        # noise = g / g_max, or 0 for an all-zero draw
+        noise = np.divide(g, g_max, out=g, where=g_max != 0)
+        noise[g_max[:, 0, 0] == 0] = 0.0
+        amplitude = eta * np.abs(u).max(axis=(1, 2), keepdims=True)
+        noise *= amplitude * boundary_decay_mask(grid).values
+        u += noise
+    return u
 
 
 def _base_manifest(config: GenerationConfig, method: str) -> DatasetManifest:
@@ -263,27 +303,43 @@ def _base_manifest(config: GenerationConfig, method: str) -> DatasetManifest:
     )
 
 
-def _diffoas_sample(config: GenerationConfig, pool: BasisPool, k: int) -> dict:
-    grid = config.grid
-    gen = RngStream(config.master_seed, "sample_params", k).generator()
-    coeffs = draw_coefficients(config.pde, grid, gen)
-    u = combine_solution(
+def _sample_blocks(num_samples: int) -> list:
+    """Sample indices 0..num_samples-1 in consecutive ranges of
+    SAMPLE_BLOCK (the last one may be shorter)."""
+    return [range(start, min(start + SAMPLE_BLOCK, num_samples))
+            for start in range(0, num_samples, SAMPLE_BLOCK)]
+
+
+def _diffoas_block(config: GenerationConfig, pool: BasisPool,
+                   indices: range) -> dict:
+    """The operator-action samples of indices as one block item: field name
+    -> (b, m, m) node arrays. Sample k's bytes depend only on k, not on the
+    block it is in: the draws run per sample (`draw_coefficients`,
+    `_combine_block`), the stencil and its application run on the block
+    and are elementwise."""
+    pde, grid, seed = config.pde, config.grid, config.master_seed
+    draws = [draw_coefficients(
+        pde, grid, RngStream(seed, "sample_params", k).generator())
+        for k in indices]
+    fields = {name: np.stack([d.fields[name].values for d in draws])
+              for name in family(pde).coefficients}
+    u = _combine_block(
         pool,
-        RngStream(config.master_seed, "weights", k),
-        RngStream(config.master_seed, "noise", k),
+        [RngStream(seed, "weights", k) for k in indices],
+        [RngStream(seed, "noise", k) for k in indices],
         config.noise_eta,
         config.weight_resample_threshold,
     )
-    return {**coeffs.field_map(), "f": coeffs.apply(u), "u": u}
+    return {**fields, "f": apply_block(pde, grid, fields, u), "u": u}
 
 
-def _run_samples(worker, indices, threads: int):
+def _run_samples(worker, items, threads: int):
     if threads <= 1:
-        for k in indices:
-            yield worker(k)
+        for item in items:
+            yield worker(item)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, indices)
+        yield from pool.map(worker, items)
 
 
 def generate_diffoas(
@@ -343,11 +399,11 @@ def generate_diffoas(
         manifest.generation["pool"]["preconditioner"] = \
             pool.key["preconditioner"]
 
-    def worker(k: int) -> dict:
-        return _diffoas_sample(config, pool, k)
+    def worker(indices: range) -> dict:
+        return _diffoas_block(config, pool, indices)
 
-    sample_iter = _run_samples(worker, range(config.num_samples), threads)
-    manifest = write_dataset(out_dir, sample_iter, manifest)
+    blocks = _run_samples(worker, _sample_blocks(config.num_samples), threads)
+    manifest = write_dataset(out_dir, blocks, manifest)
     manifest.generation["timings"] = {
         "basis_seconds": basis_seconds,
         "pool_solve_seconds": [solve["wall_time"] for solve in pool.provenance],

@@ -11,8 +11,12 @@ off-diagonals, no 1/h^2 scaling) kept for golden tests.
 
 Each family's operator is described once, as a stencil `(center, north,
 south, west, east)` of coefficients over the interior nodes
-(`darcy_stencil`, `helmholtz_stencil`, `diffusion_stencil`). The stencil
-has two consumers:
+(`darcy_stencil`, `helmholtz_stencil`, `diffusion_stencil`). A stencil
+function takes each coefficient field as a `FieldSample` or as node
+arrays of shape (..., n+2, n+2): operator-action generation builds the
+stencils of a block of b samples at once from (b, n+2, n+2) stacks. Every
+step is elementwise, so each sample's coefficients are the same bits
+either way. The stencil has two consumers:
 
 - `_five_point` writes it as a `CsrMatrix`, a `scipy.sparse.csr_array` in
   canonical form: each row stores its entries in ascending column order
@@ -20,9 +24,10 @@ has two consumers:
   numbering). scipy's CSR kernel sums each row left to right from 0.0, so
   `apply_operator` is bit-identical to a sequential loop over the stored
   entries of each row. Solvers and verification use this form.
-- `apply_stencil` applies it matrix-free to a node array in the same
-  order, N, W, C, E, S, so on a zero-boundary `u` it is bit-identical to
-  `apply_operator` on `u`'s interior. Generation uses this form.
+- `apply_stencil` applies it matrix-free to node arrays, one sample or a
+  block, in the same order, N, W, C, E, S, so on a zero-boundary `u` it
+  is bit-identical to `apply_operator` on `u`'s interior. Generation uses
+  this form.
 """
 
 from __future__ import annotations
@@ -110,10 +115,19 @@ def dense_solve(A: CsrMatrix, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def _check_field(grid: Grid2D, f: FieldSample, name: str) -> np.ndarray:
-    if f.grid != grid:
-        raise DimensionError(f"{name} is defined on a different grid")
-    return f.values
+def _check_field(grid: Grid2D, f, name: str) -> np.ndarray:
+    """The node values of f: a FieldSample on grid, or an array of shape
+    (..., m, m) holding the node values of one or more samples."""
+    if isinstance(f, FieldSample):
+        if f.grid != grid:
+            raise DimensionError(f"{name} is defined on a different grid")
+        return f.values
+    values = np.asarray(f, dtype=np.float64)
+    if values.shape[-2:] != (grid.n_nodes, grid.n_nodes):
+        raise DimensionError(
+            f"{name} node array of shape {values.shape} is not on the "
+            f"{grid.n_nodes} x {grid.n_nodes} node set")
+    return values
 
 
 @lru_cache(maxsize=8)
@@ -148,17 +162,22 @@ def _five_point(grid: Grid2D, center, north, south, west, east) -> CsrMatrix:
                      shape=(n * n, n * n))
 
 
-def apply_stencil(stencil: tuple, u_nodes: np.ndarray) -> np.ndarray:
-    """The (n, n) interior values of the 5-point operator applied to the
-    (n+2, n+2) node array u_nodes, summed N, W, C, E, S as the CSR rows
-    are. With a zero boundary the result equals `apply_operator` on the
-    interior bit for bit. stencil is (center, north, south, west, east),
-    each an (n, n) array or a scalar."""
+def apply_stencil(stencil: tuple, u_nodes: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Write to out, and return, the (..., n, n) interior values of the
+    5-point operator applied to the (..., n+2, n+2) node arrays u_nodes,
+    summed N, W, C, E, S as the CSR rows are. With a zero boundary the
+    result equals `apply_operator` on the interior bit for bit. stencil is
+    (center, north, south, west, east), each an array of out's shape or a
+    scalar."""
     center, north, south, west, east = stencil
     u = u_nodes
-    return (north * u[:-2, 1:-1] + west * u[1:-1, :-2]
-            + center * u[1:-1, 1:-1] + east * u[1:-1, 2:]
-            + south * u[2:, 1:-1])
+    term = np.empty(out.shape)
+    np.multiply(north, u[..., :-2, 1:-1], out=out)
+    for coef, v in ((west, u[..., 1:-1, :-2]), (center, u[..., 1:-1, 1:-1]),
+                    (east, u[..., 1:-1, 2:]), (south, u[..., 2:, 1:-1])):
+        out += np.multiply(coef, v, out=term)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -198,22 +217,38 @@ def poisson_preconditioner(grid: Grid2D, sign: float, coef=None):
 
 def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
     """Stencil (center, north, south, west, east) of sign * div(coef grad u)
-    with face coefficients by arithmetic mean.
+    with face coefficients by arithmetic mean, for (..., m, m) node arrays.
 
     sign=-1 gives the SPD Darcy form -div(a grad u); sign=+1 the
-    diffusion-reaction flux term div(k grad u).
+    diffusion-reaction flux term div(k grad u). The values are those of
+    center = sign * (-(a_n + a_s + a_w + a_e)) / h2 and
+    neighbor = sign * a_f / h2, a_f = 0.5 * (c + c_f), bit for bit, at
+    fewer passes over the arrays:
+    - each face mean is computed once: the south face of node (i, j) is
+      the north face of node (i+1, j), and IEEE addition commutes; likewise
+      east and west;
+    - sign is +-1, and multiplying or dividing by -1 is exact, as is
+      negating a correctly rounded quotient: sign * (-s) / h2 equals
+      s / (-sign * h2) and sign * a / h2 equals a / (sign * h2).
     """
     h2 = grid.h ** 2
-    c = coef[1:-1, 1:-1]
-    a_n = 0.5 * (c + coef[:-2, 1:-1])
-    a_s = 0.5 * (c + coef[2:, 1:-1])
-    a_w = 0.5 * (c + coef[1:-1, :-2])
-    a_e = 0.5 * (c + coef[1:-1, 2:])
-    center = sign * (-(a_n + a_s + a_w + a_e)) / h2
-    return (center,) + tuple(sign * a_f / h2 for a_f in (a_n, a_s, a_w, a_e))
+    # vertical[..., i, j]: the face between node rows i and i+1 of interior
+    # column j; horizontal[..., i, j]: between node columns j and j+1
+    vertical = coef[..., :-1, 1:-1] + coef[..., 1:, 1:-1]
+    vertical *= 0.5
+    horizontal = coef[..., 1:-1, :-1] + coef[..., 1:-1, 1:]
+    horizontal *= 0.5
+    center = vertical[..., :-1, :] + vertical[..., 1:, :]
+    center += horizontal[..., :-1]
+    center += horizontal[..., 1:]
+    center /= -sign * h2
+    vertical /= sign * h2
+    horizontal /= sign * h2
+    return (center, vertical[..., :-1, :], vertical[..., 1:, :],
+            horizontal[..., :-1], horizontal[..., 1:])
 
 
-def darcy_stencil(grid: Grid2D, a: FieldSample) -> tuple:
+def darcy_stencil(grid: Grid2D, a) -> tuple:
     """-div(a grad u) with zero Dirichlet boundary; SPD for a > 0."""
     coef = _check_field(grid, a, "permeability")
     if coef.min() <= 0.0:
@@ -223,15 +258,15 @@ def darcy_stencil(grid: Grid2D, a: FieldSample) -> tuple:
     return _flux_form(grid, coef, sign=-1.0)
 
 
-def helmholtz_stencil(grid: Grid2D, k2: FieldSample) -> tuple:
+def helmholtz_stencil(grid: Grid2D, k2) -> tuple:
     """lap(u) + k2*u, scaled 5-point stencil, zero Dirichlet boundary."""
     kv = _check_field(grid, k2, "squared wavenumber")
     h2 = grid.h ** 2
     off = 1.0 / h2
-    return (-4.0 / h2 + kv[1:-1, 1:-1], off, off, off, off)
+    return (-4.0 / h2 + kv[..., 1:-1, 1:-1], off, off, off, off)
 
 
-def diffusion_stencil(grid: Grid2D, k: FieldSample, q: FieldSample) -> tuple:
+def diffusion_stencil(grid: Grid2D, k, q) -> tuple:
     """div(k grad u) + q*u, zero Dirichlet boundary."""
     kv = _check_field(grid, k, "diffusion coefficient")
     qv = _check_field(grid, q, "reaction coefficient")
@@ -240,7 +275,7 @@ def diffusion_stencil(grid: Grid2D, k: FieldSample, q: FieldSample) -> tuple:
             f"diffusion coefficient must be positive, min={kv.min():g}"
         )
     center, *neighbors = _flux_form(grid, kv, sign=+1.0)
-    return (center + qv[1:-1, 1:-1], *neighbors)
+    return (center + qv[..., 1:-1, 1:-1], *neighbors)
 
 
 def assemble_darcy(grid: Grid2D, a: FieldSample) -> CsrMatrix:

@@ -25,8 +25,20 @@ b - A x = r0 - A M^{-1} V^T y, so the recurrence residual, the trace, the
 bound check and the explicit true-residual check all still measure
 ||b - A x||. With a preconditioner, `keep_basis` returns the orthonormal
 basis of the Krylov space of A M^{-1}, not of A, and the happy-breakdown
-test is scaled to A M^{-1} (the largest ||A M^{-1} v_j|| seen) rather
-than to ||A||_F.
+test is scaled to A M^{-1} rather than to ||A||_F.
+
+Happy breakdown is h_{j+1,j} <= HAPPY_BREAKDOWN_REL * scale. Without a
+preconditioner the scale is ||A||_F. With one it is sqrt(N) times the
+largest ||A M^{-1} v_j|| seen, for N unknowns. The factor sqrt(N) is the
+growth of the rounding error of one application of A M^{-1}: the fast
+Poisson solve is four dense n x n products (n = sqrt(N)), and an n-term
+dot product's rounding error bound grows like n * eps. At an exact
+preconditioner the first subdiagonal is that rounding alone; with the
+bare Laplacian it measured 1.1-2.1e-16 * sqrt(N) for n = 4..128. Without
+the factor the threshold falls below it from n = 64 on, and GMRES
+iterated on rounding noise until max_iter. ||A||_F needs no such factor:
+for a stencil whose N rows have similar norms it is already about sqrt(N)
+times ||A||_2.
 """
 
 from __future__ import annotations
@@ -134,9 +146,10 @@ def gmres(
         return SolveReport(x0.copy(), 0, True, beta / scale, b_norm,
                            time.perf_counter() - t0, trace)
 
-    # the scale of the operator Arnoldi runs on: ||A||_F, or for A M^{-1}
-    # the largest ||A M^{-1} v_j|| seen so far (||A||_F would be far too
-    # loose a scale for a preconditioned operator near the identity)
+    # the happy-breakdown scale (module docstring): ||A||_F, or for
+    # A M^{-1} sqrt(N) times the largest ||A M^{-1} v_j|| seen so far
+    # (||A||_F would be far too loose a scale for a preconditioned
+    # operator near the identity)
     op_scale = float(np.linalg.norm(A.data)) if precond is None else 0.0
 
     m_cap = min(opts.max_iter, n)
@@ -168,7 +181,7 @@ def gmres(
             w = A @ V[j]
         else:
             w = A @ precond(V[j])
-            op_scale = max(op_scale, float(np.linalg.norm(w)))
+            op_scale = max(op_scale, math.sqrt(n) * float(np.linalg.norm(w)))
         if not np.all(np.isfinite(w)):
             raise NumericalBreakdownError(f"non-finite SpMV at iteration {j + 1}")
         # classical Gram-Schmidt, applied twice

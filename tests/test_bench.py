@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pdeforge import bench
+from pdeforge import bench, generator
 from pdeforge.bench import (
     BenchConfigError,
     BenchRecord,
@@ -13,7 +13,6 @@ from pdeforge.bench import (
     fit_speedup_regression,
     run_timing_suite,
 )
-from pdeforge.families import PdeCoefficients
 from pdeforge.generator import GenerationConfig, generate_classic
 from pdeforge.grid import Grid2D
 from pdeforge.solvers import gmres
@@ -121,18 +120,20 @@ class TestTimingSuite:
 
 class TestPhasesRunGeneratePaths:
     def test_action_phase_applies_the_stencil(self, monkeypatch):
-        real = PdeCoefficients.apply
-        calls = []
+        # the phase runs generate_diffoas's block function, which applies
+        # the stencil to a block of samples at once
+        real = generator.apply_block
+        applied = []
 
-        def counting(self, u):
-            calls.append(u)
-            return real(self, u)
+        def counting(pde, grid, fields, u):
+            applied.append(len(u))
+            return real(pde, grid, fields, u)
 
-        monkeypatch.setattr(PdeCoefficients, "apply", counting)
+        monkeypatch.setattr(generator, "apply_block", counting)
         records = run_timing_suite("darcy", [64], [1e-3], 2, 3,
                                    master_seed=4, n_basis=2)
         action = next(r for r in records if r.method == "diffoas_action")
-        assert len(calls) >= action.repeats * action.samples
+        assert sum(applied) >= action.repeats * action.samples
 
     def test_first_gmres_solve_is_classic_sample_0(self, monkeypatch,
                                                    tmp_path):

@@ -40,6 +40,37 @@ def write_small(tmp_path, n=2, count=1, seed=0):
 
 
 class TestWrite:
+    def test_block_items_write_the_bytes_of_single_samples(self, tmp_path):
+        grid = Grid2D(3)
+        samples = make_samples(grid, 5, seed=2)
+        manifest = DatasetManifest(pde="darcy", grid_interior=3,
+                                   num_samples=5, method="diffoas")
+        write_dataset(tmp_path / "one", samples, manifest)
+        blocks = [{name: np.stack([s[name].values for s in samples[i:j]])
+                   for name in ("a", "f", "u")}
+                  for i, j in ((0, 2), (2, 5))]
+        blocked = write_dataset(tmp_path / "blocks", blocks, DatasetManifest(
+            pde="darcy", grid_interior=3, num_samples=5, method="diffoas"))
+        assert blocked.num_samples == 5
+        for name in ("a", "f", "u"):
+            assert (tmp_path / "one" / f"{name}.f64").read_bytes() == \
+                (tmp_path / "blocks" / f"{name}.f64").read_bytes()
+        assert read_dataset(tmp_path / "blocks").manifest.field_files == \
+            read_dataset(tmp_path / "one").manifest.field_files
+
+    @pytest.mark.parametrize("shapes", [
+        {"a": (2, 5, 5), "f": (3, 5, 5), "u": (2, 5, 5)},  # leading axes
+        {"a": (2, 5, 5), "f": (2, 5, 5), "u": (2, 4, 6)},  # nodes/sample
+        {"a": (2, 5, 5), "f": (5, 5), "u": (2, 5, 5)},  # block and sample
+    ])
+    def test_malformed_block_item_rejected(self, tmp_path, shapes):
+        manifest = DatasetManifest(pde="darcy", grid_interior=3,
+                                   num_samples=2, method="diffoas")
+        item = {name: np.zeros(shape) for name, shape in shapes.items()}
+        with pytest.raises(DatasetFormatError):
+            write_dataset(tmp_path, [item], manifest)
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_file_sizes(self, tmp_path):
         write_small(tmp_path, n=2, count=1)
         for name in ("a", "f", "u"):
@@ -195,6 +226,14 @@ class TestChecksum:
     def test_known_value(self, tmp_path):
         # reference oracle: zlib.crc32 over the same bytes, one shot
         payload = bytes(8)
+        (tmp_path / "a.f64").write_bytes(payload)
+        assert checksum_field(tmp_path, "a") == zlib.crc32(payload)
+
+    def test_partial_last_chunk(self, tmp_path):
+        # more than two chunks and a short tail: a stale end of the reused
+        # read buffer must not be hashed
+        size = 2 * dataset_io.CHECKSUM_CHUNK + 12345
+        payload = np.random.default_rng(3).bytes(size)
         (tmp_path / "a.f64").write_bytes(payload)
         assert checksum_field(tmp_path, "a") == zlib.crc32(payload)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdeforge import generator, grid_ops
-from pdeforge.dataset_io import read_dataset
+from pdeforge.dataset_io import DatasetManifest, read_dataset, write_dataset
 from pdeforge.families import FAMILIES
 from pdeforge.fields import GrfParams, RngStream
 from pdeforge.generator import (
@@ -151,6 +151,21 @@ class TestPreconditionedPool:
         preconds.clear()
         build_basis_pool(small_config(n_basis=3))
         assert len(preconds) == 3 and all(map(callable, preconds))
+
+    def test_pool_solve_builds_the_stencil_once(self, monkeypatch):
+        # the preconditioner's sign and the CSR matrix share one stencil
+        builds = []
+        darcy = FAMILIES["darcy"]
+
+        def counting(grid, **fields):
+            builds.append(grid)
+            return darcy.stencil(grid, **fields)
+
+        monkeypatch.setitem(FAMILIES, "darcy",
+                            dataclasses.replace(darcy, stencil=counting))
+        pool = build_basis_pool(small_config(n_basis=3))
+        assert len(builds) == 3
+        assert sum(s["iterations"] for s in pool.provenance) > 0
 
     def test_format_2_pool_cache_is_a_miss(self, tmp_path):
         # a pool of unpreconditioned solves, keyed as before the bump
@@ -310,19 +325,47 @@ class TestDiffoas:
 
     def test_interrupted_regenerate_leaves_no_manifest(self, tmp_path,
                                                        monkeypatch):
-        config = small_config()
+        config = small_config(num_samples=generator.SAMPLE_BLOCK + 2)
         generate_diffoas(config, tmp_path / "d")
-        real = generator._diffoas_sample
+        real = generator._diffoas_block
 
-        def crash_after_first(config, pool, k):
-            if k >= 1:
+        def crash_after_first(config, pool, indices):
+            if indices.start >= 1:
                 raise KeyboardInterrupt
-            return real(config, pool, k)
+            return real(config, pool, indices)
 
-        monkeypatch.setattr(generator, "_diffoas_sample", crash_after_first)
+        monkeypatch.setattr(generator, "_diffoas_block", crash_after_first)
         with pytest.raises(KeyboardInterrupt):
             generate_diffoas(config, tmp_path / "d")
         assert not (tmp_path / "d" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    def test_blocks_write_the_bytes_of_one_sample_at_a_time(
+            self, pde, threads, tmp_path):
+        # the last block is partial; 3 threads compute blocks concurrently
+        num_samples = 2 * generator.SAMPLE_BLOCK + 3
+        config = GenerationConfig(pde, Grid2D(9), num_samples, n_basis=3,
+                                  master_seed=4)
+        pool = build_basis_pool(config)
+        generate_diffoas(config, tmp_path / "blocks", threads=threads,
+                         pool=pool)
+
+        def one_at_a_time():
+            for k in range(num_samples):
+                gen = RngStream(4, "sample_params", k).generator()
+                coeffs = generator.draw_coefficients(pde, config.grid, gen)
+                u = combine_solution(pool, RngStream(4, "weights", k),
+                                     RngStream(4, "noise", k),
+                                     config.noise_eta,
+                                     config.weight_resample_threshold)
+                yield {**coeffs.field_map(), "f": coeffs.apply(u), "u": u}
+
+        write_dataset(tmp_path / "ref", one_at_a_time(),
+                      DatasetManifest(pde, 9, num_samples, "diffoas"))
+        for name in FAMILIES[pde].field_names:
+            assert (tmp_path / "blocks" / f"{name}.f64").read_bytes() == \
+                (tmp_path / "ref" / f"{name}.f64").read_bytes(), name
 
     def test_given_pool_assembles_no_matrix(self, tmp_path, monkeypatch):
         config = small_config(num_samples=3)

@@ -17,7 +17,10 @@ from pdeforge.grid_ops import (
     assemble_diffusion_reaction,
     assemble_helmholtz,
     assemble_helmholtz_paper_normalized,
+    darcy_stencil,
     dense_solve,
+    diffusion_stencil,
+    helmholtz_stencil,
 )
 
 PAPER_4X4 = np.array([
@@ -282,6 +285,54 @@ class TestApplyOperator:
         rhs = alpha * apply_operator(A, x1) + beta * apply_operator(A, x2)
         scale = max(np.linalg.norm(lhs), 1.0)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * scale
+
+
+def four_face_stencil(h2, coef, sign):
+    # the flux form as first written: four face means per node, then
+    # sign * (-(sum)) / h2 and sign * a_f / h2
+    c = coef[1:-1, 1:-1]
+    faces = [0.5 * (c + coef[:-2, 1:-1]), 0.5 * (c + coef[2:, 1:-1]),
+             0.5 * (c + coef[1:-1, :-2]), 0.5 * (c + coef[1:-1, 2:])]
+    center = sign * (-(faces[0] + faces[1] + faces[2] + faces[3])) / h2
+    return [center] + [sign * a_f / h2 for a_f in faces]
+
+
+class TestStencils:
+    @pytest.mark.parametrize("pde", ["darcy", "diffusion"])
+    def test_shared_faces_match_four_face_means(self, pde):
+        grid = Grid2D(12)
+        gen = np.random.default_rng(5)
+        for _ in range(3):
+            coef = np.exp(gen.standard_normal((14, 14)))
+            q = gen.uniform(size=(14, 14))
+            if pde == "darcy":
+                got, sign = darcy_stencil(grid, coef), -1.0
+            else:
+                got, sign = diffusion_stencil(grid, coef, q), 1.0
+            ref = four_face_stencil(grid.h ** 2, coef, sign)
+            if pde == "diffusion":
+                ref[0] = ref[0] + q[1:-1, 1:-1]
+            for g, r in zip(got, ref):
+                assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
+
+    @pytest.mark.parametrize("stencil,names", [
+        (darcy_stencil, ("a",)), (helmholtz_stencil, ("k2",)),
+        (diffusion_stencil, ("k", "q"))])
+    def test_block_is_per_sample_bit_for_bit(self, stencil, names):
+        grid = Grid2D(7)
+        gen = np.random.default_rng(6)
+        fields = {name: 0.5 + gen.uniform(size=(4, 9, 9)) for name in names}
+        block = stencil(grid, **fields)
+        for i in range(4):
+            one = stencil(grid, **{name: FieldSample(grid, v[i])
+                                   for name, v in fields.items()})
+            for b, s in zip(block, one):
+                assert np.array_equal(np.broadcast_to(b, (4, 7, 7))[i],
+                                      np.broadcast_to(s, (7, 7)))
+
+    def test_node_array_of_another_grid_rejected(self):
+        with pytest.raises(DimensionError):
+            darcy_stencil(Grid2D(4), np.ones((3, 5, 5)))
 
 
 class TestDenseSolve:
