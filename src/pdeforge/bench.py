@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-import scipy.stats
 
 from .generator import (
     GenerationConfig,
@@ -196,6 +195,7 @@ def fit_speedup_regression(records: list, solver_tol: float) -> RegressionResult
     y = np.array([p[1] for p in points], dtype=float)
     if np.ptp(y) == 0.0:
         return RegressionResult(0.0, float(y[0]), 0.0, points, degenerate=True)
+    import scipy.stats  # here: it takes most of a second to import
     fit = scipy.stats.linregress(x, y)
     return RegressionResult(float(fit.slope), float(fit.intercept),
                             float(fit.rvalue), points)

@@ -30,6 +30,7 @@ from .generator import (
     verify_dataset,
 )
 from .grid import Grid2D
+from .grid_ops import EllipticityError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -181,6 +182,9 @@ def cmd_verify(args) -> int:
     except DatasetFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except EllipticityError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     print(json.dumps({
         "samples": report.num_samples,
         "max_relative_residual": report.max_relative_residual,

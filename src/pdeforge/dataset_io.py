@@ -9,6 +9,11 @@ crashed write never leaves a readable dataset.
 block of b consecutive samples as (b, m, m) arrays, which operator-action
 generation emits; the bytes on disk are the same either way, and a block
 costs one write and one CRC-32 update per field.
+
+Reading mirrors it: `Dataset.blocks(size)` yields size consecutive
+samples at a time as (b, m, m) arrays, one `readinto` per field and
+block, which verification reads; `Dataset.samples()` is its one-sample
+view, and `Dataset.field_sample` reads one sample of one field.
 """
 
 from __future__ import annotations
@@ -208,14 +213,15 @@ class Dataset:
     def _path(self, field_name: str) -> Path:
         return self.dir / self.manifest.field_files[field_name]["filename"]
 
-    def _read_slab(self, fh) -> FieldSample:
-        """The next sample of a field file open at a slab boundary."""
+    def _read_block(self, fh, b: int) -> np.ndarray:
+        """The next b samples, as (b, m, m) node arrays, of a field file
+        open at a sample boundary."""
         m = self.grid.n_nodes
-        values = np.empty((m, m), dtype="<f8")
+        values = np.empty((b, m, m), dtype="<f8")
         if fh.readinto(values) != values.nbytes:
             raise DatasetIntegrityError(
                 f"{Path(fh.name).name} ends inside a sample")
-        return FieldSample(self.grid, values)
+        return values
 
     def field_sample(self, field_name: str, k: int) -> FieldSample:
         if field_name not in self.manifest.field_names:
@@ -226,17 +232,30 @@ class Dataset:
             raise DatasetFormatError(f"sample index {k} out of range")
         with open(self._path(field_name), "rb") as fh:
             fh.seek(k * self.manifest.nodes_per_sample * 8)
-            return self._read_slab(fh)
+            return FieldSample(self.grid, self._read_block(fh, 1)[0])
 
-    def samples(self) -> Iterator[dict]:
-        """Every sample in order; each field file is opened once and read
-        one sample at a time."""
+    def blocks(self, size: int) -> Iterator[dict]:
+        """Every sample in order, size consecutive samples at a time (the
+        last block may be shorter): dicts of field name -> (b, m, m) node
+        arrays. Each field file is opened once, and each block of a field
+        is one read."""
+        if size < 1:
+            raise ValueError(f"block size must be >= 1, got {size}")
+        total = self.manifest.num_samples
         with ExitStack() as stack:
             handles = {name: stack.enter_context(open(self._path(name), "rb"))
                        for name in self.manifest.field_names}
-            for _ in range(self.manifest.num_samples):
-                yield {name: self._read_slab(fh)
+            for start in range(0, total, size):
+                b = min(size, total - start)
+                yield {name: self._read_block(fh, b)
                        for name, fh in handles.items()}
+
+    def samples(self) -> Iterator[dict]:
+        """Every sample in order, as dicts of field name -> FieldSample:
+        `blocks` one sample at a time."""
+        for block in self.blocks(1):
+            yield {name: FieldSample(self.grid, values[0])
+                   for name, values in block.items()}
 
 
 def read_dataset(dir: os.PathLike) -> Dataset:

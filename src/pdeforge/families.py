@@ -10,7 +10,8 @@ time.
 
 The stencil is the one description of the operator. `PdeCoefficients`
 gives it two forms: `assemble()` writes it as a CSR matrix (basis and
-classic solves, `verify_dataset`), and `apply(u)` applies it matrix-free.
+classic solves; `verify_dataset` writes the stencils of a block into one
+shared CSR matrix the same way), and `apply(u)` applies it matrix-free.
 Generation and verification therefore check each other through two
 independent representations. Operator-action generation applies it to a
 block of samples at once with `apply_block`, on (b, m, m) stacks of the

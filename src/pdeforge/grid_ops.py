@@ -23,7 +23,10 @@ either way. The stencil has two consumers:
   (north, west, center, east, south neighbors of the row-major interior
   numbering). scipy's CSR kernel sums each row left to right from 0.0, so
   `apply_operator` is bit-identical to a sequential loop over the stored
-  entries of each row. Solvers and verification use this form.
+  entries of each row. Solvers and verification use this form; a solve
+  gets a fresh matrix, while verification refills one matrix with each
+  sample's stencil (`_five_point(..., out=A)`), as every matrix on a grid
+  has the same index arrays.
 - `apply_stencil` applies it matrix-free to node arrays, one sample or a
   block, in the same order, N, W, C, E, S, so on a zero-boundary `u` it
   is bit-identical to `apply_operator` on `u`'s interior. Generation uses
@@ -35,9 +38,9 @@ from __future__ import annotations
 import os
 import warnings
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .grid import FieldSample, Grid2D
@@ -93,6 +96,7 @@ def _oracle_cap() -> int:
 
 def dense_solve(A: CsrMatrix, b: np.ndarray) -> np.ndarray:
     """Direct LU solve of A x = b; test oracle, size-capped."""
+    import scipy.linalg  # here, so importing pdeforge does not load it
     if A.nrows != A.ncols:
         raise DimensionError("dense_solve requires a square matrix")
     b = np.asarray(b, dtype=np.float64)
@@ -148,18 +152,31 @@ def _five_point_pattern(n: int) -> tuple:
     return pattern
 
 
-def _five_point(grid: Grid2D, center, north, south, west, east) -> CsrMatrix:
+def _five_point(grid: Grid2D, center, north, south, west, east,
+                out: Optional[CsrMatrix] = None) -> CsrMatrix:
     """The 5-point operator whose row for interior node (i, j) holds center
     on the diagonal and north/south/west/east at the neighbors (i-1, j),
     (i+1, j), (i, j-1), (i, j+1) that are interior. Each coefficient is an
-    (n, n) array over the interior nodes or a scalar."""
+    (n, n) array over the interior nodes or a scalar.
+
+    out, a matrix this function built on the same grid, is refilled in
+    place: its stored values become this stencil's and out is returned,
+    with no new matrix and no copy of the index arrays. Its entries are
+    then those of a fresh matrix of the stencil, element for element."""
     n = grid.n_interior
     keep, indices, indptr = _five_point_pattern(n)
     vals = np.empty((n, n, 5))
     for slot, coef in enumerate((north, west, center, east, south)):
         vals[..., slot] = coef
-    return CsrMatrix((vals[keep], indices.copy(), indptr.copy()),
-                     shape=(n * n, n * n))
+    if out is None:
+        return CsrMatrix((vals[keep], indices.copy(), indptr.copy()),
+                         shape=(n * n, n * n))
+    if out.shape != (n * n, n * n) or out.data.shape != indices.shape:
+        raise DimensionError(
+            f"cannot refill a {out.shape} matrix with {out.data.size} "
+            f"stored entries with the 5-point operator on {n} x {n} nodes")
+    out.data[:] = vals[keep]
+    return out
 
 
 def apply_stencil(stencil: tuple, u_nodes: np.ndarray,

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from pdeforge.cli import main
+from pdeforge.dataset_io import checksum_field
 
 DOCUMENTED_GENERATE_FLAGS = [
     "--method", "--pde", "--grid", "--samples", "--basis", "--tol",
@@ -126,6 +130,23 @@ class TestGenerateVerifyInspect:
         code, _, err = run(["verify", "--data", str(out)], capsys)
         assert code == 3
 
+    def test_verify_non_elliptic_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        run(["generate", "--grid", "8", "--samples", "10", "--basis", "2",
+             "--out", str(out)], capsys)
+        path = out / "a.f64"
+        a = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+        a[9 * 100 + 45] = -1.0  # an interior node of sample 9
+        path.write_bytes(a.tobytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["field_files"]["a"]["crc32"] = checksum_field(out, "a")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        code, stdout, err = run(["verify", "--data", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert err.count("\n") == 1
+        assert "samples 8..9" in err and "Traceback" not in err
+
     def test_verify_missing_dir_exit_3(self, capsys, tmp_path):
         code, _, _ = run(["verify", "--data", str(tmp_path / "nope")], capsys)
         assert code == 3
@@ -220,3 +241,15 @@ class TestFailedGenerate:
         code, out, _ = run(["verify", "--data", str(tmp_path)], capsys)
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats (the bench regression) and scipy.linalg (the dense test
+    # oracle) take most of a second to import; generate and verify use
+    # neither
+    code = ("import sys, pdeforge.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') "
+            "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"

@@ -218,6 +218,61 @@ class TestRead:
             list(ds.samples())
 
 
+class TestBlocks:
+    def test_blocks_hold_consecutive_samples(self, tmp_path):
+        _, written = write_small(tmp_path, n=3, count=7)
+        ds = read_dataset(tmp_path)
+        blocks = list(ds.blocks(3))
+        assert [len(block["u"]) for block in blocks] == [3, 3, 1]
+        for name in ("a", "f", "u"):
+            got = np.concatenate([block[name] for block in blocks])
+            assert got.shape == (7, 5, 5)
+            assert np.array_equal(got, [s[name].values for s in written])
+
+    def test_one_read_per_field_and_block(self, tmp_path, monkeypatch):
+        write_small(tmp_path, n=3, count=7)
+        ds = read_dataset(tmp_path)
+        reads = []
+
+        class CountingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def readinto(self, buf):
+                reads.append(memoryview(buf).nbytes // (25 * 8))
+                return self.fh.readinto(buf)
+
+        monkeypatch.setattr(dataset_io, "open",
+                            lambda *args: CountingFile(open(*args)),
+                            raising=False)
+        list(ds.blocks(4))
+        assert reads == [4, 4, 4, 3, 3, 3]
+
+    def test_block_size_must_be_positive(self, tmp_path):
+        write_small(tmp_path, n=3, count=2)
+        with pytest.raises(ValueError):
+            next(read_dataset(tmp_path).blocks(0))
+
+    def test_file_cut_inside_second_block(self, tmp_path):
+        write_small(tmp_path, n=3, count=7)
+        ds = read_dataset(tmp_path)
+        path = tmp_path / "f.f64"
+        path.write_bytes(path.read_bytes()[:5 * 25 * 8 + 8])
+        blocks = ds.blocks(4)
+        assert len(next(blocks)["f"]) == 4
+        with pytest.raises(DatasetIntegrityError, match="f.f64"):
+            next(blocks)
+
+
 class TestChecksum:
     def test_empty_file(self, tmp_path):
         (tmp_path / "a.f64").write_bytes(b"")

@@ -1,12 +1,21 @@
 import dataclasses
+import gc
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from pdeforge import generator, grid_ops
-from pdeforge.dataset_io import DatasetManifest, read_dataset, write_dataset
-from pdeforge.families import FAMILIES
+from pdeforge.dataset_io import (
+    DatasetIntegrityError,
+    DatasetManifest,
+    checksum_field,
+    read_dataset,
+    write_dataset,
+)
+from pdeforge.families import FAMILIES, PdeCoefficients
 from pdeforge.fields import GrfParams, RngStream
 from pdeforge.generator import (
     BasisPool,
@@ -21,7 +30,7 @@ from pdeforge.generator import (
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
-from pdeforge.grid_ops import apply_operator, dense_solve
+from pdeforge.grid_ops import EllipticityError, apply_operator, dense_solve
 from pdeforge.solvers import SolveOptions, gmres
 
 
@@ -320,8 +329,13 @@ class TestDiffoas:
         generate_diffoas(config, tmp_path / "d")
         path = tmp_path / "d" / "basis_pool.npz"
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        ds = generate_diffoas(config, tmp_path / "d")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = generate_diffoas(config, tmp_path / "d")
+            gc.collect()  # finalizes a file left open, which warns
         assert ds.manifest.generation["pool"]["cache"] == "miss"
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_interrupted_regenerate_leaves_no_manifest(self, tmp_path,
                                                        monkeypatch):
@@ -466,10 +480,99 @@ class TestVerify:
         assert verify_dataset(ds, 1e-4).passed
 
     def test_corrupted_file_raises(self, tmp_path):
-        from pdeforge.dataset_io import DatasetIntegrityError
         config = small_config(num_samples=2)
         generate_diffoas(config, tmp_path / "d")
         path = tmp_path / "d" / "u.f64"
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DatasetIntegrityError):
             read_dataset(tmp_path / "d")
+
+
+def reference_residuals(ds) -> list:
+    """||A u - f|| / ||f|| of every sample, one sample at a time: each
+    sample's fields read alone, its matrix assembled fresh."""
+    pde = ds.manifest.pde
+    residuals = []
+    for k in range(ds.manifest.num_samples):
+        A = PdeCoefficients(pde, **{
+            name: ds.field_sample(name, k)
+            for name in FAMILIES[pde].coefficients}).assemble()
+        f_int = ds.field_sample("f", k).interior()
+        r = apply_operator(A, ds.field_sample("u", k).interior()) - f_int
+        denom = max(float(np.linalg.norm(f_int)), 1e-300)
+        residuals.append(float(np.linalg.norm(r)) / denom)
+    return residuals
+
+
+def rewrite_field(out, name: str, values: np.ndarray) -> None:
+    """Replace a field file and its manifest CRC-32, so that the dataset
+    still reads as intact."""
+    (out / f"{name}.f64").write_bytes(values.astype("<f8").tobytes())
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["field_files"][name]["crc32"] = checksum_field(out, name)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def read_field(ds, name: str) -> np.ndarray:
+    m = ds.grid.n_nodes
+    raw = (ds.dir / f"{name}.f64").read_bytes()
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, m, m).copy()
+
+
+class TestBlockVerify:
+    # the last block is short
+    COUNT = 2 * generator.SAMPLE_BLOCK + 3
+
+    @pytest.mark.parametrize("pde", ["darcy", "helmholtz", "diffusion"])
+    def test_residuals_match_one_sample_loop(self, tmp_path, pde):
+        # classic samples, so that the residuals are solver residuals of
+        # different sizes rather than zero
+        ds = generate_classic(GenerationConfig(
+            pde, Grid2D(6), self.COUNT, method="classic", solver_tol=1e-4,
+            master_seed=3), tmp_path / "c")
+        assert ds.manifest.num_samples == self.COUNT
+        ref = reference_residuals(ds)
+        assert len(set(ref)) == self.COUNT
+        report = verify_dataset(ds, 1.0)
+        assert report.num_samples == self.COUNT
+        assert report.max_relative_residual == max(ref)
+        assert report.mean_relative_residual == float(np.mean(ref))
+        # every residual, bit for bit: sample k fails at every tol below
+        # its reference residual and passes at that residual
+        for k, rel in enumerate(ref):
+            assert k not in verify_dataset(ds, rel).failing_indices
+            assert k in verify_dataset(
+                ds, np.nextafter(rel, 0.0)).failing_indices
+
+    def test_failing_index_is_the_perturbed_sample(self, tmp_path):
+        out = tmp_path / "d"
+        ds = generate_diffoas(small_config(num_samples=self.COUNT), out)
+        assert verify_dataset(ds, 1e-12).passed
+        f = read_field(ds, "f")
+        bad = generator.SAMPLE_BLOCK + 2
+        f[bad, 1:-1, 1:-1] *= 1.0 + 1e-6
+        rewrite_field(out, "f", f)
+        report = verify_dataset(read_dataset(out), 1e-12)
+        assert report.failing_indices == [bad]
+
+    def test_file_cut_inside_second_block_raises(self, tmp_path):
+        out = tmp_path / "d"
+        generate_diffoas(small_config(num_samples=self.COUNT), out)
+        ds = read_dataset(out)
+        path = out / "u.f64"
+        slab = ds.manifest.nodes_per_sample * 8
+        path.write_bytes(path.read_bytes()[:(generator.SAMPLE_BLOCK + 3)
+                                           * slab + 8])
+        with pytest.raises(DatasetIntegrityError, match="u.f64"):
+            verify_dataset(ds, 1e-12)
+
+    def test_non_elliptic_coefficient_names_its_block(self, tmp_path):
+        out = tmp_path / "d"
+        ds = generate_diffoas(small_config(num_samples=self.COUNT), out)
+        a = read_field(ds, "a")
+        a[generator.SAMPLE_BLOCK + 1, 4, 4] = -1.0
+        rewrite_field(out, "a", a)
+        first = generator.SAMPLE_BLOCK
+        with pytest.raises(EllipticityError, match=re.escape(
+                f"samples {first}..{2 * first - 1}:")):
+            verify_dataset(read_dataset(out), 1e-12)
