@@ -131,9 +131,12 @@ def write_dataset(
     sample.
 
     An existing manifest.json is removed before any field file is touched,
-    so the directory holds no manifest until the new one is complete. Field
-    files that another registered family stores and this one does not are
-    removed too, so no stale field of an earlier dataset is left behind.
+    so the directory holds no manifest until the new one is complete. Files
+    an earlier dataset may have left that the new manifest does not cover
+    are removed too: field files that another registered family stores and
+    this one does not, and the basis_pool.npz pool cache of earlier
+    versions. This is the one place, shared by every generate path, that
+    decides which files a dataset directory holds.
     """
     out = Path(dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -143,8 +146,9 @@ def write_dataset(
 
     (out / "manifest.json").unlink(missing_ok=True)
     registered = {name for fam in FAMILIES.values() for name in fam.field_names}
-    for name in sorted(registered - set(names)):
-        (out / f"{name}.f64").unlink(missing_ok=True)
+    stale = [f"{name}.f64" for name in sorted(registered - set(names))]
+    for filename in stale + ["basis_pool.npz"]:
+        (out / filename).unlink(missing_ok=True)
     handles = {name: open(out / f"{name}.f64", "wb") for name in names}
     crcs = {name: 0 for name in names}
     count = 0

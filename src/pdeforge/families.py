@@ -4,9 +4,9 @@ A record is all the program knows about a family: its coefficient fields
 and the distribution each is drawn from, the forcing distribution, the
 operator's 5-point stencil, the default basis-pool size and the flux
 coefficient that scales the pool solves' preconditioner. Generation,
-the dataset manifest (field names and `field_params`), the pool cache key,
-verification and the CLI's `--pde` choices all read the record at call
-time.
+the dataset manifest (field names, `field_params` and the pool's
+preconditioner), verification and the CLI's `--pde` choices all read the
+record at call time.
 
 The stencil is the one description of the operator. `PdeCoefficients`
 gives it two forms: `assemble()` writes it as a CSR matrix (basis and

@@ -2,16 +2,18 @@
 
 Classic path: draw coefficients and forcing, assemble, solve per sample
 with unpreconditioned GMRES (the paper's baseline).
-Operator-action path (DiffOAS): solve once for a small pool of basis
-solutions, with GMRES right-preconditioned by the family's fast Poisson
-solve, then per sample combine them with normalized Gaussian weights,
-add edge-decaying noise, and compute the forcing by one application of the
-family's 5-point stencil to the node array: the sparse matrix-vector
-product without building the matrix. Verification writes each sample's
-stencil as a CSR matrix, so it checks the stencil against an independent
-representation; the two agree bit for bit. It reads SAMPLE_BLOCK samples
-at a time, builds their stencils together and refills one CSR matrix per
-dataset with each sample's values (`verify_dataset`).
+Operator-action path (DiffOAS): solve once per run for a small pool of
+basis solutions, with GMRES right-preconditioned by the family's fast
+Poisson solve (a default pool builds in well under a second at n=128, so
+no pool is kept between runs), then per sample combine them with
+normalized Gaussian weights, add edge-decaying noise, and compute the
+forcing by one application of the family's 5-point stencil to the node
+array: the sparse matrix-vector product without building the matrix.
+Verification writes each sample's stencil as a CSR matrix, so it checks
+the stencil against an independent representation; the two agree bit for
+bit. It reads SAMPLE_BLOCK samples at a time, builds their stencils
+together and refills one CSR matrix per dataset with each sample's values
+(`verify_dataset`).
 
 Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
 indices (`_diffoas_block`), one work item per block. Within a block, what
@@ -31,10 +33,8 @@ the one-sample forms of the same code.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -59,9 +59,6 @@ from .solvers import SolveOptions, gmres
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
 ABLATION_GRF = GrfParams(tau=7.0, alpha=2.5)
 NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
-# bump when the content of basis_pool.npz for a given key changes
-POOL_FORMAT_VERSION = 3
-POOL_CACHE_NAME = "basis_pool.npz"  # in the dataset directory
 # consecutive samples per operator-action work item (see _diffoas_block)
 SAMPLE_BLOCK = 8
 
@@ -99,8 +96,13 @@ class GenerationConfig:
             self.n_basis = pde_family.n_basis
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
-        if self.noise_eta < 0:
-            raise ValueError(f"noise_eta must be >= 0, got {self.noise_eta}")
+        # written so that NaN fails them
+        if not 0 < self.solver_tol < math.inf:
+            raise ValueError(
+                f"solver_tol must be > 0 and finite, got {self.solver_tol}")
+        if not 0 <= self.noise_eta < math.inf:
+            raise ValueError(
+                f"noise_eta must be >= 0 and finite, got {self.noise_eta}")
 
     @property
     def weight_resample_threshold(self) -> float:
@@ -158,9 +160,9 @@ class BasisPool:
 
 
 def pool_cache_key(config: GenerationConfig) -> dict:
-    """Everything a solved pool depends on."""
+    """Everything a solved pool depends on, kept as its `BasisPool.key`;
+    the manifest records the key's "preconditioner"."""
     return {
-        "pool_format": POOL_FORMAT_VERSION,
         "pde": config.pde,
         "field_params": FAMILIES[config.pde].field_params,
         "preconditioner": FAMILIES[config.pde].preconditioner_name,
@@ -169,10 +171,6 @@ def pool_cache_key(config: GenerationConfig) -> dict:
         "solver_tol": config.solver_tol,
         "master_seed": config.master_seed,
     }
-
-
-def _key_text(key: dict) -> str:
-    return json.dumps(key, sort_keys=True)
 
 
 def build_basis_pool(config: GenerationConfig) -> BasisPool:
@@ -199,35 +197,6 @@ def build_basis_pool(config: GenerationConfig) -> BasisPool:
             "wall_time": report.wall_time,
         })
     return BasisPool(grid, basis, provenance, pool_cache_key(config))
-
-
-def save_basis_pool(pool: BasisPool, path: Path) -> None:
-    np.savez(
-        path,
-        stack=pool.stacked(),
-        key=np.frombuffer(_key_text(pool.key).encode(), dtype=np.uint8),
-    )
-
-
-def load_basis_pool(path: Path, config: GenerationConfig) -> Optional[BasisPool]:
-    """The pool saved at path when its key is config's, else None. A
-    missing, truncated or foreign file is a miss."""
-    if not path.is_file():
-        return None
-    key = pool_cache_key(config)
-    try:
-        # np.load does not close a file it opened when the file is not a
-        # readable archive, so the handle is ours to close
-        with open(path, "rb") as fh, np.load(fh) as data:
-            if bytes(data["key"]).decode() != _key_text(key):
-                return None
-            stack = data["stack"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    grid = config.grid
-    m = grid.n_nodes
-    basis = [FieldSample(grid, row.reshape(m, m)) for row in stack]
-    return BasisPool(grid, basis, key=key)
 
 
 def combine_solution(
@@ -355,39 +324,27 @@ def generate_diffoas(
 ) -> Dataset:
     """Operator-action generation; writes the dataset under out_dir.
 
-    basis_kind switches the pool to an ablation basis ("grf", "fourier",
-    "chebyshev"); None uses solved basis functions.
+    The pool is the pool argument when given; otherwise basis_kind switches
+    it to an ablation basis ("grf", "fourier", "chebyshev"), and None
+    solves basis functions with `build_basis_pool`, on every call.
 
     The manifest records where the pool came from in generation["pool"]:
-    "cache" is "given" (the pool argument), "hit" or "miss" (basis_pool.npz
-    in out_dir) or "none" (ablation bases), and "solves" lists each basis
-    solve's index, iterations and final relative residual (empty on a hit).
-    A solved pool also records the "preconditioner" of its solves (from
-    the pool's key). Solve wall times go to
-    generation["timings"]["pool_solve_seconds"], so the rest of the
-    manifest stays byte-identical across runs. A given or ablation pool
-    removes a basis_pool.npz an earlier run left in out_dir: no manifest
-    of this run covers it.
+    "cache" is "given" (the pool argument), "solved" (built by this call)
+    or "none" (ablation bases), and "solves" lists each basis solve's
+    index, iterations and final relative residual. A solved pool also
+    records the "preconditioner" of its solves (from the pool's key).
+    Solve wall times go to generation["timings"]["pool_solve_seconds"], so
+    the rest of the manifest stays byte-identical across runs.
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     t0 = time.perf_counter()
-    cache_path = out_dir / POOL_CACHE_NAME
-    if pool is None and basis_kind is None:
-        pool = load_basis_pool(cache_path, config)
-        cache = "miss" if pool is None else "hit"
-        if pool is None:
-            pool = build_basis_pool(config)
-            save_basis_pool(pool, cache_path)
-    else:
-        cache_path.unlink(missing_ok=True)
+    if pool is not None:
         cache = "given"
-        if pool is None:
-            pool = make_ablation_pool(config, basis_kind)
-            cache = "none"
+    elif basis_kind is None:
+        pool, cache = build_basis_pool(config), "solved"
+    else:
+        pool, cache = make_ablation_pool(config, basis_kind), "none"
     basis_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -423,11 +380,9 @@ def generate_classic(
 ) -> Dataset:
     """Solve-per-sample generation at solver_tol; samples whose solve does
     not converge are skipped. When none converges, no manifest is written
-    and GenerationError is raised. A pool cache left in out_dir by an
-    operator-action run is removed: no classic manifest covers it."""
+    and GenerationError is raised."""
     if config.method != "classic":
         raise GenerationError("generate_classic requires method='classic'")
-    out_dir = Path(out_dir)
     grid = config.grid
     opts = SolveOptions.for_grid(grid, config.solver_tol)
     skipped = []
@@ -448,7 +403,6 @@ def generate_classic(
             # raised inside write_dataset, before it writes a manifest
             raise GenerationError("all samples failed to converge")
 
-    (out_dir / POOL_CACHE_NAME).unlink(missing_ok=True)
     manifest = write_dataset(out_dir, emit(), _base_manifest(config, "classic"))
     manifest.skipped_samples = skipped
     manifest.generation["timings"] = {
@@ -528,7 +482,7 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
             denom = max(float(np.linalg.norm(f_int)), 1e-300)
             rel = float(np.linalg.norm(r)) / denom
             residuals.append(rel)
-            if rel > tol:
+            if not rel <= tol:  # a NaN residual or tol fails
                 failing.append(start + i)
         start += b
     residuals = np.asarray(residuals)

@@ -59,6 +59,19 @@ class TestUsageErrors:
                           "--out", str(tmp_path)], capsys)
         assert code == 64
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+        ("--eta", "inf"), ("--eta", "nan")])
+    def test_non_finite_or_non_positive_setting(self, capsys, tmp_path,
+                                                flag, value):
+        out = tmp_path / "d"
+        code, _, err = run(["generate", "--grid", "8", "--samples", "3",
+                            "--basis", "2", flag, value, "--out", str(out)],
+                           capsys)
+        assert code == 64
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -88,21 +101,16 @@ class TestGenerateVerifyInspect:
         event = json.loads(stderr.strip().splitlines()[-1])
         solves = json.loads((tmp_path / "d" / "manifest.json").read_text())[
             "generation"]["pool"]["solves"]
-        assert event["pool_cache"] == "miss"
+        assert event["pool_cache"] == "solved"
         assert event["pool_iterations"] == \
             sum(s["iterations"] for s in solves) > 0
+        # a second run into the same directory solves its pool again
         _, _, stderr = run(args, capsys)
-        event = json.loads(stderr.strip().splitlines()[-1])
-        assert (event["pool_cache"], event["pool_iterations"]) == ("hit", 0)
-
-    def test_ablation_over_solved_removes_pool_cache(self, capsys, tmp_path):
-        out = tmp_path / "d"
-        args = ["--grid", "8", "--samples", "2", "--out", str(out)]
-        assert run(["generate", "--basis", "2"] + args, capsys)[0] == 0
-        assert (out / "basis_pool.npz").exists()
-        assert run(["generate", "--method", "ablation-fourier"] + args,
-                   capsys)[0] == 0
-        assert not (out / "basis_pool.npz").exists()
+        again = json.loads(stderr.strip().splitlines()[-1])
+        assert (again["pool_cache"], again["pool_iterations"]) == \
+            ("solved", event["pool_iterations"])
+        assert json.loads((tmp_path / "d" / "manifest.json").read_text())[
+            "generation"]["pool"]["solves"] == solves
 
     def test_repeat_invocation_byte_identical(self, capsys, tmp_path):
         args = ["generate", "--grid", "8", "--samples", "3", "--basis", "2",
@@ -146,6 +154,29 @@ class TestGenerateVerifyInspect:
         assert stdout == ""
         assert err.count("\n") == 1
         assert "samples 8..9" in err and "Traceback" not in err
+
+    def test_verify_nan_residual_fails(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        run(["generate", "--grid", "8", "--samples", "3", "--basis", "2",
+             "--out", str(out)], capsys)
+        path = out / "u.f64"
+        u = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+        u[100 + 45] = np.nan  # an interior node of sample 1
+        path.write_bytes(u.tobytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["field_files"]["u"]["crc32"] = checksum_field(out, "u")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        code, stdout, _ = run(["verify", "--data", str(out)], capsys)
+        report = json.loads(stdout)
+        assert code == 1
+        assert report["passed"] is False
+        assert report["failing_indices"] == [1]
+
+    def test_verify_nan_tol_fails(self, capsys, dataset_dir):
+        code, stdout, _ = run(["verify", "--data", str(dataset_dir),
+                               "--tol", "nan"], capsys)
+        assert code == 1
+        assert json.loads(stdout)["passed"] is False
 
     def test_verify_missing_dir_exit_3(self, capsys, tmp_path):
         code, _, _ = run(["verify", "--data", str(tmp_path / "nope")], capsys)
