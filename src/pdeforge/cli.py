@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -173,6 +174,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.tol < math.inf:  # written so that NaN fails it
+        _usage_error(f"--tol must be > 0 and finite, got {args.tol}")
     try:
         dataset = read_dataset(args.data)
         report = verify_dataset(dataset, args.tol)
@@ -187,12 +190,14 @@ def cmd_verify(args) -> int:
         return EXIT_FAIL
     print(json.dumps({
         "samples": report.num_samples,
-        "max_relative_residual": report.max_relative_residual,
-        "mean_relative_residual": report.mean_relative_residual,
+        # strict JSON: a NaN or infinite residual is written as null
+        **{key: value if math.isfinite(value) else None for key, value in (
+            ("max_relative_residual", report.max_relative_residual),
+            ("mean_relative_residual", report.mean_relative_residual))},
         "tol": report.tol,
         "failing_indices": report.failing_indices[:32],
         "passed": report.passed,
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -5,15 +5,9 @@ little-endian, sample-major then row-major over the (n+2) x (n+2) node set
 including boundary. `manifest.json` is written last via atomic rename, so a
 crashed write never leaves a readable dataset.
 
-`write_dataset` takes a stream of items. An item holds one sample, or a
-block of b consecutive samples as (b, m, m) arrays, which operator-action
-generation emits; the bytes on disk are the same either way, and a block
-costs one write and one CRC-32 update per field.
-
-Reading mirrors it: `Dataset.blocks(size)` yields size consecutive
-samples at a time as (b, m, m) arrays, one `readinto` per field and
-block, which verification reads; `Dataset.samples()` is its one-sample
-view, and `Dataset.field_sample` reads one sample of one field.
+`write_dataset` takes items of one sample or of a block of samples as
+(b, m, m) arrays, with the same bytes on disk either way; `Dataset.blocks`
+reads blocks back, one `readinto` per field and block.
 """
 
 from __future__ import annotations
@@ -131,7 +125,10 @@ def write_dataset(
     sample.
 
     An existing manifest.json is removed before any field file is touched,
-    so the directory holds no manifest until the new one is complete. Files
+    so the directory holds no manifest until the new one is complete. A
+    field file is overwritten in place, which spares the file system
+    freeing and allocating it again, and cut to the written length on
+    close, also when writing fails. Files
     an earlier dataset may have left that the new manifest does not cover
     are removed too: field files that another registered family stores and
     this one does not, and the basis_pool.npz pool cache of earlier
@@ -149,19 +146,20 @@ def write_dataset(
     stale = [f"{name}.f64" for name in sorted(registered - set(names))]
     for filename in stale + ["basis_pool.npz"]:
         (out / filename).unlink(missing_ok=True)
-    handles = {name: open(out / f"{name}.f64", "wb") for name in names}
     crcs = {name: 0 for name in names}
     count = 0
-    try:
+    with ExitStack() as stack:
+        handles = {}
+        for name in names:
+            fd = os.open(out / f"{name}.f64", os.O_WRONLY | os.O_CREAT, 0o666)
+            handles[name] = stack.enter_context(open(fd, "wb"))
+            stack.callback(handles[name].truncate)  # runs before the close
         for item in samples:
             b, arrays = _item_arrays(item, names, slab)
             for name, arr in arrays.items():
                 handles[name].write(arr)
                 crcs[name] = zlib.crc32(arr, crcs[name])
             count += b
-    finally:
-        for fh in handles.values():
-            fh.close()
 
     manifest.num_samples = count
     manifest.field_files = {

@@ -13,10 +13,8 @@ gives it two forms: `assemble()` writes it as a CSR matrix (basis and
 classic solves; `verify_dataset` writes the stencils of a block into one
 shared CSR matrix the same way), and `apply(u)` applies it matrix-free.
 Generation and verification therefore check each other through two
-independent representations. Operator-action generation applies it to a
-block of samples at once with `apply_block`, on (b, m, m) stacks of the
-coefficient and solution node arrays; the stencil is elementwise, so
-each sample gets the bits `apply` gives it alone.
+independent representations. `apply_block` applies it to (b, m, m)
+stacks of samples (see `generator` for why the bits do not change).
 `preconditioner()` gives the pool solves' M^{-1}: a fast Poisson solve
 scaled by the flux coefficient, M = s C^{1/2} (-lap_h) C^{1/2}
 (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).

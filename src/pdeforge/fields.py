@@ -34,11 +34,13 @@ ROLE_CODES = {
 
 @dataclass(frozen=True)
 class RngStream:
-    """A named, counter-indexed random stream derived from one master seed.
+    """A named, indexed random stream derived from one master seed: an SFC64
+    generator seeded by `SeedSequence(master_seed, spawn_key=(role, index))`.
 
-    Distinct (role, index) pairs yield statistically independent generators;
-    the output is a pure function of (master_seed, role, index), so sample
-    generation parallelizes without any ordering dependence.
+    Distinct (role, index) pairs yield statistically independent generators,
+    and the output is a pure function of (master_seed, role, index). Pool,
+    classic and ablation draws index a stream per solve or sample;
+    operator-action draws index one per block (see `generator`).
     """
 
     master_seed: int
@@ -55,7 +57,7 @@ class RngStream:
             entropy=self.master_seed,
             spawn_key=(ROLE_CODES[self.role], self.index),
         )
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def _as_generator(rng) -> np.random.Generator:

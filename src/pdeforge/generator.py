@@ -16,19 +16,21 @@ together and refills one CSR matrix per dataset with each sample's values
 (`verify_dataset`).
 
 Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
-indices (`_diffoas_block`), one work item per block. Within a block, what
-defines a sample's random content runs per sample with the operand shapes
-of a single sample: its three `RngStream` generators and their draws, the
-two GEMMs of each GRF (coefficient and noise), the weight redraw loop and
-the weights @ pool product. BLAS results can depend on operand shapes, so
-stacking these would change the bytes. The rest is elementwise and runs
-once per block on (b, m, m) arrays: noise normalization and amplitude, the
-mask, the stencil, its application and the embedding of f. A block item
-is a dict of field name -> (b, m, m) node arrays, which `write_dataset`
-writes with one write and one CRC-32 update per field. Sample k's bytes
-depend on k alone, not on its block or the thread count.
-`draw_coefficients`, `combine_solution` and `PdeCoefficients.apply` are
-the one-sample forms of the same code.
+indices starting at a multiple of SAMPLE_BLOCK (`_diffoas_block`), one
+work item per block. Block j draws from three `RngStream` generators,
+(seed, role, j) for the roles sample_params, weights and noise, and takes
+every sample of the block from them in sample order: its coefficients,
+its weights with their redraws, and its noise GRF. Earlier samples of a
+block are always drawn first, so sample k's bytes are a pure function of
+(seed, k) at any thread count and any sample count; SAMPLE_BLOCK is part
+of that contract. The two GEMMs of each GRF and the weights @ pool product
+keep the operand shapes of a single sample, because BLAS results can
+depend on operand shapes. The rest is elementwise and runs once per block
+on (b, m, m) arrays: noise normalization and amplitude, the mask, the
+stencil, its application and the embedding of f. A block item is a dict
+of field name -> (b, m, m) node arrays, which `write_dataset` writes with
+one write and one CRC-32 update per field. `combine_solution` and
+`PdeCoefficients.apply` are the one-sample forms of the same code.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from .solvers import SolveOptions, gmres
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
 ABLATION_GRF = GrfParams(tau=7.0, alpha=2.5)
 NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
-# consecutive samples per operator-action work item (see _diffoas_block)
+# consecutive samples per operator-action work item and random stream; part
+# of the byte contract: changing it changes every dataset's bytes
 SAMPLE_BLOCK = 8
 
 
@@ -209,30 +212,27 @@ def combine_solution(
     """Normalized Gaussian-weighted combination of the pool plus masked
     noise: the one-sample case of `_combine_block`."""
     return FieldSample(pool.grid, _combine_block(
-        pool, [rng_weights], [rng_noise], eta, delta)[0])
+        pool, rng_weights.generator(), rng_noise.generator(), 1, eta,
+        delta)[0])
 
 
-def _combine_block(pool: BasisPool, weight_streams: list, noise_streams: list,
-                   eta: float, delta: float) -> np.ndarray:
-    """(b, m, m) node arrays: sample i combines the pool with weights from
-    weight_streams[i] and adds masked noise from noise_streams[i].
-
-    The draws, each noise GRF's two GEMMs and each weights @ pool product
-    run per sample with the operand shapes of a single sample: BLAS results
-    can depend on operand shapes, so batching them would change the bytes.
-    The noise normalization, its amplitude and the mask act on the whole
-    block; they are elementwise, so each sample gets the same bits as when
-    combined alone."""
+def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
+                   gen_n: np.random.Generator, b: int, eta: float,
+                   delta: float) -> np.ndarray:
+    """(b, m, m) node arrays: b samples, each the pool combined with
+    weights drawn from gen_w plus masked noise drawn from gen_n, in sample
+    order. Each noise GRF and each weights @ pool product runs with the
+    operand shapes of one sample; the noise normalization, its amplitude
+    and the mask act on the whole block (module docstring)."""
     if pool.size < 1:
         raise GenerationError("basis pool is empty")
-    if eta < 0 or delta <= 0:
+    if not (eta >= 0 and delta > 0):  # NaN fails it
         raise GenerationError("need eta >= 0 and delta > 0")
     grid = pool.grid
     m = grid.n_nodes
     stack = pool.stacked()
-    u = np.empty((len(weight_streams), m * m))
-    for i, stream in enumerate(weight_streams):
-        gen_w = stream.generator()
+    u = np.empty((b, m * m))
+    for i in range(b):
         for _ in range(100):
             mu = gen_w.standard_normal(pool.size)
             total = mu.sum()
@@ -245,8 +245,8 @@ def _combine_block(pool: BasisPool, weight_streams: list, noise_streams: list,
         u[i] = (mu / total) @ stack
     u = u.reshape(-1, m, m)
     if eta > 0:
-        g = np.stack([sample_grf(grid, NOISE_GRF, stream).values
-                      for stream in noise_streams])
+        g = np.stack([sample_grf(grid, NOISE_GRF, gen_n).values
+                      for _ in range(b)])
         g_max = np.abs(g).max(axis=(1, 2), keepdims=True)
         # noise = g / g_max, or 0 for an all-zero draw
         noise = np.divide(g, g_max, out=g, where=g_max != 0)
@@ -285,24 +285,20 @@ def _sample_blocks(num_samples: int) -> list:
 
 def _diffoas_block(config: GenerationConfig, pool: BasisPool,
                    indices: range) -> dict:
-    """The operator-action samples of indices as one block item: field name
-    -> (b, m, m) node arrays. Sample k's bytes depend only on k, not on the
-    block it is in: the draws run per sample (`draw_coefficients`,
-    `_combine_block`), the stencil and its application run on the block
-    and are elementwise."""
+    """The operator-action samples of indices, a range starting at a
+    multiple of SAMPLE_BLOCK, as one block item: field name -> (b, m, m)
+    node arrays. Its samples are drawn in order from the block's three
+    streams (module docstring); the stencil and its application run on the
+    block and are elementwise."""
     pde, grid, seed = config.pde, config.grid, config.master_seed
-    draws = [draw_coefficients(
-        pde, grid, RngStream(seed, "sample_params", k).generator())
-        for k in indices]
+    gen_c, gen_w, gen_n = (
+        RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
+        for role in ("sample_params", "weights", "noise"))
+    draws = [draw_coefficients(pde, grid, gen_c) for _ in indices]
     fields = {name: np.stack([d.fields[name].values for d in draws])
               for name in family(pde).coefficients}
-    u = _combine_block(
-        pool,
-        [RngStream(seed, "weights", k) for k in indices],
-        [RngStream(seed, "noise", k) for k in indices],
-        config.noise_eta,
-        config.weight_resample_threshold,
-    )
+    u = _combine_block(pool, gen_w, gen_n, len(indices), config.noise_eta,
+                       config.weight_resample_threshold)
     return {**fields, "f": apply_block(pde, grid, fields, u), "u": u}
 
 

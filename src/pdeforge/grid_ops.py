@@ -13,10 +13,8 @@ Each family's operator is described once, as a stencil `(center, north,
 south, west, east)` of coefficients over the interior nodes
 (`darcy_stencil`, `helmholtz_stencil`, `diffusion_stencil`). A stencil
 function takes each coefficient field as a `FieldSample` or as node
-arrays of shape (..., n+2, n+2): operator-action generation builds the
-stencils of a block of b samples at once from (b, n+2, n+2) stacks. Every
-step is elementwise, so each sample's coefficients are the same bits
-either way. The stencil has two consumers:
+arrays of shape (..., n+2, n+2), elementwise, so a block of samples gets
+the bits of each sample alone. The stencil has two consumers:
 
 - `_five_point` writes it as a `CsrMatrix`, a `scipy.sparse.csr_array` in
   canonical form: each row stores its entries in ascending column order

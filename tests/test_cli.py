@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from pdeforge import cli
 from pdeforge.cli import main
 from pdeforge.dataset_io import checksum_field
 
@@ -156,6 +157,7 @@ class TestGenerateVerifyInspect:
         assert "samples 8..9" in err and "Traceback" not in err
 
     def test_verify_nan_residual_fails(self, capsys, tmp_path):
+        # and its report stays strict JSON
         out = tmp_path / "d"
         run(["generate", "--grid", "8", "--samples", "3", "--basis", "2",
              "--out", str(out)], capsys)
@@ -167,16 +169,28 @@ class TestGenerateVerifyInspect:
         manifest["field_files"]["u"]["crc32"] = checksum_field(out, "u")
         (out / "manifest.json").write_text(json.dumps(manifest))
         code, stdout, _ = run(["verify", "--data", str(out)], capsys)
-        report = json.loads(stdout)
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(stdout, parse_constant=reject)
         assert code == 1
         assert report["passed"] is False
+        assert report["max_relative_residual"] is None
+        assert report["mean_relative_residual"] is None
         assert report["failing_indices"] == [1]
 
-    def test_verify_nan_tol_fails(self, capsys, dataset_dir):
-        code, stdout, _ = run(["verify", "--data", str(dataset_dir),
-                               "--tol", "nan"], capsys)
-        assert code == 1
-        assert json.loads(stdout)["passed"] is False
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_verify_bad_tol_is_usage_error(self, capsys, tmp_path, tol,
+                                           monkeypatch):
+        def no_read(path):
+            raise AssertionError("read the dataset")
+
+        monkeypatch.setattr(cli, "read_dataset", no_read)
+        code, stdout, err = run(["verify", "--data", str(tmp_path),
+                                 "--tol", tol], capsys)
+        assert code == 64
+        assert stdout == "" and "--tol" in err and "Traceback" not in err
 
     def test_verify_missing_dir_exit_3(self, capsys, tmp_path):
         code, _, _ = run(["verify", "--data", str(tmp_path / "nope")], capsys)

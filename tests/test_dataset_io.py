@@ -123,6 +123,30 @@ class TestWrite:
         with pytest.raises(DatasetIntegrityError):
             read_dataset(tmp_path)
 
+    def test_shorter_rewrite_overwrites_in_place(self, tmp_path):
+        write_small(tmp_path / "d", n=3, count=5, seed=1)
+        write_small(tmp_path / "d", n=3, count=2, seed=2)
+        write_small(tmp_path / "fresh", n=3, count=2, seed=2)
+        ds = read_dataset(tmp_path / "d")
+        for entry in ds.manifest.field_files.values():
+            path = tmp_path / "d" / entry["filename"]
+            assert path.stat().st_size == entry["byte_length"] == 2 * 25 * 8
+            assert path.read_bytes() == \
+                (tmp_path / "fresh" / entry["filename"]).read_bytes()
+
+    def test_failed_rewrite_cuts_files_to_the_written_length(self, tmp_path):
+        grid, _ = write_small(tmp_path, n=2, count=3)
+        manifest = DatasetManifest(pde="darcy", grid_interior=2,
+                                   num_samples=3, method="classic")
+
+        def broken():
+            yield make_samples(grid, 1, seed=1)[0]
+            raise RuntimeError("simulated crash")
+
+        with pytest.raises(RuntimeError):
+            write_dataset(tmp_path, broken(), manifest)
+        for name in ("a", "f", "u"):
+            assert (tmp_path / f"{name}.f64").stat().st_size == 16 * 8
 
     def test_rewrite_removes_fields_of_another_family(self, tmp_path):
         write_small(tmp_path, n=2, count=2)
