@@ -31,16 +31,12 @@ from .grid import FieldSample, Grid2D
 from .grid_ops import (
     CsrMatrix,
     apply_operator,
-    assemble_darcy,
-    assemble_diffusion_reaction,
-    assemble_helmholtz,
     assemble_helmholtz_paper_normalized,
     dense_solve,
 )
 from .solvers import (
     SolveOptions,
     SolveReport,
-    cg,
     gmres,
     verify_residual_bound,
 )

@@ -36,7 +36,7 @@ from .generator import (
     solve_sample,
 )
 from .grid import Grid2D
-from .solvers import SolveOptions, cg, gmres
+from .solvers import SolveOptions
 
 MIN_PHASE_SECONDS = 1e-4  # ~100 ticks of a ~1us-resolution wall clock
 MAX_ESCALATIONS = 6
@@ -49,7 +49,7 @@ class BenchConfigError(ValueError):
 @dataclass
 class BenchRecord:
     matrix_dim: int
-    method: str  # diffoas_total | diffoas_action | gmres | gmres_pc | cg
+    method: str  # diffoas_total | diffoas_action | gmres | gmres_pc
     tol: Optional[float]
     samples: int
     wall_seconds: float  # median over repeats
@@ -99,28 +99,27 @@ def run_timing_suite(
     repeats: int,
     master_seed: int = 0,
     n_basis: Optional[int] = None,
-    include_cg: bool = False,
 ) -> list:
     """BenchRecords for DiffOAS (total and action-only), GMRES and
-    preconditioned GMRES at each (dim, tol); optionally CG for SPD
-    problems."""
+    preconditioned GMRES at each (dim, tol). Every setting is checked
+    before anything is timed."""
     if samples_per_point < 1:
         raise BenchConfigError("samples_per_point must be >= 1")
     if repeats < 3:
         raise BenchConfigError("repeats must be >= 3")
-    solvers = [("gmres", gmres, False), ("gmres_pc", gmres, True)]
-    if include_cg:
-        solvers.append(("cg", cg, False))
+    if not dims or not tols:
+        raise BenchConfigError("need at least one dim and one tol")
+    try:
+        for tol in tols:
+            SolveOptions(tol=tol)  # rejects a tol that is not > 0 and finite
+        configs = [GenerationConfig(
+            pde=pde, grid=Grid2D(_interior_from_dim(dim)),
+            num_samples=samples_per_point, method="diffoas",
+            master_seed=master_seed, n_basis=n_basis) for dim in dims]
+    except ValueError as exc:
+        raise BenchConfigError(str(exc)) from exc
     records = []
-    for dim in dims:
-        n_int = _interior_from_dim(dim)
-        grid = Grid2D(n_int)
-        config = GenerationConfig(
-            pde=pde, grid=grid, num_samples=samples_per_point,
-            method="diffoas", master_seed=master_seed,
-            n_basis=n_basis,
-        )
-
+    for dim, config in zip(dims, configs):
         t_pool = time.perf_counter()
         pool = build_basis_pool(config)
         basis_seconds = time.perf_counter() - t_pool
@@ -147,13 +146,14 @@ def run_timing_suite(
             flags=[f"basis_seconds={basis_seconds:.6g}"]))
 
         for tol in tols:
-            opts = SolveOptions.for_grid(grid, tol)
-            for method, solver, preconditioned in solvers:
+            opts = SolveOptions.for_grid(config.grid, tol)
+            for method, preconditioned in (("gmres", False),
+                                           ("gmres_pc", True)):
                 flags = set()
 
                 def solve(k):
                     _, _, report = solve_sample(config, "sample_params", k,
-                                                opts, solver, preconditioned)
+                                                opts, preconditioned)
                     if not report.converged:
                         flags.add(f"non-convergence at relres "
                                   f"{report.final_relative_residual:.2e}")

@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="basis pool size (default: per-PDE)")
     b.add_argument("--seed", type=int, default=0,
                    help="master seed (default: 0)")
-    b.add_argument("--cg", action="store_true",
-                   help="also time CG (SPD problems)")
     b.add_argument("--regress-tol", type=float, default=None,
                    help="tolerance for the speedup regression "
                         "(default: last of --tols)")
@@ -212,7 +210,7 @@ def cmd_bench(args) -> int:
     try:
         records = run_timing_suite(
             args.pde, dims, tols, args.samples, args.repeats,
-            master_seed=args.seed, n_basis=args.basis, include_cg=args.cg,
+            master_seed=args.seed, n_basis=args.basis,
         )
         regress_tol = args.regress_tol if args.regress_tol is not None \
             else tols[-1]

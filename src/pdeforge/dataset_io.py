@@ -252,13 +252,6 @@ class Dataset:
                 yield {name: self._read_block(fh, b)
                        for name, fh in handles.items()}
 
-    def samples(self) -> Iterator[dict]:
-        """Every sample in order, as dicts of field name -> FieldSample:
-        `blocks` one sample at a time."""
-        for block in self.blocks(1):
-            yield {name: FieldSample(self.grid, values[0])
-                   for name, values in block.items()}
-
 
 def read_dataset(dir: os.PathLike) -> Dataset:
     """Load a dataset, validating lengths and CRCs eagerly."""

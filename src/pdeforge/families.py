@@ -8,13 +8,11 @@ the dataset manifest (field names, `field_params` and the pool's
 preconditioner), verification and the CLI's `--pde` choices all read the
 record at call time.
 
-The stencil is the one description of the operator. `PdeCoefficients`
-gives it two forms: `assemble()` writes it as a CSR matrix (basis and
-classic solves; `verify_dataset` writes the stencils of a block into one
-shared CSR matrix the same way), and `apply(u)` applies it matrix-free.
-Generation and verification therefore check each other through two
-independent representations. `apply_block` applies it to (b, m, m)
-stacks of samples (see `generator` for why the bits do not change).
+The stencil is the one description of the operator, and `grid_ops`
+tells how its two representations check each other.
+`PdeCoefficients.assemble()` writes one sample's stencil as a CSR matrix
+for the basis and classic solves, and `apply_block` applies the stencil
+matrix-free to (b, m, m) stacks of samples, as generation does.
 `preconditioner()` gives the pool solves' M^{-1}: a fast Poisson solve
 scaled by the flux coefficient, M = s C^{1/2} (-lap_h) C^{1/2}
 (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
@@ -54,6 +52,7 @@ from .grid import FieldSample, Grid2D
 from .grid_ops import (
     CsrMatrix,
     DimensionError,
+    _check_field,
     _five_point,
     apply_stencil,
     darcy_stencil,
@@ -187,8 +186,8 @@ class PdeCoefficients:
 
     def stencil(self) -> tuple:
         """(center, north, south, west, east) of the family's operator,
-        built on the first call and shared by `assemble`,
-        `preconditioner` and `apply`, so a pool solve builds it once."""
+        built on the first call and shared by `assemble` and
+        `preconditioner`, so a pool solve builds it once."""
         if self._stencil is None:
             self._stencil = family(self.pde).stencil(self.grid, **self.fields)
         return self._stencil
@@ -207,31 +206,19 @@ class PdeCoefficients:
         coef = None if flux is None else self.fields[flux].interior()
         return poisson_preconditioner(self.grid, sign, coef)
 
-    def apply(self, u: FieldSample) -> FieldSample:
-        """f = A u matrix-free, with zero boundary: the one-sample case of
-        `apply_block`. u must vanish on the boundary; then f's interior
-        equals `apply_operator(self.assemble(), u.interior())` bit for
-        bit."""
-        if u.grid != self.grid:
-            raise DimensionError("u is defined on a different grid")
-        return FieldSample(self.grid, _apply(self.stencil(), u.values))
-
 
 def apply_block(pde: str, grid: Grid2D, fields: dict,
                 u: np.ndarray) -> np.ndarray:
-    """f = A u matrix-free for a block of samples: fields maps each
-    coefficient name of the family to (b, m, m) node arrays, u is (b, m, m)
-    and must vanish on the boundary. Sample i of f is bit-identical to
-    `PdeCoefficients.apply` on sample i alone: every step is elementwise."""
-    return _apply(family(pde).stencil(grid, **fields), u)
-
-
-def _apply(stencil: tuple, u: np.ndarray) -> np.ndarray:
-    """The (..., m, m) node arrays of the stencil applied to u, with a zero
-    boundary; u must vanish on the boundary."""
+    """f = A u matrix-free for a block of samples, with zero boundary:
+    fields maps each coefficient name of the family to (b, m, m) node
+    arrays, and u holds b samples' (m, m) node arrays on grid, which must
+    vanish on the boundary. Every step is elementwise, so sample i of f
+    is bit-identical to the same call on sample i alone."""
+    u = _check_field(grid, u, "u")
     if (u[..., 0, :].any() or u[..., -1, :].any() or u[..., 0].any()
             or u[..., -1].any()):
         raise ValueError("u must vanish on the boundary")
     f = np.zeros(u.shape)
-    apply_stencil(stencil, u, out=f[..., 1:-1, 1:-1])
+    apply_stencil(family(pde).stencil(grid, **fields), u,
+                  out=f[..., 1:-1, 1:-1])
     return f

@@ -9,11 +9,11 @@ no pool is kept between runs), then per sample combine them with
 normalized Gaussian weights, add edge-decaying noise, and compute the
 forcing by one application of the family's 5-point stencil to the node
 array: the sparse matrix-vector product without building the matrix.
-Verification writes each sample's stencil as a CSR matrix, so it checks
-the stencil against an independent representation; the two agree bit for
-bit. It reads SAMPLE_BLOCK samples at a time, builds their stencils
-together and refills one CSR matrix per dataset with each sample's values
-(`verify_dataset`).
+Verification writes each sample's stencil as a CSR matrix, the stencil's
+other representation, and so checks the one against the other (`grid_ops`
+tells why they agree bit for bit). It reads SAMPLE_BLOCK samples at a
+time, builds their stencils together and refills one CSR matrix per
+dataset with each sample's values (`verify_dataset`).
 
 Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
 indices starting at a multiple of SAMPLE_BLOCK (`_diffoas_block`), one
@@ -29,8 +29,7 @@ depend on operand shapes. The rest is elementwise and runs once per block
 on (b, m, m) arrays: noise normalization and amplitude, the mask, the
 stencil, its application and the embedding of f. A block item is a dict
 of field name -> (b, m, m) node arrays, which `write_dataset` writes with
-one write and one CRC-32 update per field. `combine_solution` and
-`PdeCoefficients.apply` are the one-sample forms of the same code.
+one write and one CRC-32 update per field.
 """
 
 from __future__ import annotations
@@ -99,6 +98,9 @@ class GenerationConfig:
             self.n_basis = pde_family.n_basis
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
+        if self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be >= 0, got {self.master_seed}")
         # written so that NaN fails them
         if not 0 < self.solver_tol < math.inf:
             raise ValueError(
@@ -127,18 +129,17 @@ def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSampl
 
 
 def solve_sample(config: GenerationConfig, role: str, k: int,
-                 opts: SolveOptions, solver,
-                 preconditioned: bool = False) -> tuple:
+                 opts: SolveOptions, preconditioned: bool = False) -> tuple:
     """Draw coefficients and forcing from the (master_seed, role, k) stream,
-    assemble and solve with solver (gmres or cg): (coeffs, forcing,
-    report). preconditioned passes the family's fast-Poisson
-    preconditioner to the solver as precond."""
+    assemble and solve with GMRES: (coeffs, forcing, report).
+    preconditioned passes the family's fast-Poisson preconditioner to
+    GMRES as precond."""
     gen = RngStream(config.master_seed, role, k).generator()
     coeffs = draw_coefficients(config.pde, config.grid, gen)
     forcing = draw_forcing(config.pde, config.grid, gen)
-    kwargs = {"precond": coeffs.preconditioner()} if preconditioned else {}
-    return coeffs, forcing, solver(coeffs.assemble(), forcing.interior(),
-                                   opts=opts, **kwargs)
+    precond = coeffs.preconditioner() if preconditioned else None
+    return coeffs, forcing, gmres(coeffs.assemble(), forcing.interior(),
+                                  opts=opts, precond=precond)
 
 
 @dataclass
@@ -184,7 +185,7 @@ def build_basis_pool(config: GenerationConfig) -> BasisPool:
     opts = SolveOptions.for_grid(grid, config.solver_tol)
     basis, provenance = [], []
     for i in range(config.n_basis):
-        _, _, report = solve_sample(config, "basis_params", i, opts, gmres,
+        _, _, report = solve_sample(config, "basis_params", i, opts,
                                     preconditioned=True)
         if not report.converged:
             raise BasisConstructionError(
@@ -385,7 +386,7 @@ def generate_classic(
     t0 = time.perf_counter()
 
     def worker(k: int):
-        return solve_sample(config, "sample_params", k, opts, gmres)
+        return solve_sample(config, "sample_params", k, opts)
 
     def emit():
         for k, (coeffs, forcing, report) in enumerate(_run_samples(

@@ -39,13 +39,6 @@ class Grid2D:
     def n_unknowns(self) -> int:
         return self.n_interior * self.n_interior
 
-    def index(self, i: int, j: int) -> int:
-        """Row-major linear index of interior node (i, j), i, j in [0, n)."""
-        n = self.n_interior
-        if not (0 <= i < n and 0 <= j < n):
-            raise GridError(f"interior index ({i}, {j}) out of range for n={n}")
-        return i * n + j
-
     def node_coords(self) -> np.ndarray:
         """Coordinates of all nodes along one axis, boundary included."""
         return np.linspace(0.0, 1.0, self.n_nodes)

@@ -14,7 +14,10 @@ south, west, east)` of coefficients over the interior nodes
 (`darcy_stencil`, `helmholtz_stencil`, `diffusion_stencil`). A stencil
 function takes each coefficient field as a `FieldSample` or as node
 arrays of shape (..., n+2, n+2), elementwise, so a block of samples gets
-the bits of each sample alone. The stencil has two consumers:
+the bits of each sample alone. The stencil has two representations,
+each built from it alone: generation computes f = A u with the
+matrix-free one, and verification recomputes A u with the CSR one and
+compares, so each checks the other. They agree bit for bit:
 
 - `_five_point` writes it as a `CsrMatrix`, a `scipy.sparse.csr_array` in
   canonical form: each row stores its entries in ascending column order
@@ -223,11 +226,11 @@ def poisson_preconditioner(grid: Grid2D, sign: float, coef=None):
     inv_eig = sign * inv_eig
     d = 1.0 if coef is None else 1.0 / np.sqrt(np.reshape(coef, (n, n)))
 
-    def apply(r: np.ndarray) -> np.ndarray:
+    def solve(r: np.ndarray) -> np.ndarray:
         R = d * r.reshape(n, n)
         return (d * (S @ ((S @ R @ S) * inv_eig) @ S)).reshape(-1)
 
-    return apply
+    return solve
 
 
 def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
@@ -293,16 +296,6 @@ def diffusion_stencil(grid: Grid2D, k, q) -> tuple:
     return (center + qv[..., 1:-1, 1:-1], *neighbors)
 
 
-def assemble_darcy(grid: Grid2D, a: FieldSample) -> CsrMatrix:
-    """CSR of `darcy_stencil`."""
-    return _five_point(grid, *darcy_stencil(grid, a))
-
-
-def assemble_helmholtz(grid: Grid2D, k2: FieldSample) -> CsrMatrix:
-    """CSR of `helmholtz_stencil`."""
-    return _five_point(grid, *helmholtz_stencil(grid, k2))
-
-
 def assemble_helmholtz_paper_normalized(grid, k: float) -> CsrMatrix:
     """Unit-spacing Helmholtz stencil: diagonal -4+k, off-diagonals 1.
 
@@ -311,10 +304,3 @@ def assemble_helmholtz_paper_normalized(grid, k: float) -> CsrMatrix:
     if not isinstance(grid, Grid2D):
         grid = Grid2D(int(grid))
     return _five_point(grid, -4.0 + k, 1.0, 1.0, 1.0, 1.0)
-
-
-def assemble_diffusion_reaction(
-    grid: Grid2D, k: FieldSample, q: FieldSample
-) -> CsrMatrix:
-    """CSR of `diffusion_stencil`."""
-    return _five_point(grid, *diffusion_stencil(grid, k, q))

@@ -62,13 +62,26 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-        ("--eta", "inf"), ("--eta", "nan")])
+        ("--eta", "inf"), ("--eta", "nan"), ("--seed", "-1")])
     def test_non_finite_or_non_positive_setting(self, capsys, tmp_path,
                                                 flag, value):
         out = tmp_path / "d"
         code, _, err = run(["generate", "--grid", "8", "--samples", "3",
                             "--basis", "2", flag, value, "--out", str(out)],
                            capsys)
+        assert code == 64
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tols", "-1"), ("--tols", ","), ("--tols", "nan"),
+        ("--tols", "inf"), ("--dims", "0"), ("--dims", ","),
+        ("--basis", "0"), ("--seed", "-1")])
+    def test_bad_bench_setting(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "r.csv"
+        code, _, err = run(["bench", "--dims", "16", "--tols", "1e-3",
+                            "--samples", "1", "--basis", "2", flag, value,
+                            "--out", str(out)], capsys)
         assert code == 64
         assert "Traceback" not in err
         assert not out.exists()

@@ -223,12 +223,12 @@ class TestRead:
             return open(path, *args, **kwargs)
 
         monkeypatch.setattr(dataset_io, "open", counting_open, raising=False)
-        read = list(ds.samples())
+        read = list(ds.blocks(1))
         assert len(opened) == 3
         assert len(read) == 5
         for k, (got, want) in enumerate(zip(read, written)):
             for name in ("a", "f", "u"):
-                np.testing.assert_array_equal(got[name].values,
+                np.testing.assert_array_equal(got[name][0],
                                               want[name].values)
                 np.testing.assert_array_equal(
                     ds.field_sample(name, k).values, want[name].values)
@@ -239,7 +239,7 @@ class TestRead:
         path = tmp_path / "u.f64"
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DatasetIntegrityError, match="u.f64"):
-            list(ds.samples())
+            list(ds.blocks(1))
 
 
 class TestBlocks:

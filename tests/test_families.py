@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from pdeforge.dataset_io import DatasetManifest, read_dataset
-from pdeforge.families import FAMILIES, PdeCoefficients, PdeFamily
+from pdeforge.families import (
+    FAMILIES,
+    PdeCoefficients,
+    PdeFamily,
+    apply_block,
+)
 from pdeforge.fields import GrfParams, RngStream
 from pdeforge.generator import (
     GenerationConfig,
@@ -17,6 +22,11 @@ from pdeforge.grid_ops import (
     apply_operator,
     darcy_stencil,
 )
+
+
+def block_of(coeffs):
+    """The coefficient fields of one sample as (1, m, m) node arrays."""
+    return {name: fs.values[None] for name, fs in coeffs.fields.items()}
 
 
 @pytest.mark.parametrize("pde", sorted(FAMILIES))
@@ -45,7 +55,8 @@ class TestRegistry:
         gen = RngStream(n, "sample_params", 1).generator()
         coeffs = draw_coefficients(pde, grid, gen)
         u = FieldSample.from_interior(grid, gen.standard_normal(n * n))
-        f = coeffs.apply(u)
+        f = FieldSample(grid, apply_block(pde, grid, block_of(coeffs),
+                                          u.values[None])[0])
         csr = apply_operator(coeffs.assemble(), u.interior())
         np.testing.assert_array_equal(f.interior().view(np.uint64),
                                       csr.view(np.uint64))
@@ -54,13 +65,14 @@ class TestRegistry:
     def test_apply_rejects_foreign_u(self, pde):
         grid = Grid2D(4)
         gen = RngStream(0, "sample_params", 0).generator()
-        coeffs = draw_coefficients(pde, grid, gen)
+        fields = block_of(draw_coefficients(pde, grid, gen))
         with pytest.raises(DimensionError):
-            coeffs.apply(FieldSample.from_interior(Grid2D(5), np.ones(25)))
+            apply_block(pde, grid, fields, FieldSample.from_interior(
+                Grid2D(5), np.ones(25)).values[None])
         u = FieldSample.from_interior(grid, np.ones(16))
         u.values[0, 2] = 1e-300
         with pytest.raises(ValueError, match="boundary"):
-            coeffs.apply(u)
+            apply_block(pde, grid, fields, u.values[None])
 
     def test_manifest_field_params(self, pde, tmp_path):
         config = GenerationConfig(pde, Grid2D(4), 2, master_seed=1)
@@ -95,9 +107,10 @@ def test_matrix_free_path_checks_ellipticity(pde, name, bad):
     fields = {c: FieldSample.constant(grid, 1.0)
               for c in FAMILIES[pde].coefficients}
     fields[name].values[2, 3] = bad
-    coeffs = PdeCoefficients(pde, **fields)
+    u = FieldSample.from_interior(grid, np.ones(16))
     with pytest.raises(EllipticityError):
-        coeffs.apply(FieldSample.from_interior(grid, np.ones(16)))
+        apply_block(pde, grid, block_of(PdeCoefficients(pde, **fields)),
+                    u.values[None])
 
 
 def test_new_family_costs_one_record(monkeypatch, tmp_path):

@@ -331,10 +331,15 @@ class TestDiffoas:
                         RngStream(4, role, j).generator()
                         for role in ("sample_params", "weights", "noise"))
                 coeffs = generator.draw_coefficients(pde, config.grid, gen_c)
-                u = FieldSample(config.grid, generator._combine_block(
+                u = generator._combine_block(
                     pool, gen_w, gen_n, 1, config.noise_eta,
-                    config.weight_resample_threshold)[0])
-                yield {**coeffs.field_map(), "f": coeffs.apply(u), "u": u}
+                    config.weight_resample_threshold)
+                f = generator.apply_block(pde, config.grid, {
+                    name: fs.values[None]
+                    for name, fs in coeffs.fields.items()}, u)
+                yield {**coeffs.field_map(),
+                       "f": FieldSample(config.grid, f[0]),
+                       "u": FieldSample(config.grid, u[0])}
 
         write_dataset(tmp_path / "ref", one_at_a_time(),
                       DatasetManifest(pde, 9, num_samples, "diffoas"))

