@@ -5,7 +5,7 @@ drawing included. The operator-action phase runs `_diffoas_block` (draw
 the coefficients, combine the pool, apply the stencil) over blocks of
 SAMPLE_BLOCK samples as `generate_diffoas` does, and its per-sample
 seconds are the blocks' seconds over the sample count; the solver phases
-run `solve_sample` (draw, assemble, solve) per sample as
+run `solve_sample` (draw, solve matrix-free) per sample as
 `generate_classic` does. The GMRES-vs-action speedup is thus the ratio of
 the two paths' per-sample costs; writing the dataset is in neither. The
 `gmres_pc` phase solves the same classic samples with the fast-Poisson

@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0,
                    help="master seed (default: 0)")
     b.add_argument("--regress-tol", type=float, default=None,
-                   help="tolerance for the speedup regression "
-                        "(default: last of --tols)")
+                   help="tolerance for the speedup regression, one of "
+                        "--tols (default: last of --tols)")
     b.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format (default: csv)")
     b.add_argument("--out", required=True, help="report output file")
@@ -207,17 +207,19 @@ def cmd_bench(args) -> int:
         _usage_error("--dims and --tols must be comma-separated numbers")
     if args.samples < 1:
         _usage_error("--samples must be >= 1")
+    regress_tol = args.regress_tol
+    # --tols must be > 0 and finite (run_timing_suite), and NaN is in no list
+    if regress_tol is not None and regress_tol not in tols:
+        _usage_error(f"--regress-tol must be one of --tols, got {regress_tol}")
     try:
         records = run_timing_suite(
             args.pde, dims, tols, args.samples, args.repeats,
             master_seed=args.seed, n_basis=args.basis,
         )
-        regress_tol = args.regress_tol if args.regress_tol is not None \
-            else tols[-1]
-        try:
-            regression = fit_speedup_regression(records, regress_tol)
-        except BenchConfigError:
-            regression = None  # too few dims: report records only
+        # with fewer than 3 dims there is no regression: records only
+        regression = fit_speedup_regression(
+            records, tols[-1] if regress_tol is None else regress_tol,
+        ) if len(set(dims)) >= 3 else None
         text = emit_report(records, regression, args.format, pde=args.pde)
     except BenchConfigError as exc:
         _usage_error(str(exc))

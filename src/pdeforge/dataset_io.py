@@ -6,8 +6,9 @@ including boundary. `manifest.json` is written last via atomic rename, so a
 crashed write never leaves a readable dataset.
 
 `write_dataset` takes items of one sample or of a block of samples as
-(b, m, m) arrays, with the same bytes on disk either way; `Dataset.blocks`
-reads blocks back, one `readinto` per field and block.
+(b, m, m) arrays, with the same bytes on disk either way (the `generator`
+docstring tells why a block holds the bits of its samples alone);
+`Dataset.blocks` reads blocks back, one `readinto` per field and block.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ preconditioner), verification and the CLI's `--pde` choices all read the
 record at call time.
 
 The stencil is the one description of the operator, and `grid_ops`
-tells how its two representations check each other.
-`PdeCoefficients.assemble()` writes one sample's stencil as a CSR matrix
-for the basis and classic solves, and `apply_block` applies the stencil
-matrix-free to (b, m, m) stacks of samples, as generation does.
+tells how its forms check each other. `PdeCoefficients.operator()` wraps
+one sample's stencil as the matrix-free operator the basis and classic
+solves take, `apply_block` applies it to (b, m, m) stacks of samples, as
+generation does, and `PdeCoefficients.assemble()` writes it as a CSR
+matrix, the tests' reference form.
 `preconditioner()` gives the pool solves' M^{-1}: a fast Poisson solve
 scaled by the flux coefficient, M = s C^{1/2} (-lap_h) C^{1/2}
 (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
@@ -50,8 +51,8 @@ import numpy as np
 from .fields import GrfParams, sample_grf, sample_uniform
 from .grid import FieldSample, Grid2D
 from .grid_ops import (
-    CsrMatrix,
     DimensionError,
+    StencilOperator,
     _check_field,
     _five_point,
     apply_stencil,
@@ -186,14 +187,20 @@ class PdeCoefficients:
 
     def stencil(self) -> tuple:
         """(center, north, south, west, east) of the family's operator,
-        built on the first call and shared by `assemble` and
+        built on the first call and shared by `operator`, `assemble` and
         `preconditioner`, so a pool solve builds it once."""
         if self._stencil is None:
             self._stencil = family(self.pde).stencil(self.grid, **self.fields)
         return self._stencil
 
-    def assemble(self) -> CsrMatrix:
-        """The operator as a CSR matrix over the interior unknowns."""
+    def operator(self) -> StencilOperator:
+        """The operator over the interior unknowns, matrix-free, as the
+        GMRES solves take it."""
+        return StencilOperator(self.grid, self.stencil())
+
+    def assemble(self):
+        """The operator as a `CsrMatrix` over the interior unknowns: the
+        tests' reference form (imports scipy.sparse)."""
         return _five_point(self.grid, *self.stencil())
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -1,7 +1,7 @@
 """Dataset generation pipelines.
 
-Classic path: draw coefficients and forcing, assemble, solve per sample
-with unpreconditioned GMRES (the paper's baseline).
+Classic path: draw coefficients and forcing, solve per sample with
+unpreconditioned GMRES (the paper's baseline).
 Operator-action path (DiffOAS): solve once per run for a small pool of
 basis solutions, with GMRES right-preconditioned by the family's fast
 Poisson solve (a default pool builds in well under a second at n=128, so
@@ -9,11 +9,10 @@ no pool is kept between runs), then per sample combine them with
 normalized Gaussian weights, add edge-decaying noise, and compute the
 forcing by one application of the family's 5-point stencil to the node
 array: the sparse matrix-vector product without building the matrix.
-Verification writes each sample's stencil as a CSR matrix, the stencil's
-other representation, and so checks the one against the other (`grid_ops`
-tells why they agree bit for bit). It reads SAMPLE_BLOCK samples at a
-time, builds their stencils together and refills one CSR matrix per
-dataset with each sample's values (`verify_dataset`).
+Every GMRES solve applies the stencil matrix-free as well, and
+verification recomputes A u with the stencil's index-gather form
+(`verify_dataset`); `grid_ops` tells how the forms check each other. No
+path builds a CSR matrix or imports scipy.sparse.
 
 Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
 indices starting at a multiple of SAMPLE_BLOCK (`_diffoas_block`), one
@@ -23,13 +22,17 @@ every sample of the block from them in sample order: its coefficients,
 its weights with their redraws, and its noise GRF. Earlier samples of a
 block are always drawn first, so sample k's bytes are a pure function of
 (seed, k) at any thread count and any sample count; SAMPLE_BLOCK is part
-of that contract. The two GEMMs of each GRF and the weights @ pool product
-keep the operand shapes of a single sample, because BLAS results can
-depend on operand shapes. The rest is elementwise and runs once per block
-on (b, m, m) arrays: noise normalization and amplitude, the mask, the
-stencil, its application and the embedding of f. A block item is a dict
-of field name -> (b, m, m) node arrays, which `write_dataset` writes with
-one write and one CRC-32 update per field.
+of that contract.
+
+Why a block has the bits of its samples alone, stated here once: the two
+GEMMs of each GRF and the weights @ pool product keep the operand shapes
+of a single sample, because BLAS results can depend on operand shapes.
+Everything else on a (b, m, m) block is elementwise (noise normalization
+and amplitude, the mask, the stencil, its application, the embedding of
+f), and verification takes each norm per sample, so sample i of a block
+gets the bits it would get alone. A block item is a dict of field name ->
+(b, m, m) node arrays, which `write_dataset` writes with one write and one
+CRC-32 update per field, as the bytes of its samples one after another.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .fields import (
     sample_grf,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import EllipticityError, _five_point, apply_operator
+from .grid_ops import EllipticityError, gather_stencil
 from .solvers import SolveOptions, gmres
 
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
@@ -130,15 +133,16 @@ def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSampl
 
 def solve_sample(config: GenerationConfig, role: str, k: int,
                  opts: SolveOptions, preconditioned: bool = False) -> tuple:
-    """Draw coefficients and forcing from the (master_seed, role, k) stream,
-    assemble and solve with GMRES: (coeffs, forcing, report).
+    """Draw coefficients and forcing from the (master_seed, role, k) stream
+    and solve with GMRES on the matrix-free operator: (coeffs, forcing,
+    report).
     preconditioned passes the family's fast-Poisson preconditioner to
     GMRES as precond."""
     gen = RngStream(config.master_seed, role, k).generator()
     coeffs = draw_coefficients(config.pde, config.grid, gen)
     forcing = draw_forcing(config.pde, config.grid, gen)
     precond = coeffs.preconditioner() if preconditioned else None
-    return coeffs, forcing, gmres(coeffs.assemble(), forcing.interior(),
+    return coeffs, forcing, gmres(coeffs.operator(), forcing.interior(),
                                   opts=opts, precond=precond)
 
 
@@ -289,8 +293,8 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
     """The operator-action samples of indices, a range starting at a
     multiple of SAMPLE_BLOCK, as one block item: field name -> (b, m, m)
     node arrays. Its samples are drawn in order from the block's three
-    streams (module docstring); the stencil and its application run on the
-    block and are elementwise."""
+    streams, and the stencil and its application run on the block (module
+    docstring)."""
     pde, grid, seed = config.pde, config.grid, config.master_seed
     gen_c, gen_w, gen_n = (
         RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
@@ -444,42 +448,43 @@ class VerificationReport:
 
 
 def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
-    """Measure ||A u - f|| / ||f|| of every sample, with A written as a CSR
-    matrix from the family's stencil: an independent check of the
-    matrix-free application that computed f.
+    """Measure ||A u - f|| / ||f|| over the interior nodes of every sample,
+    with A u recomputed from the stored fields by `gather_stencil`: an
+    independent check of the `apply_stencil` that computed f (`grid_ops`).
 
     The dataset is read SAMPLE_BLOCK samples at a time (`Dataset.blocks`),
-    and each block's stencil is built once from its (b, m, m) coefficient
-    arrays. One CSR matrix serves the whole dataset: each sample refills
-    its values (`_five_point(..., out=A)`) before its SpMV. The stencil is
-    elementwise and every matrix on the grid stores the same entries in
-    the same order, so each residual is bit-identical to assembling the
-    sample's matrix alone. EllipticityError names the block whose
+    and each block's stencil is built and applied once, on its (b, m, m)
+    arrays; each residual is bit-identical to that of the sample's CSR
+    matrix alone (module docstring). A sample fails when its residual is
+    not within tol, or when its stored u is not zero on the boundary: the
+    residual reads the boundary nodes next to the interior, and no row
+    reads the corners. EllipticityError names the block whose
     coefficients are not elliptic."""
     residuals = []
     failing = []
     pde_family = family(dataset.manifest.pde)
     grid = dataset.grid
-    A = None
     start = 0
     for block in dataset.blocks(SAMPLE_BLOCK):
-        b = len(block["u"])
+        u = block["u"]
+        b = len(u)
         try:
             stencil = pde_family.stencil(grid, **{
                 name: block[name] for name in pde_family.coefficients})
         except EllipticityError as exc:
             raise EllipticityError(
                 f"samples {start}..{start + b - 1}: {exc}") from exc
+        r = gather_stencil(stencil, u)
+        f_int = block["f"][:, 1:-1, 1:-1]
+        r -= f_int
+        # NaN counts as nonzero
+        off_boundary = (u[:, [0, -1], :].any(axis=(1, 2))
+                        | u[:, :, [0, -1]].any(axis=(1, 2)))
         for i in range(b):
-            A = _five_point(grid, *(c[i] if np.ndim(c) == 3 else c
-                                    for c in stencil), out=A)
-            f_int = block["f"][i, 1:-1, 1:-1].reshape(-1)
-            u_int = block["u"][i, 1:-1, 1:-1].reshape(-1)
-            r = apply_operator(A, u_int) - f_int
-            denom = max(float(np.linalg.norm(f_int)), 1e-300)
-            rel = float(np.linalg.norm(r)) / denom
+            denom = max(float(np.linalg.norm(f_int[i].ravel())), 1e-300)
+            rel = float(np.linalg.norm(r[i].ravel())) / denom
             residuals.append(rel)
-            if not rel <= tol:  # a NaN residual or tol fails
+            if not rel <= tol or off_boundary[i]:  # a NaN residual fails
                 failing.append(start + i)
         start += b
     residuals = np.asarray(residuals)

@@ -1,4 +1,4 @@
-"""Finite-difference 5-point operators: stencils, scipy CSR, SpMV, dense oracle.
+"""Finite-difference 5-point operators: stencils, their three forms, dense oracle.
 
 Three operators on zero-Dirichlet interior unknowns:
 
@@ -14,24 +14,28 @@ south, west, east)` of coefficients over the interior nodes
 (`darcy_stencil`, `helmholtz_stencil`, `diffusion_stencil`). A stencil
 function takes each coefficient field as a `FieldSample` or as node
 arrays of shape (..., n+2, n+2), elementwise, so a block of samples gets
-the bits of each sample alone. The stencil has two representations,
-each built from it alone: generation computes f = A u with the
-matrix-free one, and verification recomputes A u with the CSR one and
-compares, so each checks the other. They agree bit for bit:
+the bits of each sample alone. The stencil has three forms, each built
+from it alone and each summing a row's terms in the order N, W, C, E, S:
 
+- `apply_stencil` applies it to node arrays, one sample or a block, by
+  slicing the neighbors out of the array. Generation computes f = A u
+  with it, and `StencilOperator` wraps it as the square operator on
+  interior vectors that the GMRES solves use.
+- `gather_stencil` applies it to a block of node arrays through an
+  explicit table of neighbor indices (`np.take`), reading the boundary
+  nodes as the operator's zero-Dirichlet rows do. Verification
+  recomputes A u with it and compares with the stored f; as it shares no
+  indexing with `apply_stencil`, a slip in either shows as a residual.
 - `_five_point` writes it as a `CsrMatrix`, a `scipy.sparse.csr_array` in
   canonical form: each row stores its entries in ascending column order
   (north, west, center, east, south neighbors of the row-major interior
-  numbering). scipy's CSR kernel sums each row left to right from 0.0, so
-  `apply_operator` is bit-identical to a sequential loop over the stored
-  entries of each row. Solvers and verification use this form; a solve
-  gets a fresh matrix, while verification refills one matrix with each
-  sample's stencil (`_five_point(..., out=A)`), as every matrix on a grid
-  has the same index arrays.
-- `apply_stencil` applies it matrix-free to node arrays, one sample or a
-  block, in the same order, N, W, C, E, S, so on a zero-boundary `u` it
-  is bit-identical to `apply_operator` on `u`'s interior. Generation uses
-  this form.
+  numbering). scipy's CSR kernel sums each row left to right from 0.0.
+  It is the tests' reference and the perf harness's; no command builds
+  it, and `scipy.sparse` is imported only when one is built.
+
+On a `u` that is zero on the boundary the three agree bit for bit, up to
+the sign of a zero: a missing CSR entry and a coefficient times a zero
+boundary value add the same nothing to a row's sum.
 """
 
 from __future__ import annotations
@@ -39,10 +43,8 @@ from __future__ import annotations
 import os
 import warnings
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
-import scipy.sparse
 
 from .grid import FieldSample, Grid2D
 
@@ -65,28 +67,44 @@ class OracleSizeError(ValueError):
     pass
 
 
-class CsrMatrix(scipy.sparse.csr_array):
-    """A scipy CSR array, double precision, with its row and column counts
-    as `nrows` and `ncols`."""
+@lru_cache(maxsize=1)
+def _csr_class() -> type:
+    import scipy.sparse  # here: importing it costs more than most runs
 
-    @property
-    def nrows(self) -> int:
-        return self.shape[0]
+    class CsrMatrix(scipy.sparse.csr_array):
+        """A scipy CSR array, double precision, with its row and column
+        counts as `nrows` and `ncols`."""
 
-    @property
-    def ncols(self) -> int:
-        return self.shape[1]
+        @property
+        def nrows(self) -> int:
+            return self.shape[0]
+
+        @property
+        def ncols(self) -> int:
+            return self.shape[1]
+
+    CsrMatrix.__module__, CsrMatrix.__qualname__ = __name__, "CsrMatrix"
+    return CsrMatrix
 
 
-def apply_operator(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """b = A x with row-sequential, index-ascending summation order.
+def __getattr__(name: str):
+    # CsrMatrix subclasses a scipy.sparse class, so it is made on first use
+    if name == "CsrMatrix":
+        return _csr_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def apply_operator(A, x: np.ndarray) -> np.ndarray:
+    """b = A x with row-sequential, index-ascending summation order, for a
+    `CsrMatrix` or a `StencilOperator`.
 
     scipy's CSR kernel accumulates each row left to right from 0.0, so the
     result is bit-identical to the plain loop over stored entries.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.ncols,):
-        raise DimensionError(f"operand length {x.shape} != ncols {A.ncols}")
+    if x.shape != (A.shape[1],):
+        raise DimensionError(
+            f"operand length {x.shape} != ncols {A.shape[1]}")
     return A @ x
 
 
@@ -95,7 +113,7 @@ def _oracle_cap() -> int:
     return int(raw) if raw else DEFAULT_ORACLE_CAP
 
 
-def dense_solve(A: CsrMatrix, b: np.ndarray) -> np.ndarray:
+def dense_solve(A, b: np.ndarray) -> np.ndarray:
     """Direct LU solve of A x = b; test oracle, size-capped."""
     import scipy.linalg  # here, so importing pdeforge does not load it
     if A.nrows != A.ncols:
@@ -153,31 +171,28 @@ def _five_point_pattern(n: int) -> tuple:
     return pattern
 
 
-def _five_point(grid: Grid2D, center, north, south, west, east,
-                out: Optional[CsrMatrix] = None) -> CsrMatrix:
-    """The 5-point operator whose row for interior node (i, j) holds center
-    on the diagonal and north/south/west/east at the neighbors (i-1, j),
-    (i+1, j), (i, j-1), (i, j+1) that are interior. Each coefficient is an
-    (n, n) array over the interior nodes or a scalar.
-
-    out, a matrix this function built on the same grid, is refilled in
-    place: its stored values become this stencil's and out is returned,
-    with no new matrix and no copy of the index arrays. Its entries are
-    then those of a fresh matrix of the stencil, element for element."""
-    n = grid.n_interior
-    keep, indices, indptr = _five_point_pattern(n)
+def _stored_entries(n: int, stencil: tuple) -> np.ndarray:
+    """The entries of the 5-point CSR on an n x n interior, in the order it
+    stores them (`_five_point`)."""
+    center, north, south, west, east = stencil
+    keep = _five_point_pattern(n)[0]
     vals = np.empty((n, n, 5))
     for slot, coef in enumerate((north, west, center, east, south)):
         vals[..., slot] = coef
-    if out is None:
-        return CsrMatrix((vals[keep], indices.copy(), indptr.copy()),
-                         shape=(n * n, n * n))
-    if out.shape != (n * n, n * n) or out.data.shape != indices.shape:
-        raise DimensionError(
-            f"cannot refill a {out.shape} matrix with {out.data.size} "
-            f"stored entries with the 5-point operator on {n} x {n} nodes")
-    out.data[:] = vals[keep]
-    return out
+    return vals[keep]
+
+
+def _five_point(grid: Grid2D, center, north, south, west, east):
+    """The 5-point operator as a `CsrMatrix`, whose row for interior node
+    (i, j) holds center on the diagonal and north/south/west/east at the
+    neighbors (i-1, j), (i+1, j), (i, j-1), (i, j+1) that are interior.
+    Each coefficient is an (n, n) array over the interior nodes or a
+    scalar."""
+    n = grid.n_interior
+    _, indices, indptr = _five_point_pattern(n)
+    data = _stored_entries(n, (center, north, south, west, east))
+    return _csr_class()((data, indices.copy(), indptr.copy()),
+                        shape=(n * n, n * n))
 
 
 def apply_stencil(stencil: tuple, u_nodes: np.ndarray,
@@ -195,6 +210,62 @@ def apply_stencil(stencil: tuple, u_nodes: np.ndarray,
     for coef, v in ((west, u[..., 1:-1, :-2]), (center, u[..., 1:-1, 1:-1]),
                     (east, u[..., 1:-1, 2:]), (south, u[..., 2:, 1:-1])):
         out += np.multiply(coef, v, out=term)
+    return out
+
+
+class StencilOperator:
+    """One sample's stencil as a square operator on the n*n interior
+    unknowns, for GMRES: `A @ x` puts x into a zero-boundary node array
+    and applies the stencil matrix-free (`apply_stencil`), which equals the
+    CSR product bit for bit. The node array is reused, so one operator
+    serves one solve at a time."""
+
+    def __init__(self, grid: Grid2D, stencil: tuple):
+        n = grid.n_interior
+        self.grid, self.stencil = grid, stencil
+        self.shape = (n * n, n * n)
+        self._nodes = np.zeros((n + 2, n + 2))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        interior = self._nodes[1:-1, 1:-1]
+        interior[...] = np.reshape(x, interior.shape)
+        out = np.empty(interior.shape)
+        return apply_stencil(self.stencil, self._nodes, out).reshape(-1)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The entries of the CSR form, in the order it stores them, so
+        that their norm is the CSR's ||A||_F bit for bit."""
+        return _stored_entries(self.grid.n_interior, self.stencil)
+
+
+@lru_cache(maxsize=8)
+def _neighbor_table(n: int) -> np.ndarray:
+    """(5, n, n) flat indices into the (n+2)**2 node array: the N, W, C, E
+    and S neighbors of every interior node. Read-only."""
+    m = n + 2
+    node = np.arange(m * m).reshape(m, m)[1:-1, 1:-1]
+    table = np.stack([node - m, node - 1, node, node + 1, node + m])
+    table.flags.writeable = False
+    return table
+
+
+def gather_stencil(stencil: tuple, u_nodes: np.ndarray) -> np.ndarray:
+    """The (b, n, n) interior values of the 5-point operator applied to the
+    (b, n+2, n+2) node arrays u_nodes, each neighbor gathered through
+    `_neighbor_table` and the terms summed N, W, C, E, S. Boundary nodes
+    are read, not assumed zero. stencil is (center, north, south, west,
+    east), each a (b, n, n) array or a scalar."""
+    center, north, south, west, east = stencil
+    b, m = len(u_nodes), u_nodes.shape[-1]
+    table = _neighbor_table(m - 2)
+    flat = u_nodes.reshape(b, m * m)
+    out = np.multiply(north, np.take(flat, table[0], axis=1))
+    term = np.empty(out.shape)
+    for coef, index in zip((west, center, east, south), table[1:]):
+        np.take(flat, index, axis=1, out=term)
+        term *= coef
+        out += term
     return out
 
 
@@ -296,7 +367,7 @@ def diffusion_stencil(grid: Grid2D, k, q) -> tuple:
     return (center + qv[..., 1:-1, 1:-1], *neighbors)
 
 
-def assemble_helmholtz_paper_normalized(grid, k: float) -> CsrMatrix:
+def assemble_helmholtz_paper_normalized(grid, k: float):
     """Unit-spacing Helmholtz stencil: diagonal -4+k, off-diagonals 1.
 
     Accepts a Grid2D or a bare interior size n.

@@ -9,8 +9,9 @@ precision as long as the new vector is not numerically dependent on the
 basis ("twice is enough", Giraud, Langou & Rozloznik, Comput. Math. Appl.
 2005). The dependent case is the happy breakdown, tested separately. Both
 passes are matrix-vector products, so the step costs two BLAS-2 calls
-rather than a Python loop over the basis. The SpMV is the scipy CSR
-product of the operator itself.
+rather than a Python loop over the basis. The operator is applied
+matrix-free: the program passes a `grid_ops.StencilOperator`, whose
+product equals the CSR product bit for bit, and a `CsrMatrix` works too.
 
 The least-squares problem is solved incrementally with Givens rotations. The
 trace records, per iteration, the recurrence residual norm, the Arnoldi
@@ -50,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid_ops import CsrMatrix, DimensionError
+from .grid_ops import DimensionError
 
 HAPPY_BREAKDOWN_REL = 1e-14
 MAX_ITER_CAP = 10000
@@ -103,35 +104,37 @@ class SolveReport:
     arnoldi_basis: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _check_system(A: CsrMatrix, b: np.ndarray, x0):
-    if A.nrows != A.ncols:
+def _check_system(A, b: np.ndarray, x0):
+    nrows, ncols = A.shape
+    if nrows != ncols:
         raise DimensionError("solver requires a square matrix")
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.nrows,):
+    if b.shape != (nrows,):
         raise DimensionError("rhs length mismatch")
     if x0 is None:
-        x0 = np.zeros(A.nrows)
+        x0 = np.zeros(nrows)
     else:
         x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (A.nrows,):
+        if x0.shape != (nrows,):
             raise DimensionError("x0 length mismatch")
     return b, x0
 
 
 def gmres(
-    A: CsrMatrix,
+    A,
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     opts: SolveOptions = SolveOptions(),
     keep_basis: bool = False,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> SolveReport:
-    """Full GMRES; terminates on relative true residual <= tol, happy
-    breakdown, or max_iter. precond, when given, applies M^{-1} on the
+    """Full GMRES on a square operator A, anything with `shape` and `@`
+    (a `StencilOperator` or a `CsrMatrix`); terminates on relative true
+    residual <= tol, happy breakdown, or max_iter. precond, when given, applies M^{-1} on the
     right: Arnoldi runs on A M^{-1} and x = x0 + M^{-1} V^T y."""
     t0 = time.perf_counter()
     b, x0 = _check_system(A, b, x0)
-    n = A.nrows
+    n = A.shape[0]
     b_norm = float(np.linalg.norm(b))
     scale = b_norm if b_norm > 0 else 1.0
 
@@ -145,7 +148,8 @@ def gmres(
     # the happy-breakdown scale (module docstring): ||A||_F, or for
     # A M^{-1} sqrt(N) times the largest ||A M^{-1} v_j|| seen so far
     # (||A||_F would be far too loose a scale for a preconditioned
-    # operator near the identity)
+    # operator near the identity). A.data is a CSR's stored entries; a
+    # StencilOperator lists the same entries in the same order.
     op_scale = float(np.linalg.norm(A.data)) if precond is None else 0.0
 
     m_cap = min(opts.max_iter, n)

@@ -86,6 +86,17 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "1e-4"])
+    def test_regress_tol_not_among_tols(self, capsys, tmp_path, value):
+        out = tmp_path / "r.csv"
+        code, _, err = run(["bench", "--dims", "16,36,64", "--tols", "1e-3",
+                            "--samples", "1", "--basis", "2",
+                            "--regress-tol", value, "--out", str(out)],
+                           capsys)
+        assert code == 64
+        assert "--regress-tol" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -301,13 +312,35 @@ class TestFailedGenerate:
         assert json.loads(out)["passed"] is False
 
 
+HEAVY_SCIPY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.sparse")
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats (the bench regression) and scipy.linalg (the dense test
-    # oracle) take most of a second to import; generate and verify use
-    # neither
+    # scipy.stats (the bench regression), scipy.linalg (the dense test
+    # oracle) and scipy.sparse (the CSR reference form) each take longer
+    # to import than a small run takes; generate and verify use none
     code = ("import sys, pdeforge.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.linalg') "
-            "if m in sys.modules])")
+            f"print([m for m in {HEAVY_SCIPY_MODULES} if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_commands_run_without_scipy_sparse(tmp_path):
+    # generate, verify and inspect, one after another in a fresh process
+    code = f"""
+import sys
+from pdeforge.cli import main
+out = {str(tmp_path)!r}
+for method in ("diffoas", "classic", "ablation-fourier"):
+    data = f"{{out}}/{{method}}"
+    assert main(["generate", "--method", method, "--grid", "8",
+                 "--samples", "3", "--basis", "3", "--out", data]) == 0
+    assert main(["verify", "--data", data, "--tol",
+                 "1e-4" if method == "classic" else "1e-12"]) == 0
+    assert main(["inspect", "--data", data, "--stats"]) == 0
+print([m for m in {HEAVY_SCIPY_MODULES} if m in sys.modules])
+"""
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip().splitlines()[-1] == "[]"

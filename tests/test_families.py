@@ -62,6 +62,20 @@ class TestRegistry:
                                       csr.view(np.uint64))
         assert f.boundary_max_abs() == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_solver_operator_matches_csr_bitwise(self, pde, n):
+        gen = RngStream(n, "sample_params", 2).generator()
+        coeffs = draw_coefficients(pde, Grid2D(n), gen)
+        A, csr = coeffs.operator(), coeffs.assemble()
+        assert A.shape == csr.shape
+        for _ in range(2):  # the operator reuses its node array
+            x = gen.standard_normal(n * n)
+            np.testing.assert_array_equal((A @ x).view(np.uint64),
+                                          (csr @ x).view(np.uint64))
+        # the entries whose norm scales GMRES's happy breakdown
+        np.testing.assert_array_equal(A.data.view(np.uint64),
+                                      csr.data.view(np.uint64))
+
     def test_apply_rejects_foreign_u(self, pde):
         grid = Grid2D(4)
         gen = RngStream(0, "sample_params", 0).generator()

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pdeforge import generator, grid_ops
+from pdeforge import families, generator, grid_ops
 from pdeforge.dataset_io import (
     DatasetIntegrityError,
     DatasetManifest,
@@ -543,6 +543,40 @@ class TestBlockVerify:
         rewrite_field(out, "f", f)
         report = verify_dataset(read_dataset(out), 1e-12)
         assert report.failing_indices == [bad]
+
+    @pytest.mark.parametrize("node", [(0, 4), (0, 0)], ids=["edge", "corner"])
+    @pytest.mark.parametrize("method", ["diffoas", "classic"])
+    def test_u_off_zero_on_the_boundary_fails(self, tmp_path, method, node):
+        # the residual reads the edge nodes, but no row reads a corner
+        out = tmp_path / "d"
+        config = small_config(num_samples=5, method=method)
+        generate = generate_diffoas if method == "diffoas" else \
+            generate_classic
+        ds = generate(config, out)
+        tol = 1e-12 if method == "diffoas" else 1e-3
+        assert verify_dataset(ds, tol).passed
+        u = read_field(ds, "u")
+        u[(3, *node)] = 1.0
+        rewrite_field(out, "u", u)
+        assert verify_dataset(read_dataset(out), tol).failing_indices == [3]
+
+    def test_slip_in_the_generating_stencil_fails(self, tmp_path,
+                                                  monkeypatch):
+        # generation slices the neighbors out of u and verification
+        # gathers them by index, so a slip in the one shows in the other
+        apply_stencil = grid_ops.apply_stencil
+
+        def north_south_swapped(stencil, u_nodes, out):
+            center, north, south, west, east = stencil
+            return apply_stencil((center, south, north, west, east),
+                                 u_nodes, out)
+
+        monkeypatch.setattr(grid_ops, "apply_stencil", north_south_swapped)
+        monkeypatch.setattr(families, "apply_stencil", north_south_swapped)
+        ds = generate_diffoas(small_config(num_samples=self.COUNT),
+                              tmp_path / "d")
+        report = verify_dataset(ds, 1e-12)
+        assert report.failing_indices == list(range(self.COUNT))
 
     def test_file_cut_inside_second_block_raises(self, tmp_path):
         out = tmp_path / "d"

@@ -335,35 +335,6 @@ class TestStencils:
             darcy_stencil(Grid2D(4), np.ones((3, 5, 5)))
 
 
-class TestRefill:
-    @pytest.mark.parametrize("stencil,names", [
-        (darcy_stencil, ("a",)), (helmholtz_stencil, ("k2",)),
-        (diffusion_stencil, ("k", "q"))])
-    def test_refilled_matrix_equals_fresh_assembly(self, stencil, names):
-        grid = Grid2D(6)
-        gen = np.random.default_rng(8)
-        A = None
-        for _ in range(3):
-            fields = {name: random_field(grid, int(gen.integers(1 << 30)))
-                      for name in names}
-            coefs = stencil(grid, **fields)
-            fresh = _five_point(grid, *coefs)
-            shared = A
-            A = _five_point(grid, *coefs, out=A)
-            if shared is not None:
-                assert A is shared
-            assert A.shape == fresh.shape
-            assert np.array_equal(A.data.view(np.uint64),
-                                  fresh.data.view(np.uint64))
-            assert np.array_equal(A.indices, fresh.indices)
-            assert np.array_equal(A.indptr, fresh.indptr)
-
-    def test_refill_of_another_grid_rejected(self):
-        A = assemble_helmholtz_paper_normalized(5, 1.0)
-        with pytest.raises(DimensionError):
-            _five_point(Grid2D(4), -4.0, 1.0, 1.0, 1.0, 1.0, out=A)
-
-
 class TestDenseSolve:
     def test_identity(self):
         b = np.arange(5.0)
