@@ -41,11 +41,3 @@ from .solvers import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # importing scipy.sparse costs more than most runs; no command needs it
-    if name == "CsrMatrix":
-        from .grid_ops import CsrMatrix
-        return CsrMatrix
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

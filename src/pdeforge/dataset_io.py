@@ -57,7 +57,7 @@ class DatasetManifest:
 
     @property
     def field_names(self) -> tuple:
-        if self.pde not in FAMILIES:
+        if not isinstance(self.pde, str) or self.pde not in FAMILIES:
             raise DatasetFormatError(f"unknown pde tag {self.pde!r}")
         return FAMILIES[self.pde].field_names
 
@@ -81,18 +81,42 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
+        """The manifest of a parsed manifest.json; DatasetFormatError
+        unless it is an object of the current format_version with
+        grid_interior >= 1, num_samples >= 0, and each field file entry an
+        object naming `<field>.f64`, with integer byte_length and crc32."""
+        if not isinstance(d, dict):
+            raise DatasetFormatError("manifest is not a JSON object")
         version = d.get("format_version")
         if version != FORMAT_VERSION:
             raise DatasetFormatError(
                 f"unsupported manifest format_version {version!r}, "
                 f"expected {FORMAT_VERSION}"
             )
+        for key, least in (("grid_interior", 1), ("num_samples", 0)):
+            value = d.get(key)
+            if type(value) is not int or value < least:
+                raise DatasetFormatError(
+                    f"manifest {key} must be an integer >= {least}, "
+                    f"got {value!r}")
+        files = d.get("field_files", {})
+        if not isinstance(files, dict):
+            raise DatasetFormatError(
+                f"manifest field_files is not an object: {files!r}")
+        for name, entry in files.items():
+            if not (isinstance(entry, dict)
+                    and entry.get("filename") == f"{name}.f64"
+                    and all(type(entry.get(key)) is int
+                            for key in ("byte_length", "crc32"))):
+                raise DatasetFormatError(
+                    f"manifest entry for {name!r} is not an object naming "
+                    f"{name}.f64 with its byte_length and crc32: {entry!r}")
         return cls(
             pde=d["pde"],
             grid_interior=d["grid_interior"],
             num_samples=d["num_samples"],
             method=d["method"],
-            field_files=d.get("field_files", {}),
+            field_files=files,
             generation=d.get("generation", {}),
             skipped_samples=d.get("skipped_samples", []),
         )

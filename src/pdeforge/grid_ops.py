@@ -26,21 +26,22 @@ from it alone and each summing a row's terms in the order N, W, C, E, S:
   nodes as the operator's zero-Dirichlet rows do. Verification
   recomputes A u with it and compares with the stored f; as it shares no
   indexing with `apply_stencil`, a slip in either shows as a residual.
-- `_five_point` writes it as a `CsrMatrix`, a `scipy.sparse.csr_array` in
-  canonical form: each row stores its entries in ascending column order
-  (north, west, center, east, south neighbors of the row-major interior
-  numbering). scipy's CSR kernel sums each row left to right from 0.0.
-  It is the tests' reference and the perf harness's; no command builds
-  it, and `scipy.sparse` is imported only when one is built.
+- `_five_point` has scipy build it as a `CsrMatrix`, a
+  `scipy.sparse.csr_array` in canonical form, from its five diagonals:
+  each row stores its nonzero entries in ascending column order (north,
+  west, center, east, south neighbors of the row-major interior
+  numbering), and scipy's CSR kernel sums each row left to right from
+  0.0. It is the tests' reference and the perf harness's; no command
+  builds it, and `scipy.sparse` is imported only when one is built.
 
 On a `u` that is zero on the boundary the three agree bit for bit, up to
-the sign of a zero: a missing CSR entry and a coefficient times a zero
-boundary value add the same nothing to a row's sum.
+the sign of a zero: a missing CSR entry, a zero coefficient and a
+coefficient times a zero boundary value add the same nothing to a row's
+sum.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from functools import lru_cache
 
@@ -108,25 +109,18 @@ def apply_operator(A, x: np.ndarray) -> np.ndarray:
     return A @ x
 
 
-def _oracle_cap() -> int:
-    raw = os.environ.get("PDEFORGE_ORACLE_CAP")
-    return int(raw) if raw else DEFAULT_ORACLE_CAP
-
-
 def dense_solve(A, b: np.ndarray) -> np.ndarray:
     """Direct LU solve of A x = b; test oracle, size-capped."""
     import scipy.linalg  # here, so importing pdeforge does not load it
-    if A.nrows != A.ncols:
+    nrows, ncols = A.shape
+    if nrows != ncols:
         raise DimensionError("dense_solve requires a square matrix")
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.nrows,):
+    if b.shape != (nrows,):
         raise DimensionError("rhs length mismatch")
-    cap = _oracle_cap()
-    if A.nrows > cap:
+    if nrows > DEFAULT_ORACLE_CAP:
         raise OracleSizeError(
-            f"n={A.nrows} exceeds dense oracle cap {cap} "
-            "(set PDEFORGE_ORACLE_CAP to raise)"
-        )
+            f"n={nrows} exceeds dense oracle cap {DEFAULT_ORACLE_CAP}")
     dense = A.toarray()
     with warnings.catch_warnings():
         # singularity is detected from the U diagonal below
@@ -153,46 +147,26 @@ def _check_field(grid: Grid2D, f, name: str) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=8)
-def _five_point_pattern(n: int) -> tuple:
-    """(keep, indices, indptr) of the canonical 5-point CSR on an n x n
-    interior: keep masks the (n, n, 5) stencil slots that are stored. The
-    arrays are read-only; a matrix gets copies of the index arrays."""
-    node = np.arange(n * n).reshape(n, n)
-    # one slot per stencil entry, in ascending column order N, W, C, E, S
-    cols = np.stack([node - n, node - 1, node, node + 1, node + n], axis=-1)
-    keep = np.ones((n, n, 5), dtype=bool)
-    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
-    indptr = np.zeros(n * n + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=-1).reshape(-1), out=indptr[1:])
-    pattern = (keep, cols[keep], indptr)
-    for arr in pattern:
-        arr.flags.writeable = False
-    return pattern
-
-
-def _stored_entries(n: int, stencil: tuple) -> np.ndarray:
-    """The entries of the 5-point CSR on an n x n interior, in the order it
-    stores them (`_five_point`)."""
-    center, north, south, west, east = stencil
-    keep = _five_point_pattern(n)[0]
-    vals = np.empty((n, n, 5))
-    for slot, coef in enumerate((north, west, center, east, south)):
-        vals[..., slot] = coef
-    return vals[keep]
-
-
 def _five_point(grid: Grid2D, center, north, south, west, east):
     """The 5-point operator as a `CsrMatrix`, whose row for interior node
     (i, j) holds center on the diagonal and north/south/west/east at the
     neighbors (i-1, j), (i+1, j), (i, j-1), (i, j+1) that are interior.
     Each coefficient is an (n, n) array over the interior nodes or a
-    scalar."""
+    scalar. scipy builds it from the diagonals at offsets -n, -1, 0, 1, n
+    of the row-major numbering and drops zero entries, among them the
+    west entries of the first column and the east entries of the last."""
+    import scipy.sparse  # here: importing it costs more than most runs
     n = grid.n_interior
-    _, indices, indptr = _five_point_pattern(n)
-    data = _stored_entries(n, (center, north, south, west, east))
-    return _csr_class()((data, indices.copy(), indptr.copy()),
-                        shape=(n * n, n * n))
+    coefs = [np.array(np.broadcast_to(c, (n, n)), dtype=np.float64)
+             for c in (north, west, center, east, south)]
+    coefs[1][:, 0] = coefs[3][:, -1] = 0.0  # no west/east of the grid edge
+    north, west, center, east, south = (c.reshape(-1) for c in coefs)
+    diagonals = [(-n, north[n:]), (-1, west[1:]), (0, center),
+                 (1, east[:-1]), (n, south[:-n])]
+    # at n = 1 only the center is not empty, and -n and -1 coincide
+    offsets, values = zip(*[(k, d) for k, d in diagonals if d.size])
+    A = scipy.sparse.diags(values, offsets, shape=(n * n, n * n), format="csr")
+    return _csr_class()(A)
 
 
 def apply_stencil(stencil: tuple, u_nodes: np.ndarray,
@@ -231,12 +205,6 @@ class StencilOperator:
         interior[...] = np.reshape(x, interior.shape)
         out = np.empty(interior.shape)
         return apply_stencil(self.stencil, self._nodes, out).reshape(-1)
-
-    @property
-    def data(self) -> np.ndarray:
-        """The entries of the CSR form, in the order it stores them, so
-        that their norm is the CSR's ||A||_F bit for bit."""
-        return _stored_entries(self.grid.n_interior, self.stencil)
 
 
 @lru_cache(maxsize=8)

@@ -9,9 +9,9 @@ precision as long as the new vector is not numerically dependent on the
 basis ("twice is enough", Giraud, Langou & Rozloznik, Comput. Math. Appl.
 2005). The dependent case is the happy breakdown, tested separately. Both
 passes are matrix-vector products, so the step costs two BLAS-2 calls
-rather than a Python loop over the basis. The operator is applied
-matrix-free: the program passes a `grid_ops.StencilOperator`, whose
-product equals the CSR product bit for bit, and a `CsrMatrix` works too.
+rather than a Python loop over the basis. GMRES reads only `A.shape` and
+`A @ x`: the program passes a `grid_ops.StencilOperator`, which applies
+the stencil matrix-free, and a `CsrMatrix` works too.
 
 The least-squares problem is solved incrementally with Givens rotations. The
 trace records, per iteration, the recurrence residual norm, the Arnoldi
@@ -19,27 +19,26 @@ subdiagonal h_{j+1,j}, and |y_j| from the square Hessenberg solve; the
 residual norm is bounded by h_{j+1,j} * |y_j| (the square-system solve makes
 the bound exact up to rounding), which verify_residual_bound checks.
 
-GMRES takes an optional right preconditioner, a callable applying M^{-1}.
-Arnoldi then runs on A M^{-1} from r0 = b - A x0, and the iterate is
-x = x0 + M^{-1} V^T y. Right preconditioning leaves the residual alone:
-b - A x = r0 - A M^{-1} V^T y, so the recurrence residual, the trace, the
-bound check and the explicit true-residual check all still measure
-||b - A x||. With a preconditioner, `keep_basis` returns the orthonormal
-basis of the Krylov space of A M^{-1}, not of A, and the happy-breakdown
-test is scaled to A M^{-1} rather than to ||A||_F.
+GMRES starts from x0 = 0, so r0 = b, and takes an optional right
+preconditioner, a callable applying M^{-1} (M = I without one). Arnoldi
+runs on A M^{-1}, and the iterate is x = M^{-1} V^T y. Right
+preconditioning leaves the residual alone: b - A x = b - A M^{-1} V^T y,
+so the recurrence residual, the trace, the bound check and the explicit
+true-residual check all still measure ||b - A x||. With a preconditioner,
+`keep_basis` returns the orthonormal basis of the Krylov space of
+A M^{-1}, not of A.
 
-Happy breakdown is h_{j+1,j} <= HAPPY_BREAKDOWN_REL * scale. Without a
-preconditioner the scale is ||A||_F. With one it is sqrt(N) times the
-largest ||A M^{-1} v_j|| seen, for N unknowns. The factor sqrt(N) is the
-growth of the rounding error of one application of A M^{-1}: the fast
-Poisson solve is four dense n x n products (n = sqrt(N)), and an n-term
-dot product's rounding error bound grows like n * eps. At an exact
-preconditioner the first subdiagonal is that rounding alone; with the
-bare Laplacian it measured 1.1-2.1e-16 * sqrt(N) for n = 4..128. Without
-the factor the threshold falls below it from n = 64 on, and GMRES
-iterated on rounding noise until max_iter. ||A||_F needs no such factor:
-for a stencil whose N rows have similar norms it is already about sqrt(N)
-times ||A||_2.
+Happy breakdown is h_{j+1,j} <= HAPPY_BREAKDOWN_REL * sqrt(N) *
+max_j ||A M^{-1} v_j||, for N unknowns and the Arnoldi vectors v_j built
+so far. The factor sqrt(N) is the growth of the rounding error of one
+application of A M^{-1}: the fast Poisson solve is four dense n x n
+products (n = sqrt(N)), and an n-term dot product's rounding error bound
+grows like n * eps. At an exact preconditioner the first subdiagonal is
+that rounding alone; with the bare Laplacian it measured
+1.1-2.1e-16 * sqrt(N) for n = 4..128. Without the factor the threshold
+falls below it from n = 64 on, and GMRES iterated on rounding noise until
+max_iter. Without a preconditioner ||A v_j|| <= ||A||_2, so for a stencil,
+whose N rows have similar norms, the scale is at most about ||A||_F.
 """
 
 from __future__ import annotations
@@ -104,71 +103,50 @@ class SolveReport:
     arnoldi_basis: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _check_system(A, b: np.ndarray, x0):
-    nrows, ncols = A.shape
-    if nrows != ncols:
-        raise DimensionError("solver requires a square matrix")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (nrows,):
-        raise DimensionError("rhs length mismatch")
-    if x0 is None:
-        x0 = np.zeros(nrows)
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (nrows,):
-            raise DimensionError("x0 length mismatch")
-    return b, x0
-
-
 def gmres(
     A,
     b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     opts: SolveOptions = SolveOptions(),
     keep_basis: bool = False,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> SolveReport:
-    """Full GMRES on a square operator A, anything with `shape` and `@`
-    (a `StencilOperator` or a `CsrMatrix`); terminates on relative true
-    residual <= tol, happy breakdown, or max_iter. precond, when given, applies M^{-1} on the
-    right: Arnoldi runs on A M^{-1} and x = x0 + M^{-1} V^T y."""
+    """Full GMRES from x0 = 0 on a square operator A, anything with `shape`
+    and `@` (a `StencilOperator` or a `CsrMatrix`); terminates on relative
+    true residual <= tol, happy breakdown, or max_iter. precond, when
+    given, applies M^{-1} on the right: Arnoldi runs on A M^{-1} and
+    x = M^{-1} V^T y."""
     t0 = time.perf_counter()
-    b, x0 = _check_system(A, b, x0)
-    n = A.shape[0]
+    n, ncols = A.shape
+    if n != ncols:
+        raise DimensionError("solver requires a square matrix")
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n,):
+        raise DimensionError("rhs length mismatch")
     b_norm = float(np.linalg.norm(b))
     scale = b_norm if b_norm > 0 else 1.0
-
-    r0 = b - A @ x0
-    beta = float(np.linalg.norm(r0))
     trace: Optional[list] = [] if opts.record_trace else None
-    if beta / scale <= opts.tol:
-        return SolveReport(x0.copy(), 0, True, beta / scale, b_norm,
+    if b_norm / scale <= opts.tol:
+        return SolveReport(np.zeros(n), 0, True, b_norm / scale, b_norm,
                            time.perf_counter() - t0, trace)
 
-    # the happy-breakdown scale (module docstring): ||A||_F, or for
-    # A M^{-1} sqrt(N) times the largest ||A M^{-1} v_j|| seen so far
-    # (||A||_F would be far too loose a scale for a preconditioned
-    # operator near the identity). A.data is a CSR's stored entries; a
-    # StencilOperator lists the same entries in the same order.
-    op_scale = float(np.linalg.norm(A.data)) if precond is None else 0.0
+    # the happy-breakdown scale (module docstring): sqrt(N) times the
+    # largest ||A M^{-1} v_j|| seen so far
+    op_scale = 0.0
 
     m_cap = min(opts.max_iter, n)
     cap = min(64, m_cap + 1)
     V = np.empty((cap, n))
-    V[0] = r0 / beta
+    V[0] = b / b_norm
     H = np.zeros((m_cap + 1, m_cap))  # rotated upper-triangular columns
     cs, sn = [], []  # Givens rotations, as Python floats
-    g = [beta]  # rotated right-hand side beta * e_1
+    g = [b_norm]  # rotated right-hand side ||b|| * e_1
 
     def solve_y(j):
         return np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
 
     def finish(j, converged, relres, basis_rows):
-        if j > 0:
-            z = V[:j].T @ solve_y(j - 1)
-            x = x0 + (z if precond is None else precond(z))
-        else:
-            x = x0.copy()
+        z = V[:j].T @ solve_y(j - 1)
+        x = z if precond is None else precond(z)
         basis = V[:basis_rows].copy() if keep_basis else None
         return SolveReport(x, j, converged, relres, b_norm,
                            time.perf_counter() - t0, trace, basis)
@@ -177,11 +155,8 @@ def gmres(
         return float(np.linalg.norm(b - A @ rep.x) / scale)
 
     for j in range(m_cap):
-        if precond is None:
-            w = A @ V[j]
-        else:
-            w = A @ precond(V[j])
-            op_scale = max(op_scale, math.sqrt(n) * float(np.linalg.norm(w)))
+        w = A @ (V[j] if precond is None else precond(V[j]))
+        op_scale = max(op_scale, math.sqrt(n) * float(np.linalg.norm(w)))
         if not np.all(np.isfinite(w)):
             raise NumericalBreakdownError(f"non-finite SpMV at iteration {j + 1}")
         # classical Gram-Schmidt, applied twice

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -270,7 +271,32 @@ class TestBenchCommand:
         assert len(payload["records"]) == 2 * 4
 
 
+# one darcy sample on a 2 x 2 interior: fields of 16 nodes, zero bytes
+ZERO_FILES = {name: {"filename": f"{name}.f64", "byte_length": 128,
+                     "crc32": zlib.crc32(bytes(128))} for name in "afu"}
+
+
+def write_zero_fields(dir):
+    for name in "afu":
+        (dir / f"{name}.f64").write_bytes(bytes(128))
+
+
+def darcy_manifest(**changes):
+    """manifest.json text that describes the files of write_zero_fields,
+    with changes to its keys."""
+    return json.dumps({"format_version": 1, "pde": "darcy",
+                       "grid_interior": 2, "num_samples": 1,
+                       "method": "classic", "field_files": ZERO_FILES,
+                       **changes})
+
+
 class TestManifestFuzzing:
+    def test_unchanged_manifest_is_read(self, capsys, tmp_path):
+        write_zero_fields(tmp_path)
+        (tmp_path / "manifest.json").write_text(darcy_manifest())
+        code, out, _ = run(["inspect", "--data", str(tmp_path)], capsys)
+        assert code == 0 and json.loads(out)["num_samples"] == 1
+
     @pytest.mark.parametrize("mutation", [
         "not json at all {{{",
         json.dumps({"format_version": 1}),
@@ -280,9 +306,20 @@ class TestManifestFuzzing:
         json.dumps({"format_version": 1, "pde": "bogus", "grid_interior": 2,
                     "num_samples": 1, "method": "classic",
                     "field_files": {}}),
+        json.dumps([1, 2, 3]),
+        # 4 samples of 2 x 2 nodes fill the files as 1 of 4 x 4 does
+        darcy_manifest(grid_interior=0, num_samples=4),
+        *[darcy_manifest(grid_interior=n) for n in ("x", 2.0, None)],
+        *[darcy_manifest(num_samples=count) for count in (1.0, None)],
+        darcy_manifest(field_files={**ZERO_FILES, "u": "u.f64"}),
+        darcy_manifest(field_files={**ZERO_FILES, "u": ZERO_FILES["a"]}),
+        darcy_manifest(field_files={**ZERO_FILES, "a": {"crc32": 0}}),
+        darcy_manifest(field_files={**ZERO_FILES, "u": {"filename": "u.f64"}}),
+        darcy_manifest(pde=["darcy"]),
     ])
     def test_malformed_manifest_never_crashes(self, capsys, tmp_path,
                                               mutation):
+        write_zero_fields(tmp_path)
         (tmp_path / "manifest.json").write_text(mutation)
         code, _, _ = run(["verify", "--data", str(tmp_path)], capsys)
         assert code == 3

@@ -103,8 +103,8 @@ class TestBasisPool:
         from pdeforge import generator as gen_mod
         orig = gen_mod.gmres
 
-        def crippled(A, b, x0=None, opts=None, **kw):
-            return orig(A, b, x0, SolveOptions(tol=opts.tol, max_iter=1))
+        def crippled(A, b, opts=None, **kw):
+            return orig(A, b, opts=SolveOptions(tol=opts.tol, max_iter=1))
 
         gen_mod.gmres, saved = crippled, gen_mod.gmres
         try:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdeforge import grid_ops
 from pdeforge.fields import GrfParams, RngStream, sample_grf, sample_uniform
 from pdeforge.generator import draw_coefficients
 from pdeforge.grid import FieldSample, Grid2D, GridError
@@ -178,6 +179,13 @@ class TestPaperNormalized:
                 row = dense[3 * i + j]
                 neighbors = (i > 0) + (i < 2) + (j > 0) + (j < 2)
                 assert np.count_nonzero(row) == neighbors + 1
+
+    def test_zero_diagonal_is_not_stored(self):
+        A = assemble_helmholtz_paper_normalized(Grid2D(3), 4.0)
+        assert A.nnz == 5 * 9 - 4 * 3 - 9  # no diagonal
+        np.testing.assert_array_equal(
+            A.toarray(), assemble_helmholtz_paper_normalized(
+                Grid2D(3), 0.0).toarray() + 4.0 * np.eye(9))
 
 
 class TestDiffusionReaction:
@@ -360,7 +368,7 @@ class TestDenseSolve:
             dense_solve(A, np.ones(2))
 
     def test_size_cap(self, monkeypatch):
-        monkeypatch.setenv("PDEFORGE_ORACLE_CAP", "3")
+        monkeypatch.setattr(grid_ops, "DEFAULT_ORACLE_CAP", 3)
         with pytest.raises(OracleSizeError):
             dense_solve(CsrMatrix(np.eye(4)), np.ones(4))
 

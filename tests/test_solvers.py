@@ -127,11 +127,26 @@ class TestGmres:
         assert V.shape == (rep.iterations, 4)
         np.testing.assert_allclose(V @ V.T, np.eye(rep.iterations), atol=1e-14)
 
-    def test_x0_respected(self):
-        A, b = darcy_system(6, 8)
-        x_star = dense_solve(A, b)
-        rep = gmres(A, b, x0=x_star, opts=SolveOptions(tol=1e-8))
-        assert rep.converged and rep.iterations == 0
+    @pytest.mark.parametrize("pde", ["darcy", "helmholtz", "diffusion"])
+    @pytest.mark.parametrize("precond", [False, True])
+    def test_needs_only_shape_and_matmul(self, pde, precond):
+        class Bare:  # exactly what gmres may read of its operator
+            def __init__(self, A):
+                self.shape, self._A = A.shape, A
+
+            def __matmul__(self, x):
+                return self._A @ x
+
+        gen = RngStream(4, "basis_params", 0).generator()
+        coeffs = draw_coefficients(pde, Grid2D(12), gen)
+        b = draw_forcing(pde, Grid2D(12), gen).interior()
+        kwargs = dict(opts=SolveOptions(tol=1e-10), precond=(
+            coeffs.preconditioner() if precond else None))
+        ref = gmres(coeffs.operator(), b, **kwargs)
+        rep = gmres(Bare(coeffs.operator()), b, **kwargs)
+        assert rep.converged and rep.iterations == ref.iterations
+        np.testing.assert_array_equal(rep.x.view(np.uint64),
+                                      ref.x.view(np.uint64))
 
 
 class TestResidualBound:
