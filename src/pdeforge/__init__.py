@@ -28,16 +28,7 @@ from .generator import (
     verify_dataset,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import (
-    apply_operator,
-    assemble_helmholtz_paper_normalized,
-    dense_solve,
-)
-from .solvers import (
-    SolveOptions,
-    SolveReport,
-    gmres,
-    verify_residual_bound,
-)
+from .grid_ops import apply_operator
+from .solvers import SolveOptions, SolveReport, gmres
 
 __version__ = "0.1.0"

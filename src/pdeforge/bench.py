@@ -195,10 +195,9 @@ def fit_speedup_regression(records: list, solver_tol: float) -> RegressionResult
     y = np.array([p[1] for p in points], dtype=float)
     if np.ptp(y) == 0.0:
         return RegressionResult(0.0, float(y[0]), 0.0, points, degenerate=True)
-    import scipy.stats  # here: it takes most of a second to import
-    fit = scipy.stats.linregress(x, y)
-    return RegressionResult(float(fit.slope), float(fit.intercept),
-                            float(fit.rvalue), points)
+    slope, intercept = np.polyfit(x, y, 1)
+    return RegressionResult(float(slope), float(intercept),
+                            float(np.corrcoef(x, y)[0, 1]), points)
 
 
 CSV_COLUMNS = ["method", "pde", "dim", "tol", "samples", "repeats",

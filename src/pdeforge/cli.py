@@ -121,13 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_number(value: float):
+    """value, or None for NaN and infinities: the commands print strict
+    JSON, in which those are written as null."""
+    return value if math.isfinite(value) else None
+
+
 def _field_stats(fs) -> dict:
-    return {
-        "min": float(fs.values.min()),
-        "max": float(fs.values.max()),
-        "mean": float(fs.values.mean()),
-        "boundary_max_abs": fs.boundary_max_abs(),
-    }
+    return {key: _json_number(value) for key, value in (
+        ("min", float(fs.values.min())),
+        ("max", float(fs.values.max())),
+        ("mean", float(fs.values.mean())),
+        ("boundary_max_abs", fs.boundary_max_abs()))}
 
 
 def cmd_generate(args) -> int:
@@ -188,10 +193,9 @@ def cmd_verify(args) -> int:
         return EXIT_FAIL
     print(json.dumps({
         "samples": report.num_samples,
-        # strict JSON: a NaN or infinite residual is written as null
-        **{key: value if math.isfinite(value) else None for key, value in (
-            ("max_relative_residual", report.max_relative_residual),
-            ("mean_relative_residual", report.mean_relative_residual))},
+        "max_relative_residual": _json_number(report.max_relative_residual),
+        "mean_relative_residual": _json_number(
+            report.mean_relative_residual),
         "tol": report.tol,
         "failing_indices": report.failing_indices[:32],
         "passed": report.passed,
@@ -273,7 +277,7 @@ def cmd_inspect(args) -> int:
         out["sample"] = {"index": k, "field": name,
                          "num_values": int(fs.values.size),
                          **_field_stats(fs)}
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -200,7 +200,8 @@ class PdeCoefficients:
 
     def assemble(self):
         """The operator as a `CsrMatrix` over the interior unknowns: the
-        tests' reference form (imports scipy.sparse)."""
+        reference form that the tests and the perf harness compare with
+        (imports scipy.sparse); no command builds it."""
         return _five_point(self.grid, *self.stencil())
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -12,7 +12,7 @@ array: the sparse matrix-vector product without building the matrix.
 Every GMRES solve applies the stencil matrix-free as well, and
 verification recomputes A u with the stencil's index-gather form
 (`verify_dataset`); `grid_ops` tells how the forms check each other. No
-path builds a CSR matrix or imports scipy.sparse.
+path builds a CSR matrix or imports scipy.
 
 Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
 indices starting at a multiple of SAMPLE_BLOCK (`_diffoas_block`), one
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -327,7 +327,9 @@ def generate_diffoas(
 
     The pool is the pool argument when given; otherwise basis_kind switches
     it to an ablation basis ("grf", "fourier", "chebyshev"), and None
-    solves basis functions with `build_basis_pool`, on every call.
+    solves basis functions with `build_basis_pool`, on every call. The
+    samples and the manifest take n_basis, and so delta, from the pool's
+    size.
 
     The manifest records where the pool came from in generation["pool"]:
     "cache" is "given" (the pool argument), "solved" (built by this call)
@@ -347,6 +349,9 @@ def generate_diffoas(
     else:
         pool, cache = make_ablation_pool(config, basis_kind), "none"
     basis_seconds = time.perf_counter() - t0
+    if pool.size < 1:
+        raise GenerationError("basis pool is empty")
+    config = replace(config, n_basis=pool.size)
 
     t1 = time.perf_counter()
     manifest = _base_manifest(

@@ -1,13 +1,10 @@
-"""Finite-difference 5-point operators: stencils, their three forms, dense oracle.
+"""Finite-difference 5-point operators: stencils and their three forms.
 
 Three operators on zero-Dirichlet interior unknowns:
 
   Darcy flow            -div(a grad u) = f,  flux-form 5-point, SPD
   Helmholtz             lap(u) + k2*u = f
   Diffusion-reaction    div(k grad u) + q*u = f
-
-plus a unit-spacing Helmholtz assembly (diagonal -4+k, unit
-off-diagonals, no 1/h^2 scaling) kept for golden tests.
 
 Each family's operator is described once, as a stencil `(center, north,
 south, west, east)` of coefficients over the interior nodes
@@ -42,14 +39,11 @@ sum.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import FieldSample, Grid2D
-
-DEFAULT_ORACLE_CAP = 4096
 
 
 class DimensionError(ValueError):
@@ -57,14 +51,6 @@ class DimensionError(ValueError):
 
 
 class EllipticityError(ValueError):
-    pass
-
-
-class SingularMatrixError(ValueError):
-    pass
-
-
-class OracleSizeError(ValueError):
     pass
 
 
@@ -107,29 +93,6 @@ def apply_operator(A, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"operand length {x.shape} != ncols {A.shape[1]}")
     return A @ x
-
-
-def dense_solve(A, b: np.ndarray) -> np.ndarray:
-    """Direct LU solve of A x = b; test oracle, size-capped."""
-    import scipy.linalg  # here, so importing pdeforge does not load it
-    nrows, ncols = A.shape
-    if nrows != ncols:
-        raise DimensionError("dense_solve requires a square matrix")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (nrows,):
-        raise DimensionError("rhs length mismatch")
-    if nrows > DEFAULT_ORACLE_CAP:
-        raise OracleSizeError(
-            f"n={nrows} exceeds dense oracle cap {DEFAULT_ORACLE_CAP}")
-    dense = A.toarray()
-    with warnings.catch_warnings():
-        # singularity is detected from the U diagonal below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if not np.all(diag > np.finfo(np.float64).tiny):
-        raise SingularMatrixError("matrix is singular to working precision")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def _check_field(grid: Grid2D, f, name: str) -> np.ndarray:
@@ -333,13 +296,3 @@ def diffusion_stencil(grid: Grid2D, k, q) -> tuple:
         )
     center, *neighbors = _flux_form(grid, kv, sign=+1.0)
     return (center + qv[..., 1:-1, 1:-1], *neighbors)
-
-
-def assemble_helmholtz_paper_normalized(grid, k: float):
-    """Unit-spacing Helmholtz stencil: diagonal -4+k, off-diagonals 1.
-
-    Accepts a Grid2D or a bare interior size n.
-    """
-    if not isinstance(grid, Grid2D):
-        grid = Grid2D(int(grid))
-    return _five_point(grid, -4.0 + k, 1.0, 1.0, 1.0, 1.0)

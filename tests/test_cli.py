@@ -40,6 +40,30 @@ class TestHelp:
             assert sub in out
 
 
+def nan_in_u_of_sample_1(tmp_path, capsys):
+    """A dataset of 3 darcy samples whose stored u holds a NaN at an
+    interior node of sample 1, with its CRC-32 rewritten to match."""
+    out = tmp_path / "d"
+    run(["generate", "--grid", "8", "--samples", "3", "--basis", "2",
+         "--out", str(out)], capsys)
+    path = out / "u.f64"
+    u = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    u[100 + 45] = np.nan
+    path.write_bytes(u.tobytes())
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["field_files"]["u"]["crc32"] = checksum_field(out, "u")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return out
+
+
+def strict_json(text):
+    """text parsed as JSON, rejecting the NaN and Infinity extensions."""
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         code, _, err = run(["generate", "--out", "x", "--frobnicate"], capsys)
@@ -183,22 +207,9 @@ class TestGenerateVerifyInspect:
 
     def test_verify_nan_residual_fails(self, capsys, tmp_path):
         # and its report stays strict JSON
-        out = tmp_path / "d"
-        run(["generate", "--grid", "8", "--samples", "3", "--basis", "2",
-             "--out", str(out)], capsys)
-        path = out / "u.f64"
-        u = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
-        u[100 + 45] = np.nan  # an interior node of sample 1
-        path.write_bytes(u.tobytes())
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["field_files"]["u"]["crc32"] = checksum_field(out, "u")
-        (out / "manifest.json").write_text(json.dumps(manifest))
+        out = nan_in_u_of_sample_1(tmp_path, capsys)
         code, stdout, _ = run(["verify", "--data", str(out)], capsys)
-
-        def reject(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
-        report = json.loads(stdout, parse_constant=reject)
+        report = strict_json(stdout)
         assert code == 1
         assert report["passed"] is False
         assert report["max_relative_residual"] is None
@@ -227,6 +238,18 @@ class TestGenerateVerifyInspect:
         assert code == 0
         stats = json.loads(out)["stats"]
         assert stats["u"]["boundary_max_abs"] == 0.0
+
+    @pytest.mark.parametrize("flags", [
+        ["--stats"], ["--stats", "--field", "u"], ["--field", "u"]])
+    def test_inspect_nan_field_is_strict_json(self, capsys, tmp_path, flags):
+        out = nan_in_u_of_sample_1(tmp_path, capsys)
+        code, stdout, _ = run(["inspect", "--data", str(out), "--sample", "1",
+                               *flags], capsys)
+        assert code == 0
+        doc = strict_json(stdout)
+        stats = doc["stats"]["u"] if "--stats" in flags else doc["sample"]
+        assert stats["min"] is stats["max"] is stats["mean"] is None
+        assert stats["boundary_max_abs"] == 0.0
 
     def test_inspect_sample_field(self, capsys, dataset_dir):
         code, out, _ = run(["inspect", "--data", str(dataset_dir),
@@ -353,9 +376,9 @@ HEAVY_SCIPY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.sparse")
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats (the bench regression), scipy.linalg (the dense test
-    # oracle) and scipy.sparse (the CSR reference form) each take longer
-    # to import than a small run takes; generate and verify use none
+    # scipy.stats, scipy.linalg and scipy.sparse (the tests' CSR reference
+    # form) each take longer to import than a small run takes; no command
+    # uses them
     code = ("import sys, pdeforge.cli; "
             f"print([m for m in {HEAVY_SCIPY_MODULES} if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], check=True,
@@ -364,7 +387,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 
 def test_commands_run_without_scipy_sparse(tmp_path):
-    # generate, verify and inspect, one after another in a fresh process
+    # generate, verify, inspect and bench with its regression fit, one
+    # after another in a fresh process
     code = f"""
 import sys
 from pdeforge.cli import main
@@ -376,6 +400,9 @@ for method in ("diffoas", "classic", "ablation-fourier"):
     assert main(["verify", "--data", data, "--tol",
                  "1e-4" if method == "classic" else "1e-12"]) == 0
     assert main(["inspect", "--data", data, "--stats"]) == 0
+assert main(["bench", "--dims", "16,25,36", "--tols", "1e-3", "--samples",
+             "1", "--repeats", "3", "--basis", "2", "--out",
+             f"{{out}}/bench.csv"]) == 0
 print([m for m in {HEAVY_SCIPY_MODULES} if m in sys.modules])
 """
     result = subprocess.run([sys.executable, "-c", code], check=True,

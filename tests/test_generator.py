@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -29,7 +30,7 @@ from pdeforge.generator import (
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
-from pdeforge.grid_ops import EllipticityError, apply_operator, dense_solve
+from pdeforge.grid_ops import EllipticityError, apply_operator
 from pdeforge.solvers import SolveOptions, gmres
 
 
@@ -130,7 +131,7 @@ class TestPreconditionedPool:
             assert (np.linalg.norm(A @ x - b)
                     <= config.solver_tol * np.linalg.norm(b))
             if n <= 32:
-                x_ref = dense_solve(A, b)
+                x_ref = np.linalg.solve(A.toarray(), b)
                 assert (np.linalg.norm(x - x_ref)
                         <= 1e-4 * np.linalg.norm(x_ref))
 
@@ -455,6 +456,27 @@ class TestAblation:
         assert verify_dataset(ds, 1e-12).passed
         for k in range(3):
             assert ds.field_sample("u", k).boundary_max_abs() == 0.0
+
+    @pytest.mark.parametrize("kind", ["grf", "fourier", "chebyshev", "given"])
+    def test_manifest_describes_the_pool_used(self, tmp_path, kind):
+        # n_basis and delta are those of the pool the samples combine, not
+        # the config's n_basis (4) when the pool has another size
+        config = small_config(num_samples=3)
+        if kind == "given":
+            pool = build_basis_pool(small_config(n_basis=2))
+            ds = generate_diffoas(config, tmp_path / kind, pool=pool)
+        else:
+            ds = generate_diffoas(config, tmp_path / kind, basis_kind=kind)
+        generation = ds.manifest.generation
+        size = generation["pool_size"]
+        assert generation["n_basis"] == size != config.n_basis
+        assert generation["delta"] == 1e-3 * math.sqrt(size)
+
+    def test_empty_given_pool_is_a_generation_error(self, tmp_path):
+        pool = BasisPool(Grid2D(10), [])
+        with pytest.raises(GenerationError, match="empty"):
+            generate_diffoas(small_config(), tmp_path / "d", pool=pool)
+        assert not (tmp_path / "d" / "manifest.json").exists()
 
 
 class TestVerify:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdeforge import grid_ops
 from pdeforge.fields import GrfParams, RngStream, sample_grf, sample_uniform
 from pdeforge.generator import draw_coefficients
 from pdeforge.grid import FieldSample, Grid2D, GridError
@@ -12,12 +11,8 @@ from pdeforge.grid_ops import (
     _five_point,
     DimensionError,
     EllipticityError,
-    OracleSizeError,
-    SingularMatrixError,
     apply_operator,
-    assemble_helmholtz_paper_normalized,
     darcy_stencil,
-    dense_solve,
     diffusion_stencil,
     helmholtz_stencil,
 )
@@ -167,12 +162,12 @@ class TestHelmholtz:
 class TestPaperNormalized:
     @pytest.mark.parametrize("k", [0.0, 1.0, -4.0])
     def test_printed_matrix(self, k):
-        A = assemble_helmholtz_paper_normalized(Grid2D(2), k)
+        A = _five_point(Grid2D(2), -4.0 + k, 1, 1, 1, 1)
         np.testing.assert_array_equal(
             A.toarray(), PAPER_4X4 + k * np.eye(4))
 
     def test_n3_structure(self):
-        A = assemble_helmholtz_paper_normalized(Grid2D(3), 0.0)
+        A = _five_point(Grid2D(3), -4.0, 1, 1, 1, 1)
         dense = A.toarray()
         for i in range(3):
             for j in range(3):
@@ -181,11 +176,12 @@ class TestPaperNormalized:
                 assert np.count_nonzero(row) == neighbors + 1
 
     def test_zero_diagonal_is_not_stored(self):
-        A = assemble_helmholtz_paper_normalized(Grid2D(3), 4.0)
+        A = _five_point(Grid2D(3), 0.0, 1, 1, 1, 1)
         assert A.nnz == 5 * 9 - 4 * 3 - 9  # no diagonal
         np.testing.assert_array_equal(
-            A.toarray(), assemble_helmholtz_paper_normalized(
-                Grid2D(3), 0.0).toarray() + 4.0 * np.eye(9))
+            A.toarray(),
+            _five_point(Grid2D(3), -4.0, 1, 1, 1, 1).toarray()
+            + 4.0 * np.eye(9))
 
 
 class TestDiffusionReaction:
@@ -237,7 +233,7 @@ class TestApplyOperator:
         np.testing.assert_array_equal(apply_operator(A, x), x)
 
     def test_paper_row_sums(self):
-        A = assemble_helmholtz_paper_normalized(Grid2D(2), 0.0)
+        A = _five_point(Grid2D(2), -4.0, 1, 1, 1, 1)
         np.testing.assert_array_equal(
             apply_operator(A, np.ones(4)), [-2.0, -2.0, -2.0, -2.0])
 
@@ -341,34 +337,3 @@ class TestStencils:
     def test_node_array_of_another_grid_rejected(self):
         with pytest.raises(DimensionError):
             darcy_stencil(Grid2D(4), np.ones((3, 5, 5)))
-
-
-class TestDenseSolve:
-    def test_identity(self):
-        b = np.arange(5.0)
-        np.testing.assert_array_equal(dense_solve(CsrMatrix(np.eye(5)), b), b)
-
-    def test_paper_inverse(self):
-        A = assemble_helmholtz_paper_normalized(Grid2D(2), 0.0)
-        x = dense_solve(A, np.full(4, -2.0))
-        np.testing.assert_allclose(x, np.ones(4), rtol=1e-13)
-
-    def test_spd_residual(self):
-        g = Grid2D(3)
-        A = _five_point(g, *darcy_stencil(g, random_field(g, 4)))
-        b = np.random.default_rng(2).standard_normal(9)
-        x = dense_solve(A, b)
-        r = apply_operator(A, x) - b
-        assert np.linalg.norm(r) / np.linalg.norm(b) <= 1e-12
-
-    def test_singular_detection(self):
-        A = CsrMatrix((np.array([1.0, 1.0]), np.array([0, 0]),
-                       np.array([0, 1, 2])), shape=(2, 2))
-        with pytest.raises(SingularMatrixError):
-            dense_solve(A, np.ones(2))
-
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(grid_ops, "DEFAULT_ORACLE_CAP", 3)
-        with pytest.raises(OracleSizeError):
-            dense_solve(CsrMatrix(np.eye(4)), np.ones(4))
-
