@@ -28,6 +28,7 @@ from .generator import (
     GenerationError,
     generate_classic,
     generate_diffoas,
+    make_ablation_pool,
     verify_dataset,
 )
 from .grid import Grid2D
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--samples", type=int, default=100,
                    help="number of samples (default: 100)")
     g.add_argument("--basis", type=int, default=None,
-                   help="basis pool size (default: per-PDE)")
+                   help="diffoas basis pool size (default: per-PDE)")
     g.add_argument("--tol", type=float, default=1e-5,
                    help="solver tolerance (default: 1e-5)")
     g.add_argument("--eta", type=float, default=0.01,
@@ -140,6 +141,8 @@ def cmd_generate(args) -> int:
         _usage_error("--samples must be >= 1")
     if args.threads < 1:
         _usage_error("--threads must be >= 1")
+    if args.basis is not None and args.method != "diffoas":
+        _usage_error("--basis applies to --method diffoas only")
     try:
         grid = Grid2D(args.grid)
         config = GenerationConfig(
@@ -154,10 +157,10 @@ def cmd_generate(args) -> int:
         if args.method == "classic":
             dataset = generate_classic(config, Path(args.out), args.threads)
         else:
-            kind = args.method.removeprefix("ablation-")
-            dataset = generate_diffoas(
-                config, Path(args.out), args.threads,
-                basis_kind=None if kind == "diffoas" else kind)
+            pool = None if args.method == "diffoas" else make_ablation_pool(
+                config, args.method.removeprefix("ablation-"))
+            dataset = generate_diffoas(config, Path(args.out), args.threads,
+                                       pool)
     except GenerationError as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return EXIT_GENERATION

@@ -26,7 +26,9 @@ import numpy as np
 from .families import FAMILIES
 from .grid import FieldSample, Grid2D
 
-FORMAT_VERSION = 1
+# the layout contract above, as every manifest.json states it
+FORMAT = {"format_version": 1, "dtype": "float64-le",
+          "layout": "sample-major,row-major-nodes-including-boundary"}
 CHECKSUM_CHUNK = 1 << 20  # bytes per read in checksum_field
 
 # the stored fields of each family at import; DatasetManifest.field_names
@@ -51,9 +53,6 @@ class DatasetManifest:
     field_files: dict = field(default_factory=dict)
     generation: dict = field(default_factory=dict)
     skipped_samples: list = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
-    dtype: str = "float64-le"
-    layout: str = "sample-major,row-major-nodes-including-boundary"
 
     @property
     def field_names(self) -> tuple:
@@ -67,13 +66,11 @@ class DatasetManifest:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            **FORMAT,
             "pde": self.pde,
             "grid_interior": self.grid_interior,
             "num_samples": self.num_samples,
             "method": self.method,
-            "dtype": self.dtype,
-            "layout": self.layout,
             "field_files": self.field_files,
             "generation": self.generation,
             "skipped_samples": self.skipped_samples,
@@ -82,17 +79,17 @@ class DatasetManifest:
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
         """The manifest of a parsed manifest.json; DatasetFormatError
-        unless it is an object of the current format_version with
+        unless it is an object that states this FORMAT, with
         grid_interior >= 1, num_samples >= 0, and each field file entry an
         object naming `<field>.f64`, with integer byte_length and crc32."""
         if not isinstance(d, dict):
             raise DatasetFormatError("manifest is not a JSON object")
-        version = d.get("format_version")
-        if version != FORMAT_VERSION:
-            raise DatasetFormatError(
-                f"unsupported manifest format_version {version!r}, "
-                f"expected {FORMAT_VERSION}"
-            )
+        for key, expected in FORMAT.items():
+            value = d.get(key)  # of the same type: true and 1.0 == 1
+            if type(value) is not type(expected) or value != expected:
+                raise DatasetFormatError(
+                    f"unsupported manifest {key} {value!r}, "
+                    f"expected {expected!r}")
         for key, least in (("grid_interior", 1), ("num_samples", 0)):
             value = d.get(key)
             if type(value) is not int or value < least:

@@ -321,41 +321,43 @@ def generate_diffoas(
     out_dir: Path,
     threads: int = 1,
     pool: Optional[BasisPool] = None,
-    basis_kind: Optional[str] = None,
 ) -> Dataset:
     """Operator-action generation; writes the dataset under out_dir.
 
-    The pool is the pool argument when given; otherwise basis_kind switches
-    it to an ablation basis ("grf", "fourier", "chebyshev"), and None
-    solves basis functions with `build_basis_pool`, on every call. The
-    samples and the manifest take n_basis, and so delta, from the pool's
-    size.
+    pool None solves one with `build_basis_pool`, on every call. A given
+    pool is used as it is; an ablation pool (`make_ablation_pool`) names
+    its kind in its key, and the manifest method is then "ablation-<kind>".
+    The samples and the manifest take n_basis, and so delta, from the
+    pool's size. An empty pool, or one on another grid, raises
+    GenerationError before out_dir is touched.
 
     The manifest records where the pool came from in generation["pool"]:
-    "cache" is "given" (the pool argument), "solved" (built by this call)
-    or "none" (ablation bases), and "solves" lists each basis solve's
-    index, iterations and final relative residual. A solved pool also
-    records the "preconditioner" of its solves (from the pool's key).
-    Solve wall times go to generation["timings"]["pool_solve_seconds"], so
-    the rest of the manifest stays byte-identical across runs.
+    "cache" is "solved" (built by this call), "none" (an ablation pool) or
+    "given", and "solves" lists each basis solve's index, iterations and
+    final relative residual. A solved pool also records the
+    "preconditioner" of its solves (from the pool's key). Solve wall times
+    go to generation["timings"]["pool_solve_seconds"], so the rest of the
+    manifest stays byte-identical across runs.
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
     t0 = time.perf_counter()
-    if pool is not None:
-        cache = "given"
-    elif basis_kind is None:
-        pool, cache = build_basis_pool(config), "solved"
-    else:
-        pool, cache = make_ablation_pool(config, basis_kind), "none"
+    solved = pool is None
+    if solved:
+        pool = build_basis_pool(config)
     basis_seconds = time.perf_counter() - t0
     if pool.size < 1:
         raise GenerationError("basis pool is empty")
+    if pool.grid != config.grid:
+        raise GenerationError(
+            f"pool is on {pool.grid}, the config on {config.grid}")
+    kind = pool.key.get("ablation")
+    cache = "solved" if solved else "given" if kind is None else "none"
     config = replace(config, n_basis=pool.size)
 
     t1 = time.perf_counter()
     manifest = _base_manifest(
-        config, "diffoas" if basis_kind is None else f"ablation-{basis_kind}")
+        config, "diffoas" if kind is None else f"ablation-{kind}")
     manifest.generation["pool_size"] = pool.size
     manifest.generation["pool"] = {
         "cache": cache,
@@ -417,25 +419,26 @@ def generate_classic(
     return Dataset(out_dir, write_manifest(out_dir, manifest))
 
 
-def make_ablation_pool(config: GenerationConfig, basis_kind: str) -> BasisPool:
+def make_ablation_pool(config: GenerationConfig, kind: str) -> BasisPool:
     """Ablation bases: masked raw GRF draws, sine modes, or windowed
-    Chebyshev modes, with the pool sizes of the ablation study."""
-    if basis_kind not in ABLATION_POOL_SIZES:
-        raise GenerationError(f"unknown ablation basis {basis_kind!r}")
+    Chebyshev modes, with the pool sizes of the ablation study. The key
+    {"ablation": kind} names the pool's kind to `generate_diffoas`."""
+    if kind not in ABLATION_POOL_SIZES:
+        raise GenerationError(f"unknown ablation basis {kind!r}")
     grid = config.grid
-    count = ABLATION_POOL_SIZES[basis_kind]
-    if basis_kind == "grf":
+    count = ABLATION_POOL_SIZES[kind]
+    if kind == "grf":
         mask = boundary_decay_mask(grid).values
         basis = []
         for i in range(count):
             g = sample_grf(grid, ABLATION_GRF,
                            RngStream(config.master_seed, "basis_params", i))
             basis.append(FieldSample(grid, g.values * mask))
-    elif basis_kind == "fourier":
+    elif kind == "fourier":
         basis = [fourier_basis_field(grid, i + 1) for i in range(count)]
     else:
         basis = [chebyshev_basis_field(grid, i + 1) for i in range(count)]
-    return BasisPool(grid, basis, key={"ablation": basis_kind})
+    return BasisPool(grid, basis, key={"ablation": kind})
 
 
 @dataclass

@@ -106,10 +106,12 @@ def gmres(
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> SolveReport:
     """Full GMRES from x0 = 0 on a square operator A, anything with `shape`
-    and `@` (a `StencilOperator` or a `CsrMatrix`); terminates on relative
-    true residual <= tol, happy breakdown, or max_iter. precond, when
-    given, applies M^{-1} on the right: Arnoldi runs on A M^{-1} and
-    x = M^{-1} V^T y."""
+    and `@` (a `StencilOperator` or a `CsrMatrix`). precond, when given,
+    applies M^{-1} on the right: Arnoldi runs on A M^{-1} and
+    x = M^{-1} V^T y. After an iteration that is a happy breakdown, meets
+    tol by the Givens recurrence or is the last, x and its true residual
+    are computed; the solve ends there unless only the recurrence met tol
+    (drift). `converged` is true residual <= tol."""
     t0 = time.perf_counter()
     n, ncols = A.shape
     if n != ncols:
@@ -135,19 +137,6 @@ def gmres(
     H = np.zeros((m_cap + 1, m_cap))  # rotated upper-triangular columns
     cs, sn = [], []  # Givens rotations, as Python floats
     g = [beta]  # rotated right-hand side ||b|| * e_1
-
-    def solve_y(j):
-        return np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
-
-    def finish(j, converged, relres, basis_rows):
-        z = V[:j].T @ solve_y(j - 1)
-        x = z if precond is None else precond(z)
-        basis = V[:basis_rows].copy() if keep_basis else None
-        return SolveReport(x, j, converged, relres,
-                           time.perf_counter() - t0, trace, basis)
-
-    def true_residual(rep):
-        return float(np.linalg.norm(b - A @ rep.x) / scale)
 
     for j in range(m_cap):
         w = A @ (V[j] if precond is None else precond(V[j]))
@@ -187,25 +176,21 @@ def gmres(
             y_last = abs(g_pre / r_diag) if r_diag != 0.0 else math.inf
             trace.append(IterationRecord(j + 1, res_norm, h_subdiag, y_last))
 
-        if happy:  # w is numerically in span(V): there is no V[j + 1]
-            rep = finish(j + 1, True, res_norm / scale, j + 1)
-            rep.final_relative_residual = true_residual(rep)
-            rep.converged = rep.final_relative_residual <= opts.tol
-            return rep
+        if not happy:  # else w is numerically in span(V): no V[j + 1]
+            if j + 1 >= cap:
+                cap = min(2 * cap, m_cap + 1)
+                V = np.resize(V, (cap, n))
+            V[j + 1] = w / h_subdiag
 
-        if j + 1 >= cap:
-            cap = min(2 * cap, m_cap + 1)
-            V = np.resize(V, (cap, n))
-        V[j + 1] = w / h_subdiag
-
-        if res_norm / scale <= opts.tol:
+        last = happy or j + 1 == m_cap
+        if last or res_norm / scale <= opts.tol:
+            y = np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
+            z = V[: j + 1].T @ y
+            x = z if precond is None else precond(z)
             # guard against recurrence drift with an explicit residual
-            rep = finish(j + 1, True, res_norm / scale, j + 2)
-            rep.final_relative_residual = true_residual(rep)
-            if rep.final_relative_residual <= opts.tol:
-                return rep
-
-    rep = finish(m_cap, False, abs(g[m_cap]) / scale, m_cap + 1)
-    rep.final_relative_residual = true_residual(rep)
-    rep.converged = rep.final_relative_residual <= opts.tol
-    return rep
+            relres = float(np.linalg.norm(b - A @ x) / scale)
+            if last or relres <= opts.tol:
+                rows = j + 1 if happy else j + 2
+                return SolveReport(x, j + 1, relres <= opts.tol, relres,
+                                   time.perf_counter() - t0, trace,
+                                   V[:rows].copy() if keep_basis else None)

@@ -7,6 +7,7 @@ criteria (4 and 5) share one timing run, about 20 s of wall time on a
 """
 
 import json
+import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -23,6 +24,7 @@ from pdeforge.generator import (
     GenerationConfig,
     generate_classic,
     generate_diffoas,
+    make_ablation_pool,
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
@@ -244,10 +246,14 @@ def test_criterion_09_phase_cost_split(report, tmp_path):
         # observation of each phase (which self-selects quiet scheduler
         # slices for both N alike), and stop once the ratios land in
         # their bands.
+        # Each dataset is deleted once its timings are read: 15 rounds
+        # keep up to 830 MB otherwise, and the kernel writing those files
+        # back to disk slows the runs timed after them.
         def one_run(n_samples, tag):
             cfg = GenerationConfig("darcy", Grid2D(24), n_samples,
                                    master_seed=5)
             ds = generate_diffoas(cfg, tmp_path / tag)
+            shutil.rmtree(ds.dir)
             return ds.manifest.generation["timings"]
 
         best = {100: [np.inf, np.inf], 1600: [np.inf, np.inf]}
@@ -273,7 +279,7 @@ def test_criterion_10_ablation_pools(report, tmp_path):
         for kind in ("grf", "fourier", "chebyshev"):
             out = tmp_path / kind
             cfg = GenerationConfig("darcy", Grid2D(12), 8, master_seed=3)
-            generate_diffoas(cfg, out, basis_kind=kind)
+            generate_diffoas(cfg, out, pool=make_ablation_pool(cfg, kind))
             ds = read_dataset(out)
             assert (ds.manifest.generation["pool_size"]
                     == ABLATION_POOL_SIZES[kind])

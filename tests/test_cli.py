@@ -8,7 +8,7 @@ import pytest
 
 from pdeforge import cli
 from pdeforge.cli import main
-from pdeforge.dataset_io import checksum_field
+from pdeforge.dataset_io import FORMAT, checksum_field
 
 DOCUMENTED_GENERATE_FLAGS = [
     "--method", "--pde", "--grid", "--samples", "--basis", "--tol",
@@ -96,6 +96,17 @@ class TestUsageErrors:
                            capsys)
         assert code == 64
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", [
+        "classic", "ablation-grf", "ablation-fourier", "ablation-chebyshev"])
+    def test_basis_is_for_diffoas_only(self, capsys, tmp_path, method):
+        out = tmp_path / "d"
+        code, _, err = run(["generate", "--method", method, "--grid", "4",
+                            "--samples", "2", "--basis", "7",
+                            "--out", str(out)], capsys)
+        assert code == 64
+        assert "--basis" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
@@ -307,7 +318,7 @@ def write_zero_fields(dir):
 def darcy_manifest(**changes):
     """manifest.json text that describes the files of write_zero_fields,
     with changes to its keys."""
-    return json.dumps({"format_version": 1, "pde": "darcy",
+    return json.dumps({**FORMAT, "pde": "darcy",
                        "grid_interior": 2, "num_samples": 1,
                        "method": "classic", "field_files": ZERO_FILES,
                        **changes})
@@ -326,7 +337,7 @@ class TestManifestFuzzing:
         json.dumps({"format_version": 99, "pde": "darcy",
                     "grid_interior": 2, "num_samples": 1,
                     "method": "classic"}),
-        json.dumps({"format_version": 1, "pde": "bogus", "grid_interior": 2,
+        json.dumps({**FORMAT, "pde": "bogus", "grid_interior": 2,
                     "num_samples": 1, "method": "classic",
                     "field_files": {}}),
         json.dumps([1, 2, 3]),
@@ -339,6 +350,11 @@ class TestManifestFuzzing:
         darcy_manifest(field_files={**ZERO_FILES, "a": {"crc32": 0}}),
         darcy_manifest(field_files={**ZERO_FILES, "u": {"filename": "u.f64"}}),
         darcy_manifest(pde=["darcy"]),
+        darcy_manifest(dtype="float32-be"),
+        darcy_manifest(layout="column-major"),
+        darcy_manifest(dtype=None),
+        darcy_manifest(layout=None),
+        *[darcy_manifest(format_version=v) for v in (True, 1.0)],
     ])
     def test_malformed_manifest_never_crashes(self, capsys, tmp_path,
                                               mutation):
@@ -395,8 +411,9 @@ from pdeforge.cli import main
 out = {str(tmp_path)!r}
 for method in ("diffoas", "classic", "ablation-fourier"):
     data = f"{{out}}/{{method}}"
+    basis = ["--basis", "3"] if method == "diffoas" else []
     assert main(["generate", "--method", method, "--grid", "8",
-                 "--samples", "3", "--basis", "3", "--out", data]) == 0
+                 "--samples", "3", *basis, "--out", data]) == 0
     assert main(["verify", "--data", data, "--tol",
                  "1e-4" if method == "classic" else "1e-12"]) == 0
     assert main(["inspect", "--data", data, "--stats"]) == 0

@@ -15,6 +15,7 @@ from pdeforge.generator import (
     GenerationConfig,
     draw_coefficients,
     generate_diffoas,
+    make_ablation_pool,
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
@@ -92,7 +93,8 @@ class TestRegistry:
 
     def test_manifest_field_params(self, pde, tmp_path):
         config = GenerationConfig(pde, Grid2D(4), 2, master_seed=1)
-        ds = generate_diffoas(config, tmp_path, basis_kind="fourier")
+        ds = generate_diffoas(config, tmp_path,
+                              pool=make_ablation_pool(config, "fourier"))
         params = ds.manifest.generation["field_params"]
         assert set(params) == set(FAMILIES[pde].coefficients) | {"f"}
         assert params == FAMILIES[pde].field_params

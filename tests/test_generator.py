@@ -27,6 +27,7 @@ from pdeforge.generator import (
     combine_solution,
     generate_classic,
     generate_diffoas,
+    make_ablation_pool,
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
@@ -437,8 +438,8 @@ def test_directory_holds_only_manifest_files(tmp_path, pool):
     elif pool == "given":
         ds = generate_diffoas(config, out, pool=build_basis_pool(config))
     else:
-        ds = generate_diffoas(
-            config, out, basis_kind="fourier" if pool == "ablation" else None)
+        ds = generate_diffoas(config, out, pool=make_ablation_pool(
+            config, "fourier") if pool == "ablation" else None)
     files = {entry["filename"] for entry in ds.manifest.field_files.values()}
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
     assert verify_dataset(ds, ds.manifest.generation["solver_tol"]).passed
@@ -449,7 +450,8 @@ class TestAblation:
         ("grf", 30), ("fourier", 100), ("chebyshev", 100)])
     def test_pool_sizes_and_validity(self, tmp_path, kind, size):
         config = small_config(num_samples=3)
-        ds = generate_diffoas(config, tmp_path / kind, basis_kind=kind)
+        ds = generate_diffoas(config, tmp_path / kind,
+                              pool=make_ablation_pool(config, kind))
         assert ds.manifest.generation["pool_size"] == size
         assert ds.manifest.generation["pool"] == {"cache": "none", "solves": []}
         assert ds.manifest.method == f"ablation-{kind}"
@@ -466,11 +468,23 @@ class TestAblation:
             pool = build_basis_pool(small_config(n_basis=2))
             ds = generate_diffoas(config, tmp_path / kind, pool=pool)
         else:
-            ds = generate_diffoas(config, tmp_path / kind, basis_kind=kind)
+            ds = generate_diffoas(config, tmp_path / kind,
+                                  pool=make_ablation_pool(config, kind))
         generation = ds.manifest.generation
         size = generation["pool_size"]
         assert generation["n_basis"] == size != config.n_basis
         assert generation["delta"] == 1e-3 * math.sqrt(size)
+
+    def test_pool_on_another_grid_leaves_the_dataset(self, tmp_path):
+        out = tmp_path / "d"
+        config = small_config()
+        generate_diffoas(config, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        pool = build_basis_pool(small_config(grid=Grid2D(6)))
+        with pytest.raises(GenerationError, match="Grid2D"):
+            generate_diffoas(config, out, pool=pool)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert read_dataset(out).manifest.num_samples == config.num_samples
 
     def test_empty_given_pool_is_a_generation_error(self, tmp_path):
         pool = BasisPool(Grid2D(10), [])
