@@ -7,17 +7,23 @@ single CGS pass loses orthogonality in proportion to the condition number
 of the Krylov basis; the second pass restores it to the level of machine
 precision as long as the new vector is not numerically dependent on the
 basis ("twice is enough", Giraud, Langou & Rozloznik, Comput. Math. Appl.
-2005). The dependent case is the happy breakdown, tested separately. Both
-passes are matrix-vector products, so the step costs two BLAS-2 calls
-rather than a Python loop over the basis. GMRES reads only `A.shape` and
-`A @ x`: the program passes a `grid_ops.StencilOperator`, which applies
-the stencil matrix-free, and a `CsrMatrix` works too.
+2005). The dependent case is the happy breakdown, tested separately. Each
+pass is two matrix-vector products, c = V w and V^T c, so a step costs
+four BLAS-2 calls rather than a Python loop over the basis. GMRES reads
+only `A.shape` and `A @ x`: the program passes a
+`grid_ops.StencilOperator`, which applies the stencil matrix-free, and a
+`CsrMatrix` works too.
 
 The least-squares problem is solved incrementally with Givens rotations. The
 trace records, per iteration, the recurrence residual norm, the Arnoldi
 subdiagonal h_{j+1,j}, and |y_j| from the square Hessenberg solve; the
 residual norm is bounded by h_{j+1,j} * |y_j| (the square-system solve makes
 the bound exact up to rounding), which the tests check.
+
+Storage is O(iterations * N) for N unknowns, and nothing is sized by
+max_iter: the basis rows, in an array that starts at 64 rows and doubles,
+and the rotated Hessenberg columns as Python lists. Their upper triangle
+is formed only where x is computed.
 
 GMRES starts from x0 = 0, so r0 = b, and takes an optional right
 preconditioner, a callable applying M^{-1} (M = I without one). Arnoldi
@@ -134,7 +140,7 @@ def gmres(
     cap = min(64, m_cap + 1)
     V = np.empty((cap, n))
     V[0] = b / beta
-    H = np.zeros((m_cap + 1, m_cap))  # rotated upper-triangular columns
+    R = []  # rotated Hessenberg columns: R[k] holds rows 0..k of column k
     cs, sn = [], []  # Givens rotations, as Python floats
     g = [beta]  # rotated right-hand side ||b|| * e_1
 
@@ -166,7 +172,7 @@ def gmres(
         cs.append(h[j] / nu)
         sn.append(h_subdiag / nu)
         h[j] = nu
-        H[: j + 1, j] = h[: j + 1]
+        R.append(h[: j + 1])
         g_pre = g[j]
         g[j] = cs[j] * g_pre
         g.append(-sn[j] * g_pre)
@@ -179,12 +185,17 @@ def gmres(
         if not happy:  # else w is numerically in span(V): no V[j + 1]
             if j + 1 >= cap:
                 cap = min(2 * cap, m_cap + 1)
-                V = np.resize(V, (cap, n))
+                grown = np.empty((cap, n))
+                grown[: j + 1] = V[: j + 1]
+                V = grown
             V[j + 1] = w / h_subdiag
 
         last = happy or j + 1 == m_cap
         if last or res_norm / scale <= opts.tol:
-            y = np.linalg.solve(np.triu(H[: j + 1, : j + 1]), g[: j + 1])
+            T = np.zeros((j + 1, j + 1))
+            for k, col in enumerate(R):
+                T[: k + 1, k] = col
+            y = np.linalg.solve(T, g[: j + 1])
             z = V[: j + 1].T @ y
             x = z if precond is None else precond(z)
             # guard against recurrence drift with an explicit residual

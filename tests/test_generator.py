@@ -424,6 +424,26 @@ class TestClassic:
         with pytest.raises(Exception):
             generate_classic(small_config(), tmp_path / "x")
 
+    # field CRC32s of `pdeforge generate --method classic --pde <pde>
+    # --grid 24 --samples 3 --seed 3`. The darcy and diffusion solves take
+    # 72-97 iterations, so they cross the basis's first growth past 64
+    # rows; helmholtz takes 57-58
+    GOLDEN_CRC32 = {
+        "darcy": {"a": 0x18a08b29, "f": 0x43dc7b0b, "u": 0x402033d9},
+        "helmholtz": {"k2": 0xcd143520, "f": 0x037047b7, "u": 0x70a317eb},
+        "diffusion": {"k": 0x799d4352, "q": 0xb6faec8a, "f": 0xd2f3d4af,
+                      "u": 0xdda40e5c},
+    }
+
+    @pytest.mark.parametrize("pde", sorted(GOLDEN_CRC32))
+    def test_golden_field_crc32(self, pde, tmp_path):
+        config = GenerationConfig(pde, Grid2D(24), 3, method="classic",
+                                  master_seed=3)
+        ds = generate_classic(config, tmp_path / "c")
+        crcs = {name: entry["crc32"]
+                for name, entry in ds.manifest.field_files.items()}
+        assert crcs == self.GOLDEN_CRC32[pde]
+
 
 @pytest.mark.parametrize("pool", ["solved", "given", "ablation", "classic"])
 def test_directory_holds_only_manifest_files(tmp_path, pool):

@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdeforge.families import PdeCoefficients
 from pdeforge.fields import GrfParams, RngStream, sample_grf
-from pdeforge.generator import draw_coefficients, draw_forcing
+from pdeforge.generator import (
+    GenerationConfig,
+    draw_coefficients,
+    draw_forcing,
+    solve_sample,
+)
 from pdeforge.grid import FieldSample, Grid2D
 from pdeforge.grid_ops import (
     CsrMatrix,
@@ -143,6 +149,36 @@ class TestGmres:
         assert rep.converged and rep.iterations == ref.iterations
         np.testing.assert_array_equal(rep.x.view(np.uint64),
                                       ref.x.view(np.uint64))
+
+
+class TestStorage:
+    """GMRES allocates for the iterations it runs, not for max_iter (here
+    the 3844 unknowns of n=64). numpy reports its buffers to tracemalloc."""
+
+    @staticmethod
+    def peak_mib(pde, role, preconditioned):
+        config = GenerationConfig(pde, Grid2D(64), 1, master_seed=0)
+        opts = SolveOptions.for_grid(config.grid, config.solver_tol)
+        tracemalloc.start()
+        try:
+            _, _, rep = solve_sample(config, role, 0, opts, preconditioned)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        return rep.iterations, peak / 2**20
+
+    @pytest.mark.parametrize("pde", ["darcy", "helmholtz", "diffusion"])
+    def test_pool_solve(self, pde):
+        iterations, peak = self.peak_mib(pde, "basis_params", True)
+        assert iterations <= 16
+        assert peak < 6.0
+
+    def test_classic_solve(self):
+        # past the basis's first growth: 64 rows are 2 MiB
+        iterations, peak = self.peak_mib("helmholtz", "sample_params", False)
+        assert 128 < iterations < 256
+        assert peak < 16.0
 
 
 class TestResidualBound:
