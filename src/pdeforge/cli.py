@@ -78,8 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0,
                    help="master seed (default: 0)")
     g.add_argument("--out", required=True, help="output dataset directory")
-    g.add_argument("--threads", type=int, default=1,
-                   help="generation threads (default: 1)")
+    g.add_argument("--threads", type=int, default=None,
+                   help="generation threads (default: the usable CPU count; "
+                        "1 for --method classic, whose solves each hold "
+                        "their own Krylov basis, so that every thread adds "
+                        "one to peak memory)")
 
     v = sub.add_parser("verify", help="re-check dataset residuals")
     v.add_argument("--data", required=True, help="dataset directory")
@@ -139,7 +142,7 @@ def _field_stats(fs) -> dict:
 def cmd_generate(args) -> int:
     if args.samples < 1:
         _usage_error("--samples must be >= 1")
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         _usage_error("--threads must be >= 1")
     if args.basis is not None and args.method != "diffoas":
         _usage_error("--basis applies to --method diffoas only")
@@ -155,7 +158,8 @@ def cmd_generate(args) -> int:
         _usage_error(str(exc))
     try:
         if args.method == "classic":
-            dataset = generate_classic(config, Path(args.out), args.threads)
+            dataset = generate_classic(config, Path(args.out),
+                                       args.threads or 1)
         else:
             pool = None if args.method == "diffoas" else make_ablation_pool(
                 config, args.method.removeprefix("ablation-"))

@@ -33,14 +33,28 @@ f), and verification takes each norm per sample, so sample i of a block
 gets the bits it would get alone. A block item is a dict of field name ->
 (b, m, m) node arrays, which `write_dataset` writes with one write and one
 CRC-32 update per field, as the bytes of its samples one after another.
+
+Blocks run on `threads` worker threads, by default one per usable CPU,
+and are written in block order. The generate paths and the pool build run
+with numpy's OpenBLAS pinned to one thread (`one_blas_thread`): OpenBLAS
+splits a matrix product among its threads in a way that changes its
+rounding at n >= 128, and N generation threads x N BLAS threads would
+oversubscribe the CPUs. With the pin, a dataset's bytes depend on neither
+thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -66,6 +80,12 @@ NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
 # consecutive samples per operator-action work item and random stream; part
 # of the byte contract: changing it changes every dataset's bytes
 SAMPLE_BLOCK = 8
+# (get, set) thread-count symbols of the OpenBLAS builds numpy links: its
+# wheels' scipy-openblas (64-bit integers) and a system OpenBLAS
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class GenerationError(RuntimeError):
@@ -78,6 +98,64 @@ class BasisConstructionError(GenerationError):
 
 class DegenerateWeightsError(GenerationError):
     pass
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS numpy calls, or None
+    when numpy's linear algebra module exports none of
+    OPENBLAS_THREAD_SYMBOLS."""
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = lib[get_name], lib[set_name]
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """The thread count of numpy's OpenBLAS, or None when it is not known
+    (manifest generation["blas_threads"])."""
+    calls = _openblas_thread_calls()
+    return None if calls is None else calls[0]()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the
+    count it had; a no-op when the count is not known (`blas_threads`).
+    The count is process-wide: pins nest, but two that overlap in
+    different Python threads do not, as the first to end restores the
+    count while the other runs."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _thread_count(threads: Optional[int]) -> int:
+    """threads, or for None the CPUs this process may run on."""
+    if threads is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            return os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 @dataclass
@@ -181,10 +259,11 @@ def pool_cache_key(config: GenerationConfig) -> dict:
     }
 
 
+@one_blas_thread()
 def build_basis_pool(config: GenerationConfig) -> BasisPool:
     """Solve n_basis systems at solver_tol with GMRES, right-preconditioned
-    by the family's fast-Poisson preconditioner; the solutions seed the
-    pool."""
+    by the family's fast-Poisson preconditioner, with one BLAS thread; the
+    solutions seed the pool."""
     grid = config.grid
     opts = SolveOptions.for_grid(grid, config.solver_tol)
     basis, provenance = [], []
@@ -276,6 +355,7 @@ def _base_manifest(config: GenerationConfig, method: str) -> DatasetManifest:
             "delta": config.weight_resample_threshold,
             "field_params": FAMILIES[config.pde].field_params,
             "sign_convention": "darcy assembled as -div(a grad u) (SPD)",
+            "blas_threads": blas_threads(),
             "timings": {},
         },
     )
@@ -308,21 +388,41 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
 
 
 def _run_samples(worker, items, threads: int):
-    if threads <= 1:
-        for item in items:
-            yield worker(item)
+    """worker(item) for each of items (a sequence), yielded in order. With
+    threads > 1 and more than one item they run on that many threads, at
+    most 2 * threads of them submitted ahead of the consumer: a slow
+    consumer holds a bounded number of results, not all of them. Items not
+    started when the consumer stops are cancelled."""
+    if threads == 1 or len(items) <= 1:
+        yield from map(worker, items)
         return
+    todo = iter(items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, items)
+        window = deque(pool.submit(worker, item)
+                       for item in islice(todo, 2 * threads))
+        try:
+            while window:
+                result = window.popleft().result()
+                window.extend(pool.submit(worker, item)
+                              for item in islice(todo, 1))
+                yield result
+        finally:
+            for future in window:
+                future.cancel()
 
 
+@one_blas_thread()
 def generate_diffoas(
     config: GenerationConfig,
     out_dir: Path,
-    threads: int = 1,
+    threads: Optional[int] = None,
     pool: Optional[BasisPool] = None,
 ) -> Dataset:
     """Operator-action generation; writes the dataset under out_dir.
+
+    Sample blocks run on threads worker threads, by default one per usable
+    CPU, with one BLAS thread (module docstring); the bytes are the same at
+    any count. threads < 1 raises ValueError.
 
     pool None solves one with `build_basis_pool`, on every call. A given
     pool is used as it is; an ablation pool (`make_ablation_pool`) names
@@ -341,6 +441,7 @@ def generate_diffoas(
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
+    threads = _thread_count(threads)
     t0 = time.perf_counter()
     solved = pool is None
     if solved:
@@ -381,6 +482,7 @@ def generate_diffoas(
     return Dataset(out_dir, write_manifest(out_dir, manifest))
 
 
+@one_blas_thread()
 def generate_classic(
     config: GenerationConfig,
     out_dir: Path,
@@ -388,9 +490,14 @@ def generate_classic(
 ) -> Dataset:
     """Solve-per-sample generation at solver_tol; samples whose solve does
     not converge are skipped. When none converges, no manifest is written
-    and GenerationError is raised."""
+    and GenerationError is raised.
+
+    threads defaults to 1, not to the CPU count as for `generate_diffoas`:
+    each solve in flight holds its own Krylov basis, so every thread adds
+    that much to peak memory. threads < 1 raises ValueError."""
     if config.method != "classic":
         raise GenerationError("generate_classic requires method='classic'")
+    threads = _thread_count(threads)
     grid = config.grid
     opts = SolveOptions.for_grid(grid, config.solver_tol)
     skipped = []

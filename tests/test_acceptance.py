@@ -7,7 +7,10 @@ criteria (4 and 5) share one timing run, about 20 s of wall time on a
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -236,6 +239,26 @@ def test_criterion_08_determinism(report, tmp_path):
         for out in outs[1:]:
             assert _field_bytes(out) == ref_fields
             assert _manifest_without_timings(out) == ref_manifest
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n=128 OpenBLAS splits the GRF GEMMs among its threads, which
+    # changes their rounding unless generation pins it to one thread
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run(
+            [sys.executable, "-m", "pdeforge.cli", "generate", "--pde",
+             "darcy", "--grid", "128", "--samples", "16", "--seed", "1",
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    assert set(_field_bytes(outs[0])) == {"a.f64", "f.f64", "u.f64"}
+    assert _field_bytes(outs[0]) == _field_bytes(outs[1])
 
 
 def test_criterion_09_phase_cost_split(report, tmp_path):

@@ -87,7 +87,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-        ("--eta", "inf"), ("--eta", "nan"), ("--seed", "-1")])
+        ("--eta", "inf"), ("--eta", "nan"), ("--seed", "-1"),
+        ("--threads", "0"), ("--threads", "-3")])
     def test_non_finite_or_non_positive_setting(self, capsys, tmp_path,
                                                 flag, value):
         out = tmp_path / "d"
@@ -97,6 +98,24 @@ class TestUsageErrors:
         assert code == 64
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method,threads", [
+        ("diffoas", None), ("ablation-grf", None), ("classic", 1)])
+    def test_threads_default(self, capsys, tmp_path, monkeypatch, method,
+                             threads):
+        # None: generate_diffoas takes the usable CPU count
+        seen = []
+
+        def recording(config, out, threads, *pool):
+            seen.append(threads)
+            raise cli.GenerationError("recorded")
+
+        monkeypatch.setattr(cli, "generate_diffoas", recording)
+        monkeypatch.setattr(cli, "generate_classic", recording)
+        code, _, _ = run(["generate", "--method", method, "--grid", "4",
+                          "--samples", "2", "--out", str(tmp_path / "d")],
+                         capsys)
+        assert code == 2 and seen == [threads]
 
     @pytest.mark.parametrize("method", [
         "classic", "ablation-grf", "ablation-fourier", "ablation-chebyshev"])

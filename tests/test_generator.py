@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -463,6 +464,79 @@ def test_directory_holds_only_manifest_files(tmp_path, pool):
     files = {entry["filename"] for entry in ds.manifest.field_files.values()}
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
     assert verify_dataset(ds, ds.manifest.generation["solver_tol"]).passed
+
+
+class TestThreads:
+    def test_default_threads_write_the_bytes_of_one_thread(self, tmp_path):
+        # three blocks, the last one partial
+        config = GenerationConfig("darcy", Grid2D(24),
+                                  2 * generator.SAMPLE_BLOCK + 5,
+                                  master_seed=6)
+        pool = build_basis_pool(config)
+        generate_diffoas(config, tmp_path / "default", pool=pool)
+        generate_diffoas(config, tmp_path / "t1", threads=1, pool=pool)
+        for name in ("a", "f", "u"):
+            assert (tmp_path / "default" / f"{name}.f64").read_bytes() == \
+                (tmp_path / "t1" / f"{name}.f64").read_bytes(), name
+        assert manifest_without_timings(tmp_path / "default") == \
+            manifest_without_timings(tmp_path / "t1")
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("method", ["diffoas", "classic"])
+    def test_threads_below_one_rejected(self, tmp_path, method, threads):
+        config = small_config(method=method)
+        generate = (generate_diffoas if method == "diffoas"
+                    else generate_classic)
+        with pytest.raises(ValueError, match="threads"):
+            generate(config, tmp_path / "d", threads=threads)
+        assert not (tmp_path / "d").exists()
+
+    def test_slow_consumer_bounds_the_items_computed_ahead(self):
+        threads = 2
+        computed = []
+
+        def worker(item):
+            computed.append(item)
+            return item
+
+        results = generator._run_samples(worker, range(50), threads)
+        try:
+            for taken in range(1, 6):
+                assert next(results) == taken - 1
+                time.sleep(0.1)  # the workers run whatever was submitted
+                assert len(computed) <= taken + 2 * threads
+        finally:
+            results.close()
+        assert len(computed) <= 5 + 2 * threads
+
+    def test_pin_restores_the_previous_blas_thread_count(self):
+        previous = generator.blas_threads()
+        if previous is None:
+            pytest.skip("numpy's BLAS exports no known thread-count symbol")
+        set_threads = generator._openblas_thread_calls()[1]
+        try:
+            set_threads(2)
+            with generator.one_blas_thread():
+                assert generator.blas_threads() == 1
+                with generator.one_blas_thread():
+                    assert generator.blas_threads() == 1
+                assert generator.blas_threads() == 1
+            assert generator.blas_threads() == 2
+        finally:
+            set_threads(previous)
+
+    def test_manifest_records_the_blas_threads(self, tmp_path, monkeypatch):
+        ds = generate_diffoas(small_config(), tmp_path / "pinned")
+        known = generator.blas_threads() is not None
+        assert ds.manifest.generation["blas_threads"] == (1 if known
+                                                          else None)
+        monkeypatch.setattr(generator, "_openblas_thread_calls",
+                            lambda: None)
+        for method, generate in (("diffoas", generate_diffoas),
+                                 ("classic", generate_classic)):
+            ds = generate(small_config(method=method), tmp_path / method)
+            assert read_dataset(ds.dir).manifest.generation[
+                "blas_threads"] is None
 
 
 class TestAblation:
