@@ -1,17 +1,18 @@
 """Timing harness: generation cost vs matrix size vs solver tolerance.
 
 Each phase times the function that a generate path runs per work item,
-drawing included. The operator-action phase runs `_diffoas_block` (draw
-the coefficients, combine the pool, apply the stencil) over blocks of
-SAMPLE_BLOCK samples as `generate_diffoas` does, and its per-sample
-seconds are the blocks' seconds over the sample count; the solver phases
-run `solve_sample` (draw, solve matrix-free) per sample as
-`generate_classic` does. The GMRES-vs-action speedup is thus the ratio of
-the two paths' per-sample costs; writing the dataset is in neither. The
-`gmres_pc` phase solves the same classic samples with the fast-Poisson
-preconditioner the pool solves use: the speedup over a preconditioned
-solve, reported but not in the regression. The pool build is timed once
-per dim and added in `diffoas_total`. Medians over
+drawing included, with numpy's OpenBLAS on one thread as the generate
+paths run it (`one_blas_thread`). The operator-action phase runs
+`_diffoas_block` (draw the coefficients, combine the pool, apply the
+stencil) over blocks of SAMPLE_BLOCK samples as `generate_diffoas` does,
+and its per-sample seconds are the blocks' seconds over the sample count;
+the solver phases run `solve_sample` (draw, solve matrix-free) per sample
+as `generate_classic` does. The GMRES-vs-action speedup is thus the ratio
+of the two paths' per-sample costs; writing the dataset is in neither.
+The `gmres_pc` phase solves the same classic samples with the
+fast-Poisson preconditioner the pool solves use: the speedup over a
+preconditioned solve, reported but not in the regression. The pool build
+is timed once per dim and added in `diffoas_total`. Medians over
 >= 3 repeats with one discarded warm-up; phases too short for the clock
 trigger automatic sample-count escalation.
 """
@@ -33,6 +34,7 @@ from .generator import (
     _diffoas_block,
     _sample_blocks,
     build_basis_pool,
+    one_blas_thread,
     solve_sample,
 )
 from .grid import Grid2D
@@ -91,6 +93,7 @@ def _time_items(run, items):
     return time.perf_counter() - t0
 
 
+@one_blas_thread()
 def run_timing_suite(
     pde: str,
     dims: list,

@@ -137,7 +137,9 @@ def write_dataset(
     samples: Iterable[dict],
     manifest_seed: DatasetManifest,
 ) -> DatasetManifest:
-    """Stream items to disk; returns the completed manifest.
+    """Stream items to disk; returns the completed manifest, which is
+    manifest_seed, written once after the last item: the item iterator may
+    fill in more of it (say, timings) before it ends.
 
     An item is a dict of field name -> FieldSample or node array. It holds
     one sample, or a block of b consecutive samples when every field is a
@@ -192,7 +194,11 @@ def write_dataset(
         }
         for name in names
     }
-    return write_manifest(out, manifest)
+    # atomically: a temporary file, then a rename
+    tmp = out / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
+    os.replace(tmp, out / "manifest.json")
+    return manifest
 
 
 def _item_arrays(item: dict, names: tuple, slab: int) -> tuple:
@@ -216,14 +222,6 @@ def _item_arrays(item: dict, names: tuple, slab: int) -> tuple:
             "fields of one item hold different sample counts: " + ", ".join(
                 f"{name} {len(arr)}" for name, arr in arrays.items()))
     return counts.pop(), arrays
-
-
-def write_manifest(dir: os.PathLike, manifest: DatasetManifest) -> DatasetManifest:
-    """Write manifest.json atomically: a temporary file, then a rename."""
-    tmp = Path(dir) / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
-    os.replace(tmp, Path(dir) / "manifest.json")
-    return manifest
 
 
 class Dataset:

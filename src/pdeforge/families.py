@@ -2,38 +2,36 @@
 
 A record is all the program knows about a family: its coefficient fields
 and the distribution each is drawn from, the forcing distribution, the
-operator's 5-point stencil, the default basis-pool size and the flux
-coefficient that scales the pool solves' preconditioner. Generation,
-the dataset manifest (field names, `field_params` and the pool's
-preconditioner), verification and the CLI's `--pde` choices all read the
-record at call time.
+operator and the default basis-pool size. Every family's operator has the
+form sign * div(c grad u) + r * u, and the record states it: `sign` is
++1 or -1, `flux` names the coefficient field that is c (None: c = 1), and
+every other coefficient field is a reaction term r, added at the interior
+nodes in dict order. Generation, the dataset manifest (field names,
+`field_params`, the operator and the pool's preconditioner),
+verification and the CLI's `--pde` choices all read the record at call
+time.
 
-The stencil is the one description of the operator, and `grid_ops`
-tells how its forms check each other. `PdeCoefficients.operator()` wraps
-one sample's stencil as the matrix-free operator the basis and classic
-solves take, `apply_block` applies it to (b, m, m) stacks of samples, as
-generation does, and `PdeCoefficients.assemble()` writes it as a CSR
-matrix, the tests' reference form.
-`preconditioner()` gives the pool solves' M^{-1}: a fast Poisson solve
-scaled by the flux coefficient, M = s C^{1/2} (-lap_h) C^{1/2}
-(Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
+`PdeFamily.stencil` builds the operator's 5-point stencil from the
+record, and `grid_ops` tells how its forms check each other.
+`PdeCoefficients.operator()` wraps one sample's stencil as the
+matrix-free operator the basis and classic solves take, `apply_block`
+applies it to (b, m, m) stacks of samples, as generation does, and
+`PdeCoefficients.assemble()` writes it as a CSR matrix, the tests'
+reference form. `preconditioner()` gives the pool solves' M^{-1}: a
+fast Poisson solve scaled by the flux coefficient,
+M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus & Golub, SIAM J. Numer. Anal.
+10, 1973).
 
-Adding a family costs one record. Write a stencil function
-`stencil(grid, **coefficient_fields) -> (center, north, south, west,
-east)`, each an (n, n) array over the interior nodes or a scalar. It must
-also accept (b, m, m) node arrays for the fields and then return (b, n, n)
-arrays: index the fields with `...` and keep every step elementwise, as
-the stencils in grid_ops do. Give
-each coefficient a distribution (anything with
-`sample(grid, rng) -> FieldSample` and `to_dict()`, such as `GrfParams`),
-and add the record:
+Adding a family costs one record. Give each coefficient a distribution
+(anything with `sample(grid, rng) -> FieldSample` and `to_dict()`, such
+as `GrfParams`), and add the record:
 
     FAMILIES["poisson"] = PdeFamily(
         distributions={"c": Uniform(1.0, 2.0)},
         forcing=GrfParams(tau=3.0, alpha=2.0),
-        stencil=lambda grid, c: darcy_stencil(grid, c),
+        sign=-1.0,  # -div(c grad u) = f
         n_basis=30,
-        flux="c",  # optional: None preconditions with the bare Laplacian
+        flux="c",  # None: sign * lap(u)
     )
 
 A family needs at least one coefficient field: the fields carry the grid.
@@ -52,13 +50,12 @@ from .fields import GrfParams, sample_grf, sample_uniform
 from .grid import FieldSample, Grid2D
 from .grid_ops import (
     DimensionError,
+    EllipticityError,
     StencilOperator,
     _check_field,
     _five_point,
+    _flux_form,
     apply_stencil,
-    darcy_stencil,
-    diffusion_stencil,
-    helmholtz_stencil,
     poisson_preconditioner,
 )
 
@@ -98,17 +95,48 @@ class Uniform:
 
 @dataclass(frozen=True)
 class PdeFamily:
-    """What the program knows about one PDE family."""
+    """What the program knows about one PDE family, whose operator is
+    sign * div(c grad u) + r * u (module docstring)."""
 
     # coefficient field name -> distribution, in draw order
     distributions: dict
     forcing: GrfParams
-    # (grid, **coefficient fields) -> (center, north, south, west, east)
-    stencil: Callable[..., tuple]
+    sign: float  # +1.0 or -1.0
     n_basis: int
-    # the coefficient field the operator's flux term carries, which scales
-    # the pool solves' fast-Poisson preconditioner; None: a bare Laplacian
+    # the coefficient field c of the flux term, which also scales the pool
+    # solves' fast-Poisson preconditioner; None: c = 1
     flux: Optional[str] = None
+
+    def stencil(self, grid: Grid2D, **fields) -> tuple:
+        """(center, north, south, west, east) of the operator, each over
+        the interior nodes or a scalar. fields maps each coefficient name
+        to a FieldSample on grid or to (..., m, m) node arrays; every step
+        is elementwise, so a (b, m, m) block gets the bits of each sample
+        alone. EllipticityError unless the flux coefficient is positive
+        everywhere."""
+        values = {name: _check_field(grid, fields[name], name)
+                  for name in self.coefficients}
+        c = values.pop(self.flux, None)
+        if c is None:
+            h2 = grid.h ** 2
+            stencil = [4.0 / (-self.sign * h2)] + [1.0 / (self.sign * h2)] * 4
+        elif c.min() <= 0.0:
+            raise EllipticityError(f"flux coefficient {self.flux} must be "
+                                   f"positive everywhere, min={c.min():g}")
+        else:
+            stencil = list(_flux_form(grid, c, self.sign))
+        for r in values.values():  # the reaction terms
+            stencil[0] = stencil[0] + r[..., 1:-1, 1:-1]
+        return tuple(stencil)
+
+    @property
+    def operator_name(self) -> str:
+        """The operator as the manifest records it, such as
+        "-div(a grad u)" or "lap(u) + k2 u"."""
+        term = "lap(u)" if self.flux is None else f"div({self.flux} grad u)"
+        reactions = [f" + {name} u" for name in self.coefficients
+                     if name != self.flux]
+        return ("-" if self.sign < 0 else "") + term + "".join(reactions)
 
     @property
     def preconditioner_name(self) -> str:
@@ -136,14 +164,14 @@ FAMILIES = {
     "darcy": PdeFamily(
         distributions={"a": GrfParams(tau=7.0, alpha=2.5, transform="exp")},
         forcing=GrfParams(tau=7.0, alpha=2.5),
-        stencil=darcy_stencil,
+        sign=-1.0,
         n_basis=30,
         flux="a",
     ),
     "helmholtz": PdeFamily(
         distributions={"k2": GrfParams(tau=3.0, alpha=2.0, scale=0.1)},
         forcing=GrfParams(tau=3.0, alpha=2.0, scale=0.1),
-        stencil=helmholtz_stencil,
+        sign=1.0,
         n_basis=50,
     ),
     "diffusion": PdeFamily(
@@ -152,7 +180,7 @@ FAMILIES = {
             "q": Uniform(0.0, 1.0),
         },
         forcing=GrfParams(tau=3.0, alpha=2.0),
-        stencil=diffusion_stencil,
+        sign=1.0,
         n_basis=50,
         flux="k",
     ),
@@ -180,18 +208,13 @@ class PdeCoefficients:
         self.pde = pde
         self.grid = grids.pop()
         self.fields = {name: fields[name] for name in names}
-        self._stencil: Optional[tuple] = None
 
     def field_map(self) -> dict:
         return dict(self.fields)
 
     def stencil(self) -> tuple:
-        """(center, north, south, west, east) of the family's operator,
-        built on the first call and shared by `operator`, `assemble` and
-        `preconditioner`, so a pool solve builds it once."""
-        if self._stencil is None:
-            self._stencil = family(self.pde).stencil(self.grid, **self.fields)
-        return self._stencil
+        """(center, north, south, west, east) of the family's operator."""
+        return family(self.pde).stencil(self.grid, **self.fields)
 
     def operator(self) -> StencilOperator:
         """The operator over the interior unknowns, matrix-free, as the
@@ -205,14 +228,14 @@ class PdeCoefficients:
         return _five_point(self.grid, *self.stencil())
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """M^{-1} for M = s C^{1/2} (-lap_h) C^{1/2}: C is the family's
-        flux coefficient at the interior nodes (none for a bare
-        Laplacian), s the sign of the stencil's center. For a constant
-        flux coefficient and no other term, M is the operator itself."""
-        flux = family(self.pde).flux
-        sign = 1.0 if np.sum(self.stencil()[0]) > 0 else -1.0
+        """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the family's
+        flux coefficient at the interior nodes (none for c = 1). For a
+        constant flux coefficient and no reaction term, M is the operator
+        itself."""
+        pde_family = family(self.pde)
+        flux = pde_family.flux
         coef = None if flux is None else self.fields[flux].interior()
-        return poisson_preconditioner(self.grid, sign, coef)
+        return poisson_preconditioner(self.grid, -pde_family.sign, coef)
 
 
 def apply_block(pde: str, grid: Grid2D, fields: dict,

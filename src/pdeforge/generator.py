@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset_io import Dataset, DatasetManifest, write_dataset, write_manifest
+from .dataset_io import Dataset, DatasetManifest, write_dataset
 from .families import FAMILIES, PdeCoefficients, apply_block, family
 from .fields import (
     GrfParams,
@@ -354,9 +354,8 @@ def _base_manifest(config: GenerationConfig, method: str) -> DatasetManifest:
             "noise_eta": config.noise_eta,
             "delta": config.weight_resample_threshold,
             "field_params": FAMILIES[config.pde].field_params,
-            "sign_convention": "darcy assembled as -div(a grad u) (SPD)",
+            "operator": FAMILIES[config.pde].operator_name,
             "blas_threads": blas_threads(),
-            "timings": {},
         },
     )
 
@@ -469,17 +468,19 @@ def generate_diffoas(
         manifest.generation["pool"]["preconditioner"] = \
             pool.key["preconditioner"]
 
-    def worker(indices: range) -> dict:
-        return _diffoas_block(config, pool, indices)
+    def blocks():
+        yield from _run_samples(
+            lambda indices: _diffoas_block(config, pool, indices),
+            _sample_blocks(config.num_samples), threads)
+        # write_dataset writes the manifest after the last block
+        manifest.generation["timings"] = {
+            "basis_seconds": basis_seconds,
+            "pool_solve_seconds": [solve["wall_time"]
+                                   for solve in pool.provenance],
+            "action_seconds": time.perf_counter() - t1,
+        }
 
-    blocks = _run_samples(worker, _sample_blocks(config.num_samples), threads)
-    manifest = write_dataset(out_dir, blocks, manifest)
-    manifest.generation["timings"] = {
-        "basis_seconds": basis_seconds,
-        "pool_solve_seconds": [solve["wall_time"] for solve in pool.provenance],
-        "action_seconds": time.perf_counter() - t1,
-    }
-    return Dataset(out_dir, write_manifest(out_dir, manifest))
+    return Dataset(out_dir, write_dataset(out_dir, blocks(), manifest))
 
 
 @one_blas_thread()
@@ -517,13 +518,13 @@ def generate_classic(
         if len(skipped) == config.num_samples:
             # raised inside write_dataset, before it writes a manifest
             raise GenerationError("all samples failed to converge")
+        manifest.skipped_samples = skipped
+        manifest.generation["timings"] = {
+            "solve_seconds": time.perf_counter() - t0,
+        }
 
-    manifest = write_dataset(out_dir, emit(), _base_manifest(config, "classic"))
-    manifest.skipped_samples = skipped
-    manifest.generation["timings"] = {
-        "solve_seconds": time.perf_counter() - t0,
-    }
-    return Dataset(out_dir, write_manifest(out_dir, manifest))
+    manifest = _base_manifest(config, "classic")
+    return Dataset(out_dir, write_dataset(out_dir, emit(), manifest))
 
 
 def make_ablation_pool(config: GenerationConfig, kind: str) -> BasisPool:

@@ -1,18 +1,16 @@
 """Finite-difference 5-point operators: stencils and their three forms.
 
-Three operators on zero-Dirichlet interior unknowns:
-
-  Darcy flow            -div(a grad u) = f,  flux-form 5-point, SPD
-  Helmholtz             lap(u) + k2*u = f
-  Diffusion-reaction    div(k grad u) + q*u = f
-
-Each family's operator is described once, as a stencil `(center, north,
-south, west, east)` of coefficients over the interior nodes
-(`darcy_stencil`, `helmholtz_stencil`, `diffusion_stencil`). A stencil
-function takes each coefficient field as a `FieldSample` or as node
-arrays of shape (..., n+2, n+2), elementwise, so a block of samples gets
-the bits of each sample alone. The stencil has three forms, each built
-from it alone and each summing a row's terms in the order N, W, C, E, S:
+Every operator acts on zero-Dirichlet interior unknowns and has the form
+sign * div(c grad u) + r * u. A `families.PdeFamily` record states it:
+`sign` is +1 or -1, c is the coefficient field it names as `flux` (1 when
+it names none), and each of its other coefficient fields is a reaction
+term r. `PdeFamily.stencil` builds the operator, with `_flux_form` for the
+flux term, as a stencil `(center, north, south, west, east)`: its
+coefficients over the interior nodes, each an array or a scalar. It takes
+the coefficient fields as a `FieldSample` or as node arrays of shape
+(..., n+2, n+2), elementwise, so a block of samples gets the bits of each
+sample alone. The stencil has three forms, each built from it alone and
+each summing a row's terms in the order N, W, C, E, S:
 
 - `apply_stencil` applies it to node arrays, one sample or a block, by
   slicing the neighbors out of the array. Generation computes f = A u
@@ -266,33 +264,3 @@ def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
     horizontal /= sign * h2
     return (center, vertical[..., :-1, :], vertical[..., 1:, :],
             horizontal[..., :-1], horizontal[..., 1:])
-
-
-def darcy_stencil(grid: Grid2D, a) -> tuple:
-    """-div(a grad u) with zero Dirichlet boundary; SPD for a > 0."""
-    coef = _check_field(grid, a, "permeability")
-    if coef.min() <= 0.0:
-        raise EllipticityError(
-            f"permeability must be positive everywhere, min={coef.min():g}"
-        )
-    return _flux_form(grid, coef, sign=-1.0)
-
-
-def helmholtz_stencil(grid: Grid2D, k2) -> tuple:
-    """lap(u) + k2*u, scaled 5-point stencil, zero Dirichlet boundary."""
-    kv = _check_field(grid, k2, "squared wavenumber")
-    h2 = grid.h ** 2
-    off = 1.0 / h2
-    return (-4.0 / h2 + kv[..., 1:-1, 1:-1], off, off, off, off)
-
-
-def diffusion_stencil(grid: Grid2D, k, q) -> tuple:
-    """div(k grad u) + q*u, zero Dirichlet boundary."""
-    kv = _check_field(grid, k, "diffusion coefficient")
-    qv = _check_field(grid, q, "reaction coefficient")
-    if kv.min() <= 0.0:
-        raise EllipticityError(
-            f"diffusion coefficient must be positive, min={kv.min():g}"
-        )
-    center, *neighbors = _flux_form(grid, kv, sign=+1.0)
-    return (center + qv[..., 1:-1, 1:-1], *neighbors)

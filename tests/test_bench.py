@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pdeforge import generator
+from pdeforge import bench, generator
 from pdeforge.bench import (
     BenchConfigError,
     BenchRecord,
@@ -129,6 +129,30 @@ class TestPhasesRunGeneratePaths:
                                    master_seed=4, n_basis=2)
         action = next(r for r in records if r.method == "diffoas_action")
         assert sum(applied) >= action.repeats * action.samples
+
+    def test_phases_run_with_one_blas_thread(self, monkeypatch):
+        # generate pins OpenBLAS to one thread, so the phases that time
+        # its work items must too
+        count, seen = 2, []
+
+        def set_count(threads):
+            nonlocal count
+            count = threads
+
+        def recording(real):
+            def run(*args, **kwargs):
+                seen.append(count)
+                return real(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(generator, "_openblas_thread_calls",
+                            lambda: (lambda: count, set_count))
+        for name in ("_diffoas_block", "solve_sample"):
+            monkeypatch.setattr(bench, name, recording(getattr(bench, name)))
+        run_timing_suite("darcy", [64], [1e-3], 1, 3, master_seed=6,
+                         n_basis=2)
+        assert len(seen) >= 8 and set(seen) == {1}
+        assert count == 2
 
     def test_first_gmres_solve_is_classic_sample_0(self, monkeypatch,
                                                    tmp_path):

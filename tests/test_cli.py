@@ -207,13 +207,14 @@ class TestGenerateVerifyInspect:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    def test_verify_corrupted_exit_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("offset", [5, -1])
+    def test_verify_corrupted_exit_3(self, capsys, tmp_path, offset):
         out = tmp_path / "d"
         main(["generate", "--grid", "8", "--samples", "2", "--basis", "2",
               "--out", str(out)])
         path = out / "u.f64"
         raw = bytearray(path.read_bytes())
-        raw[5] ^= 0xFF
+        raw[offset] ^= 0xFF
         path.write_bytes(bytes(raw))
         code, _, err = run(["verify", "--data", str(out)], capsys)
         assert code == 3

@@ -166,13 +166,15 @@ class TestWrite:
 
 
 class TestRead:
-    def test_corruption_detected_and_named(self, tmp_path):
+    @pytest.mark.parametrize("offset", [0, 17, -1])
+    @pytest.mark.parametrize("name", ["a", "f", "u"])
+    def test_corruption_detected_and_named(self, tmp_path, name, offset):
         write_small(tmp_path, n=3, count=2)
-        path = tmp_path / "u.f64"
+        path = tmp_path / f"{name}.f64"
         raw = bytearray(path.read_bytes())
-        raw[17] ^= 0xFF
+        raw[offset] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(DatasetIntegrityError, match="u.f64"):
+        with pytest.raises(DatasetIntegrityError, match=f"{name}.f64"):
             read_dataset(tmp_path)
 
     def test_truncation_detected(self, tmp_path):

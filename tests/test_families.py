@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,6 @@ from pdeforge.grid_ops import (
     DimensionError,
     EllipticityError,
     apply_operator,
-    darcy_stencil,
 )
 
 
@@ -110,6 +107,18 @@ class TestRegistry:
             PdeCoefficients(pde)
 
 
+@pytest.mark.parametrize("pde, operator", [
+    ("darcy", "-div(a grad u)"), ("helmholtz", "lap(u) + k2 u"),
+    ("diffusion", "div(k grad u) + q u")])
+def test_manifest_states_the_operator(pde, operator, tmp_path):
+    config = GenerationConfig(pde, Grid2D(4), 2, master_seed=1)
+    generate_diffoas(config, tmp_path,
+                     pool=make_ablation_pool(config, "fourier"))
+    generation = read_dataset(tmp_path).manifest.generation
+    assert generation["operator"] == operator
+    assert "sign_convention" not in generation
+
+
 class ConstantField:
     def sample(self, grid, rng):
         return FieldSample.constant(grid, 1.0)
@@ -132,12 +141,14 @@ def test_matrix_free_path_checks_ellipticity(pde, name, bad):
 
 
 def test_new_family_costs_one_record(monkeypatch, tmp_path):
-    # -lap(u) = f with a constant unit coefficient, registered and nothing else
+    # -div(c grad u) = f with a constant unit coefficient, registered and
+    # nothing else
     monkeypatch.setitem(FAMILIES, "poisson", PdeFamily(
         distributions={"c": ConstantField()},
         forcing=GrfParams(tau=3.0, alpha=2.0),
-        stencil=lambda grid, c: darcy_stencil(grid, c),
+        sign=-1.0,
         n_basis=3,
+        flux="c",
     ))
     config = GenerationConfig("poisson", Grid2D(6), 4, master_seed=2)
     generate_diffoas(config, tmp_path)
@@ -237,13 +248,13 @@ def test_manufactured_solution_converges_at_second_order(pde):
 
 @pytest.mark.parametrize("pde", sorted(FAMILIES))
 def test_perturbed_face_fails_the_order_test(pde, monkeypatch):
-    record = FAMILIES[pde]
+    stencil = PdeFamily.stencil
 
-    def perturbed(grid, **fields):
+    def perturbed(record, grid, **fields):
         # the north face off by a relative O(h), as a coefficient taken at
         # a node instead of the face midpoint would be
-        center, north, *rest = record.stencil(grid, **fields)
+        center, north, *rest = stencil(record, grid, **fields)
         return (center, north * (1 + grid.h), *rest)
 
-    monkeypatch.setitem(FAMILIES, pde, replace(record, stencil=perturbed))
+    monkeypatch.setattr(PdeFamily, "stencil", perturbed)
     assert not 1.8 <= observed_order(pde) <= 2.2

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from pdeforge.dataset_io import (
     read_dataset,
     write_dataset,
 )
-from pdeforge.families import FAMILIES, PdeCoefficients
+from pdeforge.families import FAMILIES, PdeCoefficients, PdeFamily
 from pdeforge.fields import RngStream
 from pdeforge.generator import (
     BasisPool,
@@ -164,16 +166,15 @@ class TestPreconditionedPool:
         assert len(preconds) == 3 and all(map(callable, preconds))
 
     def test_pool_solve_builds_the_stencil_once(self, monkeypatch):
-        # the preconditioner's sign and the CSR matrix share one stencil
+        # the preconditioner takes its sign from the record, not a stencil
         builds = []
-        darcy = FAMILIES["darcy"]
+        stencil = PdeFamily.stencil
 
-        def counting(grid, **fields):
+        def counting(record, grid, **fields):
             builds.append(grid)
-            return darcy.stencil(grid, **fields)
+            return stencil(record, grid, **fields)
 
-        monkeypatch.setitem(FAMILIES, "darcy",
-                            dataclasses.replace(darcy, stencil=counting))
+        monkeypatch.setattr(PdeFamily, "stencil", counting)
         pool = build_basis_pool(small_config(n_basis=3))
         assert len(builds) == 3
         assert sum(s["iterations"] for s in pool.provenance) > 0
@@ -464,6 +465,36 @@ def test_directory_holds_only_manifest_files(tmp_path, pool):
     files = {entry["filename"] for entry in ds.manifest.field_files.values()}
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
     assert verify_dataset(ds, ds.manifest.generation["solver_tol"]).passed
+
+
+@pytest.mark.parametrize("method", ["diffoas", "classic"])
+def test_manifest_is_written_once_with_its_timings(tmp_path, monkeypatch,
+                                                   method):
+    replaced, solves = [], []
+    real_replace, real_gmres = os.replace, generator.gmres
+
+    def recording(src, dst):
+        replaced.append(Path(dst).name)
+        real_replace(src, dst)
+
+    def second_fails(A, b, **kwargs):  # one thread solves in sample order
+        solves.append(b)
+        return dataclasses.replace(real_gmres(A, b, **kwargs),
+                                   converged=len(solves) != 2)
+
+    monkeypatch.setattr(os, "replace", recording)
+    if method == "diffoas":
+        ds = generate_diffoas(small_config(), tmp_path)
+    else:
+        monkeypatch.setattr(generator, "gmres", second_fails)
+        ds = generate_classic(small_config(method="classic"), tmp_path)
+    assert replaced == ["manifest.json"]
+    written = read_dataset(tmp_path).manifest
+    assert written.generation["timings"] == ds.manifest.generation["timings"]
+    assert set(written.generation["timings"]) >= (
+        {"basis_seconds", "action_seconds"} if method == "diffoas"
+        else {"solve_seconds"})
+    assert written.skipped_samples == ([] if method == "diffoas" else [1])
 
 
 class TestThreads:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdeforge.families import FAMILIES
 from pdeforge.fields import GrfParams, RngStream, sample_grf, sample_uniform
 from pdeforge.generator import draw_coefficients
 from pdeforge.grid import FieldSample, Grid2D, GridError
@@ -12,10 +13,10 @@ from pdeforge.grid_ops import (
     DimensionError,
     EllipticityError,
     apply_operator,
-    darcy_stencil,
-    diffusion_stencil,
-    helmholtz_stencil,
 )
+
+DARCY, HELMHOLTZ, DIFFUSION = (FAMILIES[pde] for pde in
+                               ("darcy", "helmholtz", "diffusion"))
 
 PAPER_4X4 = np.array([
     [-4.0, 1.0, 1.0, 0.0],
@@ -52,7 +53,7 @@ class TestDarcy:
     def test_constant_coefficient_golden(self):
         # a == 1, n=2 (h=1/3): 9 * scaled negative Laplacian
         g = Grid2D(2)
-        A = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
+        A = _five_point(g, *DARCY.stencil(g, a=FieldSample.constant(g, 1.0)))
         expected = 9.0 * np.array([
             [4.0, -1.0, -1.0, 0.0],
             [-1.0, 4.0, 0.0, -1.0],
@@ -65,7 +66,7 @@ class TestDarcy:
         # analytic Dirichlet eigenvalues vs dense eigensolve oracle
         g = Grid2D(3)
         h = g.h
-        A = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
+        A = _five_point(g, *DARCY.stencil(g, a=FieldSample.constant(g, 1.0)))
         computed = np.sort(np.linalg.eigvalsh(A.toarray()))
         analytic = np.sort([
             (4.0 / h**2) * (np.sin(np.pi * p * h / 2) ** 2
@@ -76,7 +77,7 @@ class TestDarcy:
 
     def test_symmetry_bruteforce(self):
         g = Grid2D(4)
-        A = _five_point(g, *darcy_stencil(g, random_field(g, 11)))
+        A = _five_point(g, *DARCY.stencil(g, a=random_field(g, 11)))
         dense = A.toarray()
         for i in range(16):
             for j in range(16):
@@ -85,29 +86,29 @@ class TestDarcy:
     def test_positive_definite_small(self):
         for n in (2, 4, 8):
             g = Grid2D(n)
-            A = _five_point(g, *darcy_stencil(g, random_field(g, n)))
+            A = _five_point(g, *DARCY.stencil(g, a=random_field(g, n)))
             assert np.linalg.eigvalsh(A.toarray()).min() > 0
 
     def test_constant_scaling(self):
         g = Grid2D(5)
-        A1 = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
-        Ac = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 3.5)))
+        A1 = _five_point(g, *DARCY.stencil(g, a=FieldSample.constant(g, 1.0)))
+        Ac = _five_point(g, *DARCY.stencil(g, a=FieldSample.constant(g, 3.5)))
         np.testing.assert_array_equal(Ac.data, 3.5 * A1.data)
 
     def test_rejects_nonpositive_permeability(self):
         g = Grid2D(3)
         with pytest.raises(EllipticityError):
-            _five_point(g, *darcy_stencil(g, FieldSample.constant(g, -1.0)))
+            _five_point(g, *DARCY.stencil(g, a=FieldSample.constant(g, -1.0)))
 
     def test_rejects_mismatched_grid(self):
         with pytest.raises(DimensionError):
-            _five_point(Grid2D(3), *darcy_stencil(
-                Grid2D(3), FieldSample.constant(Grid2D(4), 1.0)))
+            _five_point(Grid2D(3), *DARCY.stencil(
+                Grid2D(3), a=FieldSample.constant(Grid2D(4), 1.0)))
 
     def test_stencil_sparsity(self):
         for n in (2, 3, 7):
             g = Grid2D(n)
-            A = _five_point(g, *darcy_stencil(g, random_field(g, n)))
+            A = _five_point(g, *DARCY.stencil(g, a=random_field(g, n)))
             assert np.max(np.diff(A.indptr)) <= 5
             # brute-force stencil count: 1 diagonal + interior neighbors
             expected = 0
@@ -120,15 +121,16 @@ class TestDarcy:
 
     def test_matrices_share_no_index_arrays(self):
         grid = Grid2D(5)
-        A = _five_point(grid, *darcy_stencil(grid, random_field(grid, 1)))
-        B = _five_point(grid, *darcy_stencil(grid, random_field(grid, 2)))
+        A = _five_point(grid, *DARCY.stencil(grid, a=random_field(grid, 1)))
+        B = _five_point(grid, *DARCY.stencil(grid, a=random_field(grid, 2)))
         indices, indptr = B.indices.copy(), B.indptr.copy()
         A.indices[:3] = A.indices[:3][::-1]
         A.has_sorted_indices = False
         A.sort_indices()
         A.indices[-1] = 0
         A.indptr[1] = 0
-        fresh = _five_point(grid, *darcy_stencil(grid, random_field(grid, 3)))
+        fresh = _five_point(grid,
+            *DARCY.stencil(grid, a=random_field(grid, 3)))
         for C in (B, fresh):
             np.testing.assert_array_equal(C.indices, indices)
             np.testing.assert_array_equal(C.indptr, indptr)
@@ -137,15 +139,18 @@ class TestDarcy:
 class TestHelmholtz:
     def test_zero_k_is_negated_darcy(self):
         g = Grid2D(2)
-        H = _five_point(g, *helmholtz_stencil(g, FieldSample.constant(g, 0.0)))
-        D = _five_point(g, *darcy_stencil(g, FieldSample.constant(g, 1.0)))
+        H = _five_point(g,
+            *HELMHOLTZ.stencil(g, k2=FieldSample.constant(g, 0.0)))
+        D = _five_point(g, *DARCY.stencil(g, a=FieldSample.constant(g, 1.0)))
         np.testing.assert_array_equal(H.toarray(), -D.toarray())
 
     def test_constant_shift(self):
         g = Grid2D(3)
         c = 2.75
-        H0 = _five_point(g, *helmholtz_stencil(g, FieldSample.constant(g, 0)))
-        Hc = _five_point(g, *helmholtz_stencil(g, FieldSample.constant(g, c)))
+        H0 = _five_point(g,
+            *HELMHOLTZ.stencil(g, k2=FieldSample.constant(g, 0)))
+        Hc = _five_point(g,
+            *HELMHOLTZ.stencil(g, k2=FieldSample.constant(g, c)))
         np.testing.assert_array_equal(
             Hc.toarray(), H0.toarray() + c * np.eye(9))
 
@@ -153,7 +158,7 @@ class TestHelmholtz:
         g = Grid2D(4)
         k2 = sample_grf(g, GrfParams(tau=3.0, alpha=2.0, scale=0.1),
                         RngStream(5, "sample_params", 0))
-        A = _five_point(g, *helmholtz_stencil(g, k2))
+        A = _five_point(g, *HELMHOLTZ.stencil(g, k2=k2))
         np.testing.assert_allclose(
             apply_operator(A, np.ones(16)), A.toarray().sum(axis=1),
             rtol=1e-13, atol=1e-9)
@@ -189,8 +194,8 @@ class TestDiffusionReaction:
         g = Grid2D(3)
         k = FieldSample.constant(g, 1.0)
         q = FieldSample.constant(g, 0.0)
-        A = _five_point(g, *diffusion_stencil(g, k, q))
-        D = _five_point(g, *darcy_stencil(g, k))
+        A = _five_point(g, *DIFFUSION.stencil(g, k=k, q=q))
+        D = _five_point(g, *DARCY.stencil(g, a=k))
         np.testing.assert_array_equal(A.toarray(), -D.toarray())
 
     def test_reaction_is_diagonal_shift(self):
@@ -198,9 +203,9 @@ class TestDiffusionReaction:
         k = random_field(g, 3)
         c = 1.25
         A0 = _five_point(
-            g, *diffusion_stencil(g, k, FieldSample.constant(g, 0.0)))
+            g, *DIFFUSION.stencil(g, k=k, q=FieldSample.constant(g, 0.0)))
         Ac = _five_point(
-            g, *diffusion_stencil(g, k, FieldSample.constant(g, c)))
+            g, *DIFFUSION.stencil(g, k=k, q=FieldSample.constant(g, c)))
         np.testing.assert_allclose(
             Ac.toarray() - A0.toarray(), c * np.eye(16), atol=1e-12)
 
@@ -211,7 +216,7 @@ class TestDiffusionReaction:
         shift = max(0.0, 0.1 - k_raw.values.min())
         k = FieldSample(g, k_raw.values + shift)
         q = sample_uniform(g, 0.0, 1.0, RngStream(9, "sample_params", 1))
-        A = _five_point(g, *diffusion_stencil(g, k, q))
+        A = _five_point(g, *DIFFUSION.stencil(g, k=k, q=q))
         dense = A.toarray()
         gen = np.random.default_rng(0)
         for _ in range(3):
@@ -222,8 +227,9 @@ class TestDiffusionReaction:
     def test_rejects_nonpositive_k(self):
         g = Grid2D(3)
         with pytest.raises(EllipticityError):
-            _five_point(g, *diffusion_stencil(
-                g, FieldSample.constant(g, 0.0), FieldSample.constant(g, 1.0)))
+            _five_point(g, *DIFFUSION.stencil(
+                g, k=FieldSample.constant(g, 0.0),
+                q=FieldSample.constant(g, 1.0)))
 
 
 class TestApplyOperator:
@@ -239,7 +245,7 @@ class TestApplyOperator:
 
     def test_matches_dense_random(self):
         g = Grid2D(5)
-        A = _five_point(g, *darcy_stencil(g, random_field(g, 21)))
+        A = _five_point(g, *DARCY.stencil(g, a=random_field(g, 21)))
         dense = A.toarray()
         gen = np.random.default_rng(1)
         x = gen.standard_normal(25)
@@ -281,7 +287,7 @@ class TestApplyOperator:
            alpha=st.floats(-2, 2), beta=st.floats(-2, 2))
     def test_linearity(self, seed, n, alpha, beta):
         g = Grid2D(n)
-        A = _five_point(g, *darcy_stencil(g, random_field(g, seed)))
+        A = _five_point(g, *DARCY.stencil(g, a=random_field(g, seed)))
         gen = np.random.default_rng(seed + 1)
         x1 = gen.standard_normal(n * n)
         x2 = gen.standard_normal(n * n)
@@ -310,30 +316,30 @@ class TestStencils:
             coef = np.exp(gen.standard_normal((14, 14)))
             q = gen.uniform(size=(14, 14))
             if pde == "darcy":
-                got, sign = darcy_stencil(grid, coef), -1.0
+                got, sign = DARCY.stencil(grid, a=coef), -1.0
             else:
-                got, sign = diffusion_stencil(grid, coef, q), 1.0
+                got, sign = DIFFUSION.stencil(grid, k=coef, q=q), 1.0
             ref = four_face_stencil(grid.h ** 2, coef, sign)
             if pde == "diffusion":
                 ref[0] = ref[0] + q[1:-1, 1:-1]
             for g, r in zip(got, ref):
                 assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
 
-    @pytest.mark.parametrize("stencil,names", [
-        (darcy_stencil, ("a",)), (helmholtz_stencil, ("k2",)),
-        (diffusion_stencil, ("k", "q"))])
-    def test_block_is_per_sample_bit_for_bit(self, stencil, names):
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    def test_block_is_per_sample_bit_for_bit(self, pde):
         grid = Grid2D(7)
         gen = np.random.default_rng(6)
-        fields = {name: 0.5 + gen.uniform(size=(4, 9, 9)) for name in names}
-        block = stencil(grid, **fields)
+        record = FAMILIES[pde]
+        fields = {name: 0.5 + gen.uniform(size=(4, 9, 9))
+                  for name in record.coefficients}
+        block = record.stencil(grid, **fields)
         for i in range(4):
-            one = stencil(grid, **{name: FieldSample(grid, v[i])
-                                   for name, v in fields.items()})
+            one = record.stencil(grid, **{name: FieldSample(grid, v[i])
+                                          for name, v in fields.items()})
             for b, s in zip(block, one):
                 assert np.array_equal(np.broadcast_to(b, (4, 7, 7))[i],
                                       np.broadcast_to(s, (7, 7)))
 
     def test_node_array_of_another_grid_rejected(self):
         with pytest.raises(DimensionError):
-            darcy_stencil(Grid2D(4), np.ones((3, 5, 5)))
+            DARCY.stencil(Grid2D(4), a=np.ones((3, 5, 5)))

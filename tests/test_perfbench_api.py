@@ -6,7 +6,9 @@ import inspect
 import sys
 from pathlib import Path
 
-from pdeforge import gmres
+from pdeforge import (BasisPool, FieldSample, Grid2D, PdeCoefficients,
+                      RngStream, gmres)
+from pdeforge.dataset_io import Dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -20,6 +22,13 @@ USED_NAMES = {
                  "FieldSample", "GenerationConfig", "Grid2D",
                  "build_basis_pool", "generate_classic", "generate_diffoas",
                  "verify_dataset"),
+}
+# members the harness calls on the program's objects
+USED_MEMBERS = {
+    PdeCoefficients: ("assemble", "field_map"),
+    Dataset: ("field_sample",),
+    FieldSample: ("from_interior", "interior"),
+    RngStream: ("generator",),
 }
 # GenerationConfig attributes the harness reads besides the constructor's
 CONFIG_ATTRIBUTES = ("weight_resample_threshold", "noise_eta", "n_basis",
@@ -37,6 +46,13 @@ def test_benchmark_harness_imports_and_counts(monkeypatch):
         for module, names in USED_NAMES.items():
             for name in names:
                 assert hasattr(sys.modules[module], name), f"{module}.{name}"
+        for cls, names in USED_MEMBERS.items():
+            for name in names:
+                assert callable(getattr(cls, name, None)), \
+                    f"{cls.__name__}.{name}"
+        grid = Grid2D(2)
+        pool = BasisPool(grid, [FieldSample.constant(grid, 0.0)], key={})
+        assert pool.size == 1
         for wl in workloads.WORKLOADS.values():
             counts = record.computed_counts(wl, 1 << 20)
             assert counts["grid_ops.nnz"][0] == 5 * wl.n ** 2 - 4 * wl.n

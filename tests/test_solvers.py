@@ -18,7 +18,6 @@ from pdeforge.grid_ops import (
     DimensionError,
     apply_operator,
     _five_point,
-    darcy_stencil,
 )
 from pdeforge.solvers import SolveOptions, gmres
 
@@ -28,7 +27,7 @@ def darcy_system(n, seed, lognormal=True):
     params = GrfParams(tau=7.0, alpha=2.5,
                        transform="exp" if lognormal else "none")
     a = sample_grf(g, params, RngStream(seed, "basis_params", 0))
-    A = _five_point(g, *darcy_stencil(g, a))
+    A = PdeCoefficients("darcy", a=a).assemble()
     b = sample_grf(g, GrfParams(tau=7.0, alpha=2.5),
                    RngStream(seed, "basis_params", 1)).interior()
     return A, b
