@@ -1,8 +1,16 @@
 """Command-line front end: generate, verify, bench, inspect.
 
-Exit codes: 0 success, 1 verification/lookup failure, 2 generation error,
-3 I/O or integrity error, 64 usage error. Phase timings go to stderr as
-JSON lines so stdout stays pipeable.
+Exit codes, with the prefix of the one stderr line that names the error:
+
+    0   success
+    1   verification or lookup failure   "failed: "
+    2   generation error                 "generation error: "
+    3   I/O, integrity or format error   "I/O or integrity error: "
+    64  usage error                      "pdeforge: error: "
+
+`main` maps the library's errors to 1-3; a verify report that does not
+pass exits 1 with no stderr line. `generate`, and `bench` when it flags
+records, also write one JSON telemetry line to stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ EXIT_FAIL = 1
 EXIT_GENERATION = 2
 EXIT_IO = 3
 EXIT_USAGE = 64
+# the stderr prefix of each exit code but usage
+PREFIXES = {EXIT_FAIL: "failed", EXIT_GENERATION: "generation error",
+            EXIT_IO: "I/O or integrity error"}
 
 METHODS = ("diffoas", "classic", "ablation-grf", "ablation-fourier",
            "ablation-chebyshev")
@@ -147,30 +158,20 @@ def cmd_generate(args) -> int:
     if args.basis is not None and args.method != "diffoas":
         _usage_error("--basis applies to --method diffoas only")
     try:
-        grid = Grid2D(args.grid)
         config = GenerationConfig(
-            pde=args.pde, grid=grid, num_samples=args.samples,
+            pde=args.pde, grid=Grid2D(args.grid), num_samples=args.samples,
             method="classic" if args.method == "classic" else "diffoas",
             solver_tol=args.tol, n_basis=args.basis,
             noise_eta=args.eta, master_seed=args.seed,
         )
     except ValueError as exc:
         _usage_error(str(exc))
-    try:
-        if args.method == "classic":
-            dataset = generate_classic(config, Path(args.out),
-                                       args.threads or 1)
-        else:
-            pool = None if args.method == "diffoas" else make_ablation_pool(
-                config, args.method.removeprefix("ablation-"))
-            dataset = generate_diffoas(config, Path(args.out), args.threads,
-                                       pool)
-    except GenerationError as exc:
-        print(f"generation error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.method == "classic":
+        dataset = generate_classic(config, Path(args.out), args.threads or 1)
+    else:
+        pool = None if args.method == "diffoas" else make_ablation_pool(
+            config, args.method.removeprefix("ablation-"))
+        dataset = generate_diffoas(config, Path(args.out), args.threads, pool)
     generation = dataset.manifest.generation
     pool = generation.get("pool", {})  # classic runs have no pool
     _telemetry(event="generate-done", out=str(args.out),
@@ -186,18 +187,7 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 < args.tol < math.inf:  # written so that NaN fails it
         _usage_error(f"--tol must be > 0 and finite, got {args.tol}")
-    try:
-        dataset = read_dataset(args.data)
-        report = verify_dataset(dataset, args.tol)
-    except (DatasetIntegrityError, OSError) as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DatasetFormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except EllipticityError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    report = verify_dataset(read_dataset(args.data), args.tol)
     print(json.dumps({
         "samples": report.num_samples,
         "max_relative_residual": _json_number(report.max_relative_residual),
@@ -216,8 +206,6 @@ def cmd_bench(args) -> int:
         tols = [float(t) for t in args.tols.split(",") if t]
     except ValueError:
         _usage_error("--dims and --tols must be comma-separated numbers")
-    if args.samples < 1:
-        _usage_error("--samples must be >= 1")
     regress_tol = args.regress_tol
     # --tols must be > 0 and finite (run_timing_suite), and NaN is in no list
     if regress_tol is not None and regress_tol not in tols:
@@ -234,11 +222,7 @@ def cmd_bench(args) -> int:
         text = emit_report(records, regression, args.format, pde=args.pde)
     except BenchConfigError as exc:
         _usage_error(str(exc))
-    try:
-        Path(args.out).write_text(text)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    Path(args.out).write_text(text)
     flagged = [r for r in records if r.method != "diffoas_total" and r.flags]
     if flagged:
         _telemetry(event="bench-warnings",
@@ -248,11 +232,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        dataset = read_dataset(args.data)
-    except (DatasetIntegrityError, DatasetFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    dataset = read_dataset(args.data)
     manifest = dataset.manifest
     out = {
         "pde": manifest.pde,
@@ -262,28 +242,20 @@ def cmd_inspect(args) -> int:
         "fields": list(manifest.field_names),
         "skipped_samples": manifest.skipped_samples,
     }
-    if args.stats:
-        k = args.sample if args.sample is not None else 0
-        names = [args.field] if args.field else list(manifest.field_names)
-        try:
-            out["stats"] = {
-                name: _field_stats(dataset.field_sample(name, k))
-                for name in names
-            }
-        except DatasetFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-    elif args.sample is not None or args.field:
-        k = args.sample if args.sample is not None else 0
-        name = args.field or "u"
-        try:
+    k = args.sample if args.sample is not None else 0
+    try:  # a sample or field the dataset does not hold
+        if args.stats:
+            names = [args.field] if args.field else list(manifest.field_names)
+            out["stats"] = {name: _field_stats(dataset.field_sample(name, k))
+                            for name in names}
+        elif args.sample is not None or args.field:
+            name = args.field or "u"
             fs = dataset.field_sample(name, k)
-        except DatasetFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        out["sample"] = {"index": k, "field": name,
-                         "num_values": int(fs.values.size),
-                         **_field_stats(fs)}
+            out["sample"] = {"index": k, "field": name,
+                             "num_values": int(fs.values.size),
+                             **_field_stats(fs)}
+    except DatasetFormatError as exc:
+        return _fail(EXIT_FAIL, exc)
     print(json.dumps(out, indent=2, allow_nan=False))
     return EXIT_OK
 
@@ -293,16 +265,23 @@ def _usage_error(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
+def _fail(code: int, exc: Exception) -> int:
+    print(f"{PREFIXES[code]}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "generate": cmd_generate,
-        "verify": cmd_verify,
-        "bench": cmd_bench,
-        "inspect": cmd_inspect,
-    }[args.command]
-    return handler(args)
+    args = build_parser().parse_args(argv)
+    handler = {"generate": cmd_generate, "verify": cmd_verify,
+               "bench": cmd_bench, "inspect": cmd_inspect}[args.command]
+    try:
+        return handler(args)
+    except GenerationError as exc:
+        return _fail(EXIT_GENERATION, exc)
+    except EllipticityError as exc:
+        return _fail(EXIT_FAIL, exc)
+    except (DatasetIntegrityError, DatasetFormatError, OSError) as exc:
+        return _fail(EXIT_IO, exc)
 
 
 if __name__ == "__main__":

@@ -79,9 +79,12 @@ class DatasetManifest:
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
         """The manifest of a parsed manifest.json; DatasetFormatError
-        unless it is an object that states this FORMAT, with
-        grid_interior >= 1, num_samples >= 0, and each field file entry an
-        object naming `<field>.f64`, with integer byte_length and crc32."""
+        unless it is an object that states this FORMAT and a registered pde,
+        with grid_interior >= 1, num_samples >= 0, a string method, an
+        object generation, skipped_samples a list of integers >= 0, each
+        field file entry an object naming `<field>.f64` with integer
+        byte_length and crc32, and an entry of num_samples samples' length
+        for each field of the pde. read_dataset judges the files."""
         if not isinstance(d, dict):
             raise DatasetFormatError("manifest is not a JSON object")
         for key, expected in FORMAT.items():
@@ -96,11 +99,22 @@ class DatasetManifest:
                 raise DatasetFormatError(
                     f"manifest {key} must be an integer >= {least}, "
                     f"got {value!r}")
-        files = d.get("field_files", {})
-        if not isinstance(files, dict):
-            raise DatasetFormatError(
-                f"manifest field_files is not an object: {files!r}")
-        for name, entry in files.items():
+        m = cls(pde=d.get("pde"), grid_interior=d["grid_interior"],
+                num_samples=d["num_samples"], method=d.get("method"),
+                field_files=d.get("field_files", {}),
+                generation=d.get("generation", {}),
+                skipped_samples=d.get("skipped_samples", []))
+        names = m.field_names  # DatasetFormatError for an unknown pde
+        for key, kind, what in (
+                ("method", str, "a string"), ("field_files", dict, "an object"),
+                ("generation", dict, "an object"),
+                ("skipped_samples", list, "a list of integers >= 0")):
+            value = getattr(m, key)
+            if not isinstance(value, kind) or kind is list and not all(
+                    type(k) is int and k >= 0 for k in value):
+                raise DatasetFormatError(f"manifest {key} is not {what}: "
+                                         f"{value!r}")
+        for name, entry in m.field_files.items():
             if not (isinstance(entry, dict)
                     and entry.get("filename") == f"{name}.f64"
                     and all(type(entry.get(key)) is int
@@ -108,15 +122,13 @@ class DatasetManifest:
                 raise DatasetFormatError(
                     f"manifest entry for {name!r} is not an object naming "
                     f"{name}.f64 with its byte_length and crc32: {entry!r}")
-        return cls(
-            pde=d["pde"],
-            grid_interior=d["grid_interior"],
-            num_samples=d["num_samples"],
-            method=d["method"],
-            field_files=files,
-            generation=d.get("generation", {}),
-            skipped_samples=d.get("skipped_samples", []),
-        )
+        length = m.num_samples * m.nodes_per_sample * 8
+        for name in names:
+            if m.field_files.get(name, {}).get("byte_length") != length:
+                raise DatasetFormatError(
+                    f"manifest entry for {name!r} is missing or does not "
+                    f"state {length} bytes, those of {m.num_samples} samples")
+        return m
 
 
 def checksum_field(dir: os.PathLike, field_name: str) -> int:
@@ -274,31 +286,28 @@ class Dataset:
 
 
 def read_dataset(dir: os.PathLike) -> Dataset:
-    """Load a dataset, validating lengths and CRCs eagerly."""
+    """Load a dataset: its manifest as DatasetManifest.from_dict judges it,
+    then each field file's presence, length and CRC, eagerly."""
     out = Path(dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():
         raise DatasetIntegrityError(f"no manifest.json in {out}")
-    try:
-        manifest = DatasetManifest.from_dict(json.loads(manifest_path.read_text()))
-    except (json.JSONDecodeError, KeyError) as exc:
+    try:  # ValueError covers both the UTF-8 and the JSON decode errors
+        parsed = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"malformed manifest: {exc}") from exc
+    manifest = DatasetManifest.from_dict(parsed)
 
-    slab = manifest.nodes_per_sample
     for name in manifest.field_names:
-        if name not in manifest.field_files:
-            raise DatasetFormatError(f"manifest missing field file entry {name!r}")
         entry = manifest.field_files[name]
         path = out / entry["filename"]
         if not path.is_file():
             raise DatasetIntegrityError(f"missing field file {path}")
         size = path.stat().st_size
-        expected = manifest.num_samples * slab * 8
-        if size != expected or entry["byte_length"] != expected:
+        if size != entry["byte_length"]:
             raise DatasetIntegrityError(
                 f"{path.name}: byte length {size}, manifest "
-                f"{entry['byte_length']}, expected {expected}"
-            )
+                f"{entry['byte_length']}")
         crc = checksum_field(out, name)
         if crc != entry["crc32"]:
             raise DatasetIntegrityError(

@@ -131,7 +131,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag,value", [
         ("--tols", "-1"), ("--tols", ","), ("--tols", "nan"),
         ("--tols", "inf"), ("--dims", "0"), ("--dims", ","),
-        ("--basis", "0"), ("--seed", "-1")])
+        ("--basis", "0"), ("--seed", "-1"), ("--samples", "0"),
+        ("--repeats", "2")])
     def test_bad_bench_setting(self, capsys, tmp_path, flag, value):
         out = tmp_path / "r.csv"
         code, _, err = run(["bench", "--dims", "16", "--tols", "1e-3",
@@ -375,15 +376,65 @@ class TestManifestFuzzing:
         darcy_manifest(dtype=None),
         darcy_manifest(layout=None),
         *[darcy_manifest(format_version=v) for v in (True, 1.0)],
+        darcy_manifest(method=float("nan")),
+        *[darcy_manifest(skipped_samples=v)
+          for v in (float("nan"), "x", [-1], [1.0])],
+        darcy_manifest(generation=[]),
+        darcy_manifest(field_files={"a": ZERO_FILES["a"],
+                                    "f": ZERO_FILES["f"]}),
+        darcy_manifest(field_files={**ZERO_FILES, "u": {
+            **ZERO_FILES["u"], "byte_length": 64}}),
+        pytest.param(b"\xff\xfe" + darcy_manifest().encode(),
+                     id="not-utf-8"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-100000-deep"),
     ])
     def test_malformed_manifest_never_crashes(self, capsys, tmp_path,
                                               mutation):
         write_zero_fields(tmp_path)
-        (tmp_path / "manifest.json").write_text(mutation)
+        path = tmp_path / "manifest.json"
+        if isinstance(mutation, bytes):
+            path.write_bytes(mutation)
+        else:
+            path.write_text(mutation)
         code, _, _ = run(["verify", "--data", str(tmp_path)], capsys)
         assert code == 3
         code, _, _ = run(["inspect", "--data", str(tmp_path)], capsys)
         assert code == 3
+
+
+# the first library call of each command, and its arguments
+FIRST_CALLS = {
+    "generate": ("generate_diffoas", ["--grid", "4", "--samples", "2"]),
+    "verify": ("read_dataset", []),
+    "inspect": ("read_dataset", []),
+    "bench": ("run_timing_suite", ["--dims", "16", "--tols", "1e-3"]),
+}
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("error,code,prefix", [
+        pytest.param(error, code, prefix, id=error.__name__)
+        for error, code, prefix in (
+            (cli.GenerationError, 2, "generation error: "),
+            (cli.EllipticityError, 1, "failed: "),
+            (cli.DatasetIntegrityError, 3, "I/O or integrity error: "),
+            (cli.DatasetFormatError, 3, "I/O or integrity error: "),
+            (OSError, 3, "I/O or integrity error: "))])
+    @pytest.mark.parametrize("command", list(FIRST_CALLS))
+    def test_library_error_maps_to_its_code(self, capsys, tmp_path,
+                                            monkeypatch, command, error,
+                                            code, prefix):
+        def raising(*args, **kwargs):
+            raise error("x")
+
+        name, flags = FIRST_CALLS[command]
+        monkeypatch.setattr(cli, name, raising)
+        target = ["--out", str(tmp_path / "o")] if command in (
+            "generate", "bench") else ["--data", str(tmp_path)]
+        got, stdout, err = run([command, *flags, *target], capsys)
+        assert got == code
+        assert err.count("\n") == 1 and err == f"{prefix}x\n"
+        assert "Traceback" not in err and stdout == ""
 
 
 class TestFailedGenerate:
