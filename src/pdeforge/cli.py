@@ -201,6 +201,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.samples < 1:
+        _usage_error("--samples must be >= 1")
+    if args.repeats < 3:
+        _usage_error("--repeats must be >= 3")
     try:
         dims = [int(d) for d in args.dims.split(",") if d]
         tols = [float(t) for t in args.tols.split(",") if t]

@@ -9,6 +9,12 @@ crashed write never leaves a readable dataset.
 (b, m, m) arrays, with the same bytes on disk either way (the `generator`
 docstring tells why a block holds the bits of its samples alone);
 `Dataset.blocks` reads blocks back, one `readinto` per field and block.
+
+`read_dataset` judges the manifest and each field file's presence and
+length up front. The bytes are checked against the manifest's CRC-32s as
+they are read, so that a full pass reads each byte once: `Dataset.blocks`
+after its last block, `Dataset.field_sample` once per field, on its first
+read. DatasetIntegrityError names the field file that does not match.
 """
 
 from __future__ import annotations
@@ -237,15 +243,28 @@ def _item_arrays(item: dict, names: tuple, slab: int) -> tuple:
 
 
 class Dataset:
-    """Validated, lazily-read dataset directory."""
+    """A dataset directory with a judged manifest, read lazily; its field
+    bytes are checked against the manifest's CRC-32s as they are read
+    (module docstring)."""
 
     def __init__(self, dir: os.PathLike, manifest: DatasetManifest):
         self.dir = Path(dir)
         self.manifest = manifest
         self.grid = Grid2D(manifest.grid_interior)
+        self._checked = set()  # fields whose whole file matched its CRC-32
 
     def _path(self, field_name: str) -> Path:
         return self.dir / self.manifest.field_files[field_name]["filename"]
+
+    def _check_crc(self, field_name: str, crc: int) -> None:
+        """DatasetIntegrityError naming the field file unless crc, the
+        CRC-32 of all of its bytes, is the manifest's."""
+        entry = self.manifest.field_files[field_name]
+        if crc != entry["crc32"]:
+            raise DatasetIntegrityError(
+                f"{entry['filename']}: crc32 {crc:#010x} != manifest "
+                f"{entry['crc32']:#010x}")
+        self._checked.add(field_name)
 
     def _read_block(self, fh, b: int) -> np.ndarray:
         """The next b samples, as (b, m, m) node arrays, of a field file
@@ -258,12 +277,19 @@ class Dataset:
         return values
 
     def field_sample(self, field_name: str, k: int) -> FieldSample:
+        """Sample k of a field. The first read of a field from this Dataset
+        CRCs its whole file (`checksum_field`), unless `blocks` has already
+        checked it, so a corrupt byte anywhere in the field raises
+        DatasetIntegrityError at any k; later reads of the field read one
+        sample."""
         if field_name not in self.manifest.field_names:
             raise DatasetFormatError(
                 f"field {field_name!r} not in pde {self.manifest.pde!r}"
             )
         if not (0 <= k < self.manifest.num_samples):
             raise DatasetFormatError(f"sample index {k} out of range")
+        if field_name not in self._checked:
+            self._check_crc(field_name, checksum_field(self.dir, field_name))
         with open(self._path(field_name), "rb") as fh:
             fh.seek(k * self.manifest.nodes_per_sample * 8)
             return FieldSample(self.grid, self._read_block(fh, 1)[0])
@@ -272,22 +298,37 @@ class Dataset:
         """Every sample in order, size consecutive samples at a time (the
         last block may be shorter): dicts of field name -> (b, m, m) node
         arrays. Each field file is opened once, and each block of a field
-        is one read."""
+        is one read, whose arrays update that field's CRC-32 before the
+        block is yielded.
+
+        After the last block, DatasetIntegrityError names the first field
+        file whose CRC-32 is not the manifest's. So a consumer that stops
+        early has checked nothing: the bytes it was given may be corrupt.
+        A file that ends inside a block raises DatasetIntegrityError at
+        that block."""
         if size < 1:
             raise ValueError(f"block size must be >= 1, got {size}")
         total = self.manifest.num_samples
+        names = self.manifest.field_names
+        crcs = dict.fromkeys(names, 0)
         with ExitStack() as stack:
             handles = {name: stack.enter_context(open(self._path(name), "rb"))
-                       for name in self.manifest.field_names}
+                       for name in names}
             for start in range(0, total, size):
                 b = min(size, total - start)
-                yield {name: self._read_block(fh, b)
-                       for name, fh in handles.items()}
+                block = {name: self._read_block(fh, b)
+                         for name, fh in handles.items()}
+                for name, values in block.items():
+                    crcs[name] = zlib.crc32(values, crcs[name])
+                yield block
+        for name in names:
+            self._check_crc(name, crcs[name])
 
 
 def read_dataset(dir: os.PathLike) -> Dataset:
-    """Load a dataset: its manifest as DatasetManifest.from_dict judges it,
-    then each field file's presence, length and CRC, eagerly."""
+    """Open a dataset: its manifest as DatasetManifest.from_dict judges it,
+    then each field file's presence and length. No field byte is read
+    here; the Dataset checks the CRC-32s as it reads (module docstring)."""
     out = Path(dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():
@@ -308,11 +349,4 @@ def read_dataset(dir: os.PathLike) -> Dataset:
             raise DatasetIntegrityError(
                 f"{path.name}: byte length {size}, manifest "
                 f"{entry['byte_length']}")
-        crc = checksum_field(out, name)
-        if crc != entry["crc32"]:
-            raise DatasetIntegrityError(
-                f"{path.name}: crc32 {crc:#010x} != manifest "
-                f"{entry['crc32']:#010x} (corruption within first "
-                f"{size} bytes)"
-            )
     return Dataset(out, manifest)

@@ -35,11 +35,13 @@ gets the bits it would get alone. A block item is a dict of field name ->
 CRC-32 update per field, as the bytes of its samples one after another.
 
 Blocks run on `threads` worker threads, by default one per usable CPU,
-and are written in block order. The generate paths and the pool build run
-with numpy's OpenBLAS pinned to one thread (`one_blas_thread`): OpenBLAS
-splits a matrix product among its threads in a way that changes its
-rounding at n >= 128, and N generation threads x N BLAS threads would
-oversubscribe the CPUs. With the pin, a dataset's bytes depend on neither
+and are written in block order; `verify_dataset` checks blocks on one
+thread per usable CPU too. The generate paths, the pool build and
+verification run with numpy's OpenBLAS pinned to one thread
+(`one_blas_thread`): OpenBLAS splits a matrix product, and a dot product
+of a long vector, among its threads in a way that changes its rounding,
+and N worker threads x N BLAS threads would oversubscribe the CPUs. With
+the pin, neither a dataset's bytes nor a verify report depends on either
 thread count.
 """
 
@@ -54,7 +56,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Optional
 
@@ -387,15 +389,20 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
 
 
 def _run_samples(worker, items, threads: int):
-    """worker(item) for each of items (a sequence), yielded in order. With
-    threads > 1 and more than one item they run on that many threads, at
-    most 2 * threads of them submitted ahead of the consumer: a slow
-    consumer holds a bounded number of results, not all of them. Items not
-    started when the consumer stops are cancelled."""
-    if threads == 1 or len(items) <= 1:
-        yield from map(worker, items)
-        return
+    """worker(item) for each of items (any iterable, pulled in the calling
+    thread), yielded in order. With threads > 1 and more than one item
+    they run on that many threads, at most 2 * threads of them pulled and
+    submitted ahead of the consumer: a slow consumer holds a bounded number
+    of items and results, not all of them. A lone item runs in the calling
+    thread: a thread gains it nothing, and starting one made perfbench's
+    one-block warm-up (a generate and a verify) 3-4 ms slower on a 2-vCPU
+    Xeon. Items not started when the consumer stops are cancelled."""
     todo = iter(items)
+    first = [] if threads == 1 else list(islice(todo, 2))
+    todo = chain(first, todo)
+    if len(first) <= 1:
+        yield from map(worker, todo)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         window = deque(pool.submit(worker, item)
                        for item in islice(todo, 2 * threads))
@@ -563,25 +570,36 @@ class VerificationReport:
         return self.num_samples > 0 and not self.failing_indices
 
 
+@one_blas_thread()
 def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
     """Measure ||A u - f|| / ||f|| over the interior nodes of every sample,
     with A u recomputed from the stored fields by `gather_stencil`: an
     independent check of the `apply_stencil` that computed f (`grid_ops`).
 
-    The dataset is read SAMPLE_BLOCK samples at a time (`Dataset.blocks`),
-    and each block's stencil is built and applied once, on its (b, m, m)
-    arrays; each residual is bit-identical to that of the sample's CSR
-    matrix alone (module docstring). A sample fails when its residual is
+    The calling thread reads the dataset SAMPLE_BLOCK samples at a time
+    (`Dataset.blocks`, which CRCs each byte as it reads it), and each
+    block's stencil is built and applied once, on its (b, m, m) arrays, on
+    one worker thread per usable CPU with one BLAS thread, at most two
+    blocks per thread ahead (`_run_samples`). Each residual is
+    bit-identical to that of the sample's CSR matrix alone (module
+    docstring), at any thread count. A sample fails when its residual is
     not within tol, or when its stored u is not zero on the boundary: the
     residual reads the boundary nodes next to the interior, and no row
-    reads the corners. EllipticityError names the block whose
-    coefficients are not elliptic."""
-    residuals = []
-    failing = []
+    reads the corners.
+
+    Integrity comes first: a field file whose CRC-32 is not the manifest's
+    raises DatasetIntegrityError after the last block. When a block
+    raises, the bytes not yet read are read and CRCed, and a mismatch
+    raises DatasetIntegrityError in place of the block's error, since a
+    corrupt byte may be its cause. Otherwise EllipticityError names the
+    block whose coefficients are not elliptic."""
     pde_family = family(dataset.manifest.pde)
     grid = dataset.grid
-    start = 0
-    for block in dataset.blocks(SAMPLE_BLOCK):
+
+    def check(item) -> tuple:
+        """(residuals, failing sample indices) of item, a pair of the
+        block's first sample index and the block."""
+        start, block = item
         u = block["u"]
         b = len(u)
         try:
@@ -596,13 +614,28 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
         # NaN counts as nonzero
         off_boundary = (u[:, [0, -1], :].any(axis=(1, 2))
                         | u[:, :, [0, -1]].any(axis=(1, 2)))
+        residuals, failing = [], []
         for i in range(b):
             denom = max(float(np.linalg.norm(f_int[i].ravel())), 1e-300)
             rel = float(np.linalg.norm(r[i].ravel())) / denom
             residuals.append(rel)
             if not rel <= tol or off_boundary[i]:  # a NaN residual fails
                 failing.append(start + i)
-        start += b
+        return residuals, failing
+
+    residuals = []
+    failing = []
+    blocks = dataset.blocks(SAMPLE_BLOCK)
+    try:
+        for rel, bad in _run_samples(
+                check, zip(count(0, SAMPLE_BLOCK), blocks),
+                _thread_count(None)):
+            residuals += rel
+            failing += bad
+    except Exception:
+        for _ in blocks:  # CRCs the rest; DatasetIntegrityError on a mismatch
+            pass
+        raise
     residuals = np.asarray(residuals)
     return VerificationReport(
         num_samples=len(residuals),

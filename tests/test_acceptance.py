@@ -241,24 +241,44 @@ def test_criterion_08_determinism(report, tmp_path):
             assert _manifest_without_timings(out) == ref_manifest
 
 
+def _cli_with_blas_threads(blas: str, *argv) -> str:
+    """stdout of `python -m pdeforge.cli argv` run with
+    OPENBLAS_NUM_THREADS=blas on this checkout's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "pdeforge.cli", *argv], env=env, check=True,
+        capture_output=True, text=True, timeout=300).stdout
+
+
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at n=128 OpenBLAS splits the GRF GEMMs among its threads, which
     # changes their rounding unless generation pins it to one thread
-    src = str(Path(cli.__file__).resolve().parents[1])
     outs = []
     for blas in ("1", "2"):
         out = tmp_path / f"blas{blas}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        subprocess.run(
-            [sys.executable, "-m", "pdeforge.cli", "generate", "--pde",
-             "darcy", "--grid", "128", "--samples", "16", "--seed", "1",
-             "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300)
+        _cli_with_blas_threads(
+            blas, "generate", "--pde", "darcy", "--grid", "128",
+            "--samples", "16", "--seed", "1", "--out", str(out))
         outs.append(out)
     assert set(_field_bytes(outs[0])) == {"a.f64", "f.f64", "u.f64"}
     assert _field_bytes(outs[0]) == _field_bytes(outs[1])
+
+
+def test_verify_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n=128 OpenBLAS splits the dot product in the norm of a 16384-node
+    # residual among its threads, which changes its rounding unless verify
+    # pins it to one thread
+    out = tmp_path / "classic"
+    generate_classic(GenerationConfig("helmholtz", Grid2D(128), 2,
+                                      method="classic", master_seed=1), out)
+    reports = [json.loads(_cli_with_blas_threads(
+        blas, "verify", "--data", str(out), "--tol", "1e-4"))
+        for blas in ("1", "2")]
+    assert reports[0]["passed"]
+    assert reports[0] == reports[1]
 
 
 def test_criterion_09_phase_cost_split(report, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import zlib
@@ -141,6 +142,8 @@ class TestUsageErrors:
         assert code == 64
         assert "Traceback" not in err
         assert not out.exists()
+        if flag in ("--samples", "--repeats"):
+            assert flag in err
 
     @pytest.mark.parametrize("value", ["nan", "-1", "1e-4"])
     def test_regress_tol_not_among_tols(self, capsys, tmp_path, value):
@@ -219,6 +222,51 @@ class TestGenerateVerifyInspect:
         path.write_bytes(bytes(raw))
         code, _, err = run(["verify", "--data", str(out)], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["a", "f"])
+    def test_verify_corrupt_last_sample_exit_3(self, capsys, tmp_path,
+                                               monkeypatch, name):
+        # the corrupt byte makes its block raise (a) or its residual NaN
+        # (f); the CRC-32 mismatch is reported first, as corruption. On one
+        # CPU the last block raises before the end of the file is read
+        out = tmp_path / "d"
+        run(["generate", "--grid", "8", "--samples", "10", "--basis", "2",
+             "--out", str(out)], capsys)
+        path = out / f"{name}.f64"
+        raw = bytearray(path.read_bytes())
+        node = 8 * (9 * 100 + 45)  # an interior node of sample 9, the last
+        if name == "a":
+            raw[node + 7] ^= 0x80  # the sign bit
+        else:  # every exponent bit and the quiet bit
+            raw[node + 6] |= 0xF8
+            raw[node + 7] |= 0x7F
+        path.write_bytes(bytes(raw))
+        value = np.frombuffer(bytes(raw[node:node + 8]), dtype="<f8")[0]
+        assert value < 0 if name == "a" else np.isnan(value)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)),
+                                raising=False)
+            code, stdout, err = run(["verify", "--data", str(out)], capsys)
+            assert code == 3
+            assert stdout == ""
+            assert err.startswith(
+                f"I/O or integrity error: {name}.f64: crc32")
+
+    @pytest.mark.parametrize("flags", [
+        ["--field", "u", "--sample", "0"], ["--sample", "1"], ["--stats"]])
+    def test_inspect_corrupt_field_exit_3(self, capsys, tmp_path, flags):
+        out = tmp_path / "d"
+        run(["generate", "--grid", "8", "--samples", "2", "--basis", "2",
+             "--out", str(out)], capsys)
+        path = out / "u.f64"
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        code, stdout, err = run(["inspect", "--data", str(out), *flags],
+                                capsys)
+        assert code == 3
+        assert stdout == "" and "u.f64" in err
 
     def test_verify_non_elliptic_exit_1(self, capsys, tmp_path):
         out = tmp_path / "d"

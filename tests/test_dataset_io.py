@@ -14,6 +14,7 @@ from pdeforge.dataset_io import (
     read_dataset,
     write_dataset,
 )
+from pdeforge.generator import verify_dataset
 from pdeforge.grid import FieldSample, Grid2D
 
 
@@ -169,13 +170,21 @@ class TestRead:
     @pytest.mark.parametrize("offset", [0, 17, -1])
     @pytest.mark.parametrize("name", ["a", "f", "u"])
     def test_corruption_detected_and_named(self, tmp_path, name, offset):
-        write_small(tmp_path, n=3, count=2)
+        # read_dataset reads no field byte; the CRC-32 is checked where the
+        # bytes are read: by a full verify pass, and by a one-sample read
+        # at either end of the file
+        count = 2
+        write_small(tmp_path, n=3, count=count)
         path = tmp_path / f"{name}.f64"
         raw = bytearray(path.read_bytes())
         raw[offset] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(DatasetIntegrityError, match=f"{name}.f64"):
-            read_dataset(tmp_path)
+            verify_dataset(read_dataset(tmp_path), 1.0)
+        for k in (0, count - 1):
+            ds = read_dataset(tmp_path)
+            with pytest.raises(DatasetIntegrityError, match=f"{name}.f64"):
+                ds.field_sample(name, k)
 
     def test_truncation_detected(self, tmp_path):
         write_small(tmp_path, n=3, count=2)
@@ -235,6 +244,27 @@ class TestRead:
                 np.testing.assert_array_equal(
                     ds.field_sample(name, k).values, want[name].values)
 
+    def test_each_field_crc_is_checked_once(self, tmp_path, monkeypatch):
+        write_small(tmp_path, n=3, count=3)
+        checked = []
+
+        def counting_checksum(dir, field_name):
+            checked.append(field_name)
+            return checksum_field(dir, field_name)
+
+        monkeypatch.setattr(dataset_io, "checksum_field", counting_checksum)
+        ds = read_dataset(tmp_path)
+        assert checked == []
+        for name, k in (("u", 0), ("u", 2), ("a", 1), ("u", 1)):
+            ds.field_sample(name, k)
+        assert checked == ["u", "a"]
+        # a full pass of blocks checks every field on the way
+        ds = read_dataset(tmp_path)
+        list(ds.blocks(2))
+        for name in ("a", "f", "u"):
+            ds.field_sample(name, 0)
+        assert checked == ["u", "a"]
+
     def test_samples_detect_file_cut_after_read(self, tmp_path):
         write_small(tmp_path, n=3, count=2)
         ds = read_dataset(tmp_path)
@@ -287,6 +317,20 @@ class TestBlocks:
         write_small(tmp_path, n=3, count=2)
         with pytest.raises(ValueError):
             next(read_dataset(tmp_path).blocks(0))
+
+    @pytest.mark.parametrize("name", ["a", "f", "u"])
+    def test_crc_mismatch_raises_after_the_last_block(self, tmp_path, name):
+        write_small(tmp_path, n=3, count=7)
+        ds = read_dataset(tmp_path)
+        path = tmp_path / f"{name}.f64"
+        raw = bytearray(path.read_bytes())
+        raw[3 * 25 * 8 + 5] ^= 0x01  # in the second block
+        path.write_bytes(bytes(raw))
+        blocks = ds.blocks(4)
+        assert len(next(blocks)[name]) == 4
+        assert len(next(blocks)[name]) == 3
+        with pytest.raises(DatasetIntegrityError, match=f"{name}.f64"):
+            next(blocks)
 
     def test_file_cut_inside_second_block(self, tmp_path):
         write_small(tmp_path, n=3, count=7)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from pathlib import Path
 
@@ -523,22 +524,43 @@ class TestThreads:
         assert not (tmp_path / "d").exists()
 
     def test_slow_consumer_bounds_the_items_computed_ahead(self):
+        # a sequence, and a generator like verify's blocks, of which at
+        # most 2 * threads items are pulled ahead of the consumer
         threads = 2
-        computed = []
+        pulled = []
+
+        def source():
+            for item in range(50):
+                pulled.append(item)
+                yield item
+
+        for items in (range(50), source()):
+            computed = []
+
+            def worker(item):
+                computed.append(item)
+                return item
+
+            results = generator._run_samples(worker, items, threads)
+            try:
+                for taken in range(1, 6):
+                    assert next(results) == taken - 1
+                    time.sleep(0.1)  # the workers run whatever was submitted
+                    assert len(computed) <= taken + 2 * threads
+            finally:
+                results.close()
+            assert len(computed) <= 5 + 2 * threads
+        assert len(pulled) <= 5 + 2 * threads
+
+    def test_a_lone_item_runs_in_the_calling_thread(self):
+        workers = []
 
         def worker(item):
-            computed.append(item)
+            workers.append(threading.get_ident())
             return item
 
-        results = generator._run_samples(worker, range(50), threads)
-        try:
-            for taken in range(1, 6):
-                assert next(results) == taken - 1
-                time.sleep(0.1)  # the workers run whatever was submitted
-                assert len(computed) <= taken + 2 * threads
-        finally:
-            results.close()
-        assert len(computed) <= 5 + 2 * threads
+        assert list(generator._run_samples(worker, iter([7]), 4)) == [7]
+        assert workers == [threading.get_ident()]
 
     def test_pin_restores_the_previous_blas_thread_count(self):
         previous = generator.blas_threads()
@@ -693,6 +715,31 @@ class TestBlockVerify:
             assert k not in verify_dataset(ds, rel).failing_indices
             assert k in verify_dataset(
                 ds, np.nextafter(rel, 0.0)).failing_indices
+
+    def test_report_does_not_depend_on_the_cpu_count(self, tmp_path,
+                                                       monkeypatch):
+        # verify checks blocks on one thread per usable CPU
+        ds = generate_classic(GenerationConfig(
+            "darcy", Grid2D(6), self.COUNT, method="classic",
+            solver_tol=1e-4, master_seed=3), tmp_path / "c")
+        run_samples = generator._run_samples
+        threads_used = []
+
+        def recording(worker, items, threads):
+            threads_used.append(threads)
+            return run_samples(worker, items, threads)
+
+        monkeypatch.setattr(generator, "_run_samples", recording)
+        reports = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)),
+                                raising=False)
+            reports.append(verify_dataset(read_dataset(ds.dir), 1e-6))
+        assert threads_used == [1, 4]
+        assert reports[0] == reports[1]
+        assert reports[0].failing_indices  # a report with residuals to hold
+        assert reports[0].num_samples == self.COUNT
 
     def test_failing_index_is_the_perturbed_sample(self, tmp_path):
         out = tmp_path / "d"
