@@ -6,11 +6,14 @@ Exit codes, with the prefix of the one stderr line that names the error:
     1   verification or lookup failure   "failed: "
     2   generation error                 "generation error: "
     3   I/O, integrity or format error   "I/O or integrity error: "
-    64  usage error                      "pdeforge: error: "
+    64  usage error                      "pdeforge: error: ", or
+                                         "pdeforge <command>: error: "
 
-`main` maps the library's errors to 1-3; a verify report that does not
-pass exits 1 with no stderr line. `generate`, and `bench` when it flags
-records, also write one JSON telemetry line to stderr.
+A flag's value is checked where argparse reads it, so its usage error
+names the flag as typed. `main` maps the library's errors to 1-3; a
+verify report that does not pass exits 1 with no stderr line.
+`generate`, and `bench` when it flags records, also write one JSON
+telemetry line to stderr.
 """
 
 from __future__ import annotations
@@ -66,6 +69,39 @@ def _telemetry(**kwargs):
     print(json.dumps(kwargs), file=sys.stderr)
 
 
+def _checked(convert, rule: str, check):
+    """An argparse type: convert(text), rejected unless check(value), so
+    that the usage error names the flag that was typed and its rule."""
+    def parse(text: str):
+        value = convert(text)
+        if not check(value):  # written so that NaN fails every check
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+def _list_of(parse_one):
+    """An argparse type: comma-separated values, each parse_one, at least
+    one."""
+    def parse(text: str) -> list:
+        values = [parse_one(item) for item in text.split(",") if item]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+
+    parse.__name__ = "comma-separated"
+    return parse
+
+
+COUNT = _checked(int, ">= 1", lambda v: v >= 1)
+SEED = _checked(int, ">= 0", lambda v: v >= 0)
+POSITIVE = _checked(float, "> 0 and finite", lambda v: 0 < v < math.inf)
+NON_NEGATIVE = _checked(float, ">= 0 and finite",
+                        lambda v: 0 <= v < math.inf)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pdeforge",
                      description="PDE training-data generation toolkit")
@@ -76,20 +112,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generation pipeline (default: diffoas)")
     g.add_argument("--pde", choices=tuple(FAMILIES), default="darcy",
                    help="PDE family (default: darcy)")
-    g.add_argument("--grid", type=int, default=50, metavar="N_INTERIOR",
+    g.add_argument("--grid", type=COUNT, default=50, metavar="N_INTERIOR",
                    help="interior grid size per axis (default: 50)")
-    g.add_argument("--samples", type=int, default=100,
+    g.add_argument("--samples", type=COUNT, default=100,
                    help="number of samples (default: 100)")
-    g.add_argument("--basis", type=int, default=None,
+    g.add_argument("--basis", type=COUNT, default=None,
                    help="diffoas basis pool size (default: per-PDE)")
-    g.add_argument("--tol", type=float, default=1e-5,
+    g.add_argument("--tol", type=POSITIVE, default=1e-5,
                    help="solver tolerance (default: 1e-5)")
-    g.add_argument("--eta", type=float, default=0.01,
+    g.add_argument("--eta", type=NON_NEGATIVE, default=0.01,
                    help="noise amplitude factor (default: 0.01)")
-    g.add_argument("--seed", type=int, default=0,
+    g.add_argument("--seed", type=SEED, default=0,
                    help="master seed (default: 0)")
     g.add_argument("--out", required=True, help="output dataset directory")
-    g.add_argument("--threads", type=int, default=None,
+    g.add_argument("--threads", type=COUNT, default=None,
                    help="generation threads (default: the usable CPU count; "
                         "1 for --method classic, whose solves each hold "
                         "their own Krylov basis, so that every thread adds "
@@ -97,26 +133,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="re-check dataset residuals")
     v.add_argument("--data", required=True, help="dataset directory")
-    v.add_argument("--tol", type=float, default=1e-12,
+    v.add_argument("--tol", type=POSITIVE, default=1e-12,
                    help="pass/fail relative-residual tolerance "
                         "(default: 1e-12)")
 
     b = sub.add_parser("bench", help="timing suite and speedup regression")
     b.add_argument("--pde", choices=tuple(FAMILIES), default="darcy",
                    help="PDE family (default: darcy)")
-    b.add_argument("--dims", default="2500,10000",
+    b.add_argument("--dims", default="2500,10000", type=_list_of(_checked(
+                       int, "a perfect square >= 1",
+                       lambda v: v >= 1 and math.isqrt(v) ** 2 == v)),
                    help="comma-separated matrix dims, each a perfect square "
                         "(default: 2500,10000)")
     b.add_argument("--tols", default="1e-1,1e-3,1e-5",
+                   type=_list_of(POSITIVE),
                    help="comma-separated GMRES tolerances "
                         "(default: 1e-1,1e-3,1e-5)")
-    b.add_argument("--samples", type=int, default=10,
+    b.add_argument("--samples", type=COUNT, default=10,
                    help="samples per timing point (default: 10)")
-    b.add_argument("--repeats", type=int, default=3,
+    b.add_argument("--repeats", type=_checked(int, ">= 3", lambda v: v >= 3),
+                   default=3,
                    help="timing repeats, median reported (default: 3)")
-    b.add_argument("--basis", type=int, default=None,
+    b.add_argument("--basis", type=COUNT, default=None,
                    help="basis pool size (default: per-PDE)")
-    b.add_argument("--seed", type=int, default=0,
+    b.add_argument("--seed", type=SEED, default=0,
                    help="master seed (default: 0)")
     b.add_argument("--regress-tol", type=float, default=None,
                    help="tolerance for the speedup regression, one of "
@@ -151,21 +191,14 @@ def _field_stats(fs) -> dict:
 
 
 def cmd_generate(args) -> int:
-    if args.samples < 1:
-        _usage_error("--samples must be >= 1")
-    if args.threads is not None and args.threads < 1:
-        _usage_error("--threads must be >= 1")
     if args.basis is not None and args.method != "diffoas":
         _usage_error("--basis applies to --method diffoas only")
-    try:
-        config = GenerationConfig(
-            pde=args.pde, grid=Grid2D(args.grid), num_samples=args.samples,
-            method="classic" if args.method == "classic" else "diffoas",
-            solver_tol=args.tol, n_basis=args.basis,
-            noise_eta=args.eta, master_seed=args.seed,
-        )
-    except ValueError as exc:
-        _usage_error(str(exc))
+    config = GenerationConfig(
+        pde=args.pde, grid=Grid2D(args.grid), num_samples=args.samples,
+        method="classic" if args.method == "classic" else "diffoas",
+        solver_tol=args.tol, n_basis=args.basis,
+        noise_eta=args.eta, master_seed=args.seed,
+    )
     if args.method == "classic":
         dataset = generate_classic(config, Path(args.out), args.threads or 1)
     else:
@@ -185,8 +218,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 0 < args.tol < math.inf:  # written so that NaN fails it
-        _usage_error(f"--tol must be > 0 and finite, got {args.tol}")
     report = verify_dataset(read_dataset(args.data), args.tol)
     print(json.dumps({
         "samples": report.num_samples,
@@ -201,17 +232,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.samples < 1:
-        _usage_error("--samples must be >= 1")
-    if args.repeats < 3:
-        _usage_error("--repeats must be >= 3")
-    try:
-        dims = [int(d) for d in args.dims.split(",") if d]
-        tols = [float(t) for t in args.tols.split(",") if t]
-    except ValueError:
-        _usage_error("--dims and --tols must be comma-separated numbers")
+    dims, tols = args.dims, args.tols
     regress_tol = args.regress_tol
-    # --tols must be > 0 and finite (run_timing_suite), and NaN is in no list
+    # NaN is in no list
     if regress_tol is not None and regress_tol not in tols:
         _usage_error(f"--regress-tol must be one of --tols, got {regress_tol}")
     try:

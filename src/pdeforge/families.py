@@ -23,8 +23,9 @@ M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973).
 
 Adding a family costs one record. Give each coefficient a distribution
-(anything with `sample(grid, rng) -> FieldSample` and `to_dict()`, such
-as `GrfParams`), and add the record:
+(anything with `draw(grid, gen, out)`, `finish(values)` and `to_dict()`,
+such as `GrfParams`: `fields.draw_block` tells how they are called), and
+add the record:
 
     FAMILIES["poisson"] = PdeFamily(
         distributions={"c": Uniform(1.0, 2.0)},
@@ -46,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import GrfParams, sample_grf, sample_uniform
+from .fields import GrfParams, sample_uniform
 from .grid import FieldSample, Grid2D
 from .grid_ops import (
     DimensionError,
@@ -68,12 +69,16 @@ class ShiftedGrf:
     grf: GrfParams
     min_value: float
 
-    def sample(self, grid: Grid2D, rng) -> FieldSample:
-        g = sample_grf(grid, self.grf, rng)
-        low = g.values.min()
-        if low < self.min_value:
-            g = FieldSample(grid, g.values + (self.min_value - low))
-        return g
+    def draw(self, grid: Grid2D, gen, out: np.ndarray) -> None:
+        self.grf.draw(grid, gen, out)
+
+    def finish(self, values: np.ndarray) -> None:
+        """The GRF's finish, then each (m, m) draw of the (b, m, m) values
+        shifted alone."""
+        self.grf.finish(values)
+        low = values.min(axis=(-2, -1))
+        for i in np.flatnonzero(low < self.min_value):
+            values[i] += self.min_value - low[i]
 
     def to_dict(self) -> dict:
         return {**self.grf.to_dict(), "shift_to_min": self.min_value}
@@ -86,8 +91,11 @@ class Uniform:
     lo: float
     hi: float
 
-    def sample(self, grid: Grid2D, rng) -> FieldSample:
-        return sample_uniform(grid, self.lo, self.hi, rng)
+    def draw(self, grid: Grid2D, gen, out: np.ndarray) -> None:
+        out[...] = sample_uniform(grid, self.lo, self.hi, gen).values
+
+    def finish(self, values: np.ndarray) -> None:
+        pass
 
     def to_dict(self) -> dict:
         return {"distribution": "uniform", "lo": self.lo, "hi": self.hi}
@@ -108,11 +116,12 @@ class PdeFamily:
     flux: Optional[str] = None
 
     def stencil(self, grid: Grid2D, **fields) -> tuple:
-        """(center, north, south, west, east) of the operator, each over
-        the interior nodes or a scalar. fields maps each coefficient name
-        to a FieldSample on grid or to (..., m, m) node arrays; every step
-        is elementwise, so a (b, m, m) block gets the bits of each sample
-        alone. EllipticityError unless the flux coefficient is positive
+        """(center, north, south, west, east) of the operator, each a
+        row-padded (..., n, m) array over the interior rows (`grid_ops`)
+        or a scalar. fields maps each coefficient name to a FieldSample on
+        grid or to (..., m, m) node arrays; every step is elementwise, so a
+        (b, m, m) block gets the bits of each sample alone.
+        EllipticityError unless the flux coefficient is positive
         everywhere."""
         values = {name: _check_field(grid, fields[name], name)
                   for name in self.coefficients}
@@ -126,7 +135,7 @@ class PdeFamily:
         else:
             stencil = list(_flux_form(grid, c, self.sign))
         for r in values.values():  # the reaction terms
-            stencil[0] = stencil[0] + r[..., 1:-1, 1:-1]
+            stencil[0] = stencil[0] + r[..., 1:-1, :]
         return tuple(stencil)
 
     @property
@@ -249,7 +258,5 @@ def apply_block(pde: str, grid: Grid2D, fields: dict,
     if (u[..., 0, :].any() or u[..., -1, :].any() or u[..., 0].any()
             or u[..., -1].any()):
         raise ValueError("u must vanish on the boundary")
-    f = np.zeros(u.shape)
-    apply_stencil(family(pde).stencil(grid, **fields), u,
-                  out=f[..., 1:-1, 1:-1])
-    return f
+    return apply_stencil(family(pde).stencil(grid, **fields), u,
+                         np.empty(u.shape))

@@ -91,8 +91,23 @@ class GrfParams:
         return {"tau": self.tau, "alpha": self.alpha, "scale": self.scale,
                 "offset": self.offset, "transform": self.transform}
 
-    def sample(self, grid: Grid2D, rng) -> FieldSample:
-        return sample_grf(grid, self, rng)
+    def draw(self, grid: Grid2D, gen: np.random.Generator,
+             out: np.ndarray) -> None:
+        """One sample's spectral sum into out, an (m, m) array: its normal
+        draws from gen, then the two GEMMs at one sample's shapes."""
+        lam = _spectral_amplitudes(grid.n_interior, self.tau, self.alpha)
+        xi = gen.standard_normal(lam.shape)
+        xi *= lam
+        B = _cosine_table(grid.n_interior)
+        np.matmul(B.T @ xi, B, out=out)
+
+    def finish(self, values: np.ndarray) -> None:
+        """Scale, offset and transform, in place, on any number of draws
+        at once; each value alone."""
+        values *= self.scale
+        values += self.offset
+        if self.transform == "exp":
+            np.exp(values, out=values)
 
 
 @lru_cache(maxsize=32)
@@ -115,18 +130,30 @@ def _spectral_amplitudes(n_interior: int, tau: float, alpha: float) -> np.ndarra
     return tau ** (alpha - 1.0) * (np.pi ** 2 * k2 + tau ** 2) ** (-alpha / 2.0)
 
 
-def sample_grf(grid: Grid2D, params: GrfParams, rng) -> FieldSample:
-    """One spectral GRF draw on the full node set."""
+def draw_block(distributions: dict, grid: Grid2D, rng, b: int) -> dict:
+    """Field name -> (b, m, m) node arrays of b samples drawn from rng.
+
+    The samples are drawn in order, each sample's fields in dict order:
+    a distribution's `draw(grid, gen, out)` reads the stream and writes one
+    sample straight into the block, with one sample's operand shapes. Then
+    each field's `finish(values)` runs once on the whole block, and treats
+    every sample alone, so sample i gets the bits of a one-sample draw
+    from the same stream position. `GrfParams` is such a distribution."""
     gen = _as_generator(rng)
-    lam = _spectral_amplitudes(grid.n_interior, params.tau, params.alpha)
-    xi = gen.standard_normal(lam.shape)
-    B = _cosine_table(grid.n_interior)
-    values = B.T @ (lam * xi) @ B
-    values *= params.scale
-    values += params.offset
-    if params.transform == "exp":
-        np.exp(values, out=values)
-    return FieldSample(grid, values)
+    m = grid.n_nodes
+    block = {name: np.empty((b, m, m)) for name in distributions}
+    for i in range(b):
+        for name, dist in distributions.items():
+            dist.draw(grid, gen, block[name][i])
+    for name, dist in distributions.items():
+        dist.finish(block[name])
+    return block
+
+
+def sample_grf(grid: Grid2D, params: GrfParams, rng) -> FieldSample:
+    """One spectral GRF draw on the full node set: the one-sample case of
+    `draw_block`."""
+    return FieldSample(grid, draw_block({"g": params}, grid, rng, 1)["g"][0])
 
 
 def sample_uniform(grid: Grid2D, lo: float, hi: float, rng) -> FieldSample:

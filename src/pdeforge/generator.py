@@ -24,15 +24,20 @@ block are always drawn first, so sample k's bytes are a pure function of
 (seed, k) at any thread count and any sample count; SAMPLE_BLOCK is part
 of that contract.
 
-Why a block has the bits of its samples alone, stated here once: the two
-GEMMs of each GRF and the weights @ pool product keep the operand shapes
-of a single sample, because BLAS results can depend on operand shapes.
-Everything else on a (b, m, m) block is elementwise (noise normalization
-and amplitude, the mask, the stencil, its application, the embedding of
-f), and verification takes each norm per sample, so sample i of a block
-gets the bits it would get alone. A block item is a dict of field name ->
-(b, m, m) node arrays, which `write_dataset` writes with one write and one
-CRC-32 update per field, as the bytes of its samples one after another.
+Why a block has the bits of its samples alone, stated here once: each
+coefficient and noise GRF is drawn per sample, in stream order, straight
+into the block's (b, m, m) buffer (`fields.draw_block`), and its two
+GEMMs, like the weights @ pool product that writes the sample's u, keep
+the operand shapes of a single sample, because BLAS results can depend
+on operand shapes. Everything else runs once on the contiguous block and
+is elementwise or a per-sample reduction: the GRFs' scale, offset and
+exp, a shift to a minimum, the noise normalization (max |g| as
+max(max g, -min g)) and amplitude, the mask, the stencil and its
+application in the row-padded layout of `grid_ops`. Verification takes
+each norm per sample. So sample i of a block gets the bits it would get
+alone. A block item is a dict of field name -> (b, m, m) node arrays,
+which `write_dataset` writes with one write and one CRC-32 update per
+field, as the bytes of its samples one after another.
 
 Blocks run on `threads` worker threads, by default one per usable CPU,
 and are written in block order; `verify_dataset` checks blocks on one
@@ -69,6 +74,7 @@ from .fields import (
     RngStream,
     boundary_decay_mask,
     chebyshev_basis_field,
+    draw_block,
     fourier_basis_field,
     sample_grf,
 )
@@ -200,15 +206,15 @@ class GenerationConfig:
 
 
 def draw_coefficients(pde: str, grid: Grid2D, gen: np.random.Generator) -> PdeCoefficients:
-    """One draw of the coefficient fields for a PDE family."""
-    return PdeCoefficients(pde, **{
-        name: dist.sample(grid, gen)
-        for name, dist in family(pde).distributions.items()
-    })
+    """One draw of the coefficient fields for a PDE family: the one-sample
+    case of the `draw_block` that `_diffoas_block` draws its blocks with."""
+    fields = draw_block(family(pde).distributions, grid, gen, 1)
+    return PdeCoefficients(pde, **{name: FieldSample(grid, values[0])
+                                   for name, values in fields.items()})
 
 
 def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSample:
-    return family(pde).forcing.sample(grid, gen)
+    return sample_grf(grid, family(pde).forcing, gen)
 
 
 def solve_sample(config: GenerationConfig, role: str, k: int,
@@ -307,9 +313,10 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
                    delta: float) -> np.ndarray:
     """(b, m, m) node arrays: b samples, each the pool combined with
     weights drawn from gen_w plus masked noise drawn from gen_n, in sample
-    order. Each noise GRF and each weights @ pool product runs with the
-    operand shapes of one sample; the noise normalization, its amplitude
-    and the mask act on the whole block (module docstring)."""
+    order. Each weights @ pool product writes its sample's row with the
+    operand shapes of one sample, and the noise GRFs are drawn into one
+    block (`draw_block`); the noise normalization, its amplitude and the
+    mask act on the whole block (module docstring)."""
     if pool.size < 1:
         raise GenerationError("basis pool is empty")
     if not (eta >= 0 and delta > 0):  # NaN fails it
@@ -328,12 +335,13 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
             raise DegenerateWeightsError(
                 "100 consecutive weight draws below the resample threshold"
             )
-        u[i] = (mu / total) @ stack
+        np.matmul(mu / total, stack, out=u[i])
     u = u.reshape(-1, m, m)
     if eta > 0:
-        g = np.stack([sample_grf(grid, NOISE_GRF, gen_n).values
-                      for _ in range(b)])
-        g_max = np.abs(g).max(axis=(1, 2), keepdims=True)
+        g = draw_block({"noise": NOISE_GRF}, grid, gen_n, b)["noise"]
+        # max |g| per sample, with no |g| array
+        g_max = np.maximum(g.max(axis=(1, 2), keepdims=True),
+                           -g.min(axis=(1, 2), keepdims=True))
         # noise = g / g_max, or 0 for an all-zero draw
         noise = np.divide(g, g_max, out=g, where=g_max != 0)
         noise[g_max[:, 0, 0] == 0] = 0.0
@@ -380,9 +388,7 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
     gen_c, gen_w, gen_n = (
         RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
         for role in ("sample_params", "weights", "noise"))
-    draws = [draw_coefficients(pde, grid, gen_c) for _ in indices]
-    fields = {name: np.stack([d.fields[name].values for d in draws])
-              for name in family(pde).coefficients}
+    fields = draw_block(family(pde).distributions, grid, gen_c, len(indices))
     u = _combine_block(pool, gen_w, gen_n, len(indices), config.noise_eta,
                        config.weight_resample_threshold)
     return {**fields, "f": apply_block(pde, grid, fields, u), "u": u}
@@ -608,9 +614,9 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
         except EllipticityError as exc:
             raise EllipticityError(
                 f"samples {start}..{start + b - 1}: {exc}") from exc
-        r = gather_stencil(stencil, u)
         f_int = block["f"][:, 1:-1, 1:-1]
-        r -= f_int
+        # the row-padded (b, n, m) gather at its interior columns
+        r = np.subtract(gather_stencil(stencil, u)[..., 1:-1], f_int)
         # NaN counts as nonzero
         off_boundary = (u[:, [0, -1], :].any(axis=(1, 2))
                         | u[:, :, [0, -1]].any(axis=(1, 2)))

@@ -5,29 +5,41 @@ sign * div(c grad u) + r * u. A `families.PdeFamily` record states it:
 `sign` is +1 or -1, c is the coefficient field it names as `flux` (1 when
 it names none), and each of its other coefficient fields is a reaction
 term r. `PdeFamily.stencil` builds the operator, with `_flux_form` for the
-flux term, as a stencil `(center, north, south, west, east)`: its
-coefficients over the interior nodes, each an array or a scalar. It takes
-the coefficient fields as a `FieldSample` or as node arrays of shape
-(..., n+2, n+2), elementwise, so a block of samples gets the bits of each
-sample alone. The stencil has three forms, each built from it alone and
-each summing a row's terms in the order N, W, C, E, S:
+flux term, as a stencil `(center, north, south, west, east)`, each an
+array or a scalar. It takes the coefficient fields as a `FieldSample` or
+as node arrays of shape (..., m, m), m = n+2, elementwise, so a block of
+samples gets the bits of each sample alone.
+
+The stencil's arrays are row-padded: (..., n, m), the coefficients of the
+n interior rows at all m columns of each row. Read flat, the interior rows
+of an (..., m, m) node array are the contiguous range [m, m*m - m), and
+the neighbors of its nodes are the same range shifted by -m, -1, +1 and
++m, so every pass over a block is one contiguous run per sample rather
+than one short run per row. The coefficients at columns 0 and m-1 belong
+to boundary nodes (the west face of column 0 and the east face of column
+m-1 wrap to the neighboring row), and no form uses them. The stencil has
+three forms, each built from it alone and each summing a row's terms in
+the order N, W, C, E, S:
 
 - `apply_stencil` applies it to node arrays, one sample or a block, by
-  slicing the neighbors out of the array. Generation computes f = A u
-  with it, and `StencilOperator` wraps it as the square operator on
-  interior vectors that the GMRES solves use.
+  slicing the flat neighbors out of the array, and writes f = A u on the
+  whole node set: the interior rows, then zero at every boundary node.
+  Generation computes f with it, and `StencilOperator` wraps it as the
+  square operator on interior vectors that the GMRES solves use.
 - `gather_stencil` applies it to a block of node arrays through an
-  explicit table of neighbor indices (`np.take`), reading the boundary
-  nodes as the operator's zero-Dirichlet rows do. Verification
-  recomputes A u with it and compares with the stored f; as it shares no
-  indexing with `apply_stencil`, a slip in either shows as a residual.
+  explicit table of flat neighbor indices over [m, m*m - m) (`np.take`),
+  reading the boundary nodes as the operator's zero-Dirichlet rows do.
+  Verification recomputes A u with it and compares with the stored f over
+  the interior columns; as it shares no indexing with `apply_stencil`, a
+  slip in either shows as a residual.
 - `_five_point` has scipy build it as a `CsrMatrix`, a
-  `scipy.sparse.csr_array` in canonical form, from its five diagonals:
-  each row stores its nonzero entries in ascending column order (north,
-  west, center, east, south neighbors of the row-major interior
-  numbering), and scipy's CSR kernel sums each row left to right from
-  0.0. It is the tests' reference and the perf harness's; no command
-  builds it, and `scipy.sparse` is imported only when one is built.
+  `scipy.sparse.csr_array` in canonical form, from its five diagonals over
+  the interior columns: each row stores its nonzero entries in ascending
+  column order (north, west, center, east, south neighbors of the
+  row-major interior numbering), and scipy's CSR kernel sums each row
+  left to right from 0.0. It is the tests' reference and the perf
+  harness's; no command builds it, and `scipy.sparse` is imported only
+  when one is built.
 
 On a `u` that is zero on the boundary the three agree bit for bit, up to
 the sign of a zero: a missing CSR entry, a zero coefficient and a
@@ -112,13 +124,15 @@ def _five_point(grid: Grid2D, center, north, south, west, east):
     """The 5-point operator as a `CsrMatrix`, whose row for interior node
     (i, j) holds center on the diagonal and north/south/west/east at the
     neighbors (i-1, j), (i+1, j), (i, j-1), (i, j+1) that are interior.
-    Each coefficient is an (n, n) array over the interior nodes or a
-    scalar. scipy builds it from the diagonals at offsets -n, -1, 0, 1, n
-    of the row-major numbering and drops zero entries, among them the
-    west entries of the first column and the east entries of the last."""
+    Each coefficient is a row-padded (n, n+2) array or a scalar; its
+    interior columns are taken. scipy builds it from the diagonals at
+    offsets -n, -1, 0, 1, n of the row-major numbering and drops zero
+    entries, among them the west entries of the first column and the east
+    entries of the last."""
     import scipy.sparse  # here: importing it costs more than most runs
     n = grid.n_interior
-    coefs = [np.array(np.broadcast_to(c, (n, n)), dtype=np.float64)
+    coefs = [np.array(np.broadcast_to(c, (n, n + 2))[:, 1:-1],
+                      dtype=np.float64)
              for c in (north, west, center, east, south)]
     coefs[1][:, 0] = coefs[3][:, -1] = 0.0  # no west/east of the grid edge
     north, west, center, east, south = (c.reshape(-1) for c in coefs)
@@ -132,19 +146,31 @@ def _five_point(grid: Grid2D, center, north, south, west, east):
 
 def apply_stencil(stencil: tuple, u_nodes: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-    """Write to out, and return, the (..., n, n) interior values of the
-    5-point operator applied to the (..., n+2, n+2) node arrays u_nodes,
-    summed N, W, C, E, S as the CSR rows are. With a zero boundary the
-    result equals `apply_operator` on the interior bit for bit. stencil is
-    (center, north, south, west, east), each an array of out's shape or a
-    scalar."""
+    """Write to out, a C-contiguous array of u_nodes' shape, and return
+    f = A u for the (..., m, m) node arrays u_nodes: the interior rows
+    summed N, W, C, E, S as the CSR rows are, from u's flat neighbors at
+    -m, -1, +1 and +m, then +0.0 at every boundary node. With a zero
+    boundary the interior equals `apply_operator` bit for bit. stencil is
+    (center, north, south, west, east), each a row-padded (..., n, m)
+    array or a scalar (module docstring)."""
+    if out.shape != u_nodes.shape or not out.flags.c_contiguous:
+        raise DimensionError("out must be a C-contiguous array of u's shape")
     center, north, south, west, east = stencil
-    u = u_nodes
-    term = np.empty(out.shape)
-    np.multiply(north, u[..., :-2, 1:-1], out=out)
-    for coef, v in ((west, u[..., 1:-1, :-2]), (center, u[..., 1:-1, 1:-1]),
-                    (east, u[..., 1:-1, 2:]), (south, u[..., 2:, 1:-1])):
-        out += np.multiply(coef, v, out=term)
+    *lead, m = u_nodes.shape[:-1]
+    rows = (*lead, m - 2, m)
+    size = (m - 2) * m
+    u = u_nodes.reshape(*lead, m * m)
+    f = out.reshape(*lead, m * m)[..., m:m + size].reshape(rows)
+
+    def shifted(offset: int) -> np.ndarray:
+        return u[..., m + offset:m + offset + size].reshape(rows)
+
+    term = np.empty(rows)
+    np.multiply(north, shifted(-m), out=f)
+    for coef, offset in ((west, -1), (center, 0), (east, 1), (south, m)):
+        f += np.multiply(coef, shifted(offset), out=term)
+    out[..., 0, :] = out[..., -1, :] = 0.0
+    out[..., 0] = out[..., -1] = 0.0
     return out
 
 
@@ -152,42 +178,44 @@ class StencilOperator:
     """One sample's stencil as a square operator on the n*n interior
     unknowns, for GMRES: `A @ x` puts x into a zero-boundary node array
     and applies the stencil matrix-free (`apply_stencil`), which equals the
-    CSR product bit for bit. The node array is reused, so one operator
-    serves one solve at a time."""
+    CSR product bit for bit, and returns a fresh vector. The node arrays
+    are reused, so one operator serves one solve at a time."""
 
     def __init__(self, grid: Grid2D, stencil: tuple):
-        n = grid.n_interior
+        n, m = grid.n_interior, grid.n_nodes
         self.grid, self.stencil = grid, stencil
         self.shape = (n * n, n * n)
-        self._nodes = np.zeros((n + 2, n + 2))
+        self._nodes = np.zeros((m, m))
+        self._out = np.empty((m, m))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         interior = self._nodes[1:-1, 1:-1]
         interior[...] = np.reshape(x, interior.shape)
-        out = np.empty(interior.shape)
-        return apply_stencil(self.stencil, self._nodes, out).reshape(-1)
+        apply_stencil(self.stencil, self._nodes, self._out)
+        return self._out[1:-1, 1:-1].flatten()
 
 
 @lru_cache(maxsize=8)
-def _neighbor_table(n: int) -> np.ndarray:
-    """(5, n, n) flat indices into the (n+2)**2 node array: the N, W, C, E
-    and S neighbors of every interior node. Read-only."""
-    m = n + 2
-    node = np.arange(m * m).reshape(m, m)[1:-1, 1:-1]
+def _neighbor_table(m: int) -> np.ndarray:
+    """(5, m-2, m) flat indices into the m*m node array: the N, W, C, E
+    and S neighbors of every node of the interior rows, [m, m*m - m) read
+    flat. Read-only."""
+    node = np.arange(m, m * m - m).reshape(m - 2, m)
     table = np.stack([node - m, node - 1, node, node + 1, node + m])
     table.flags.writeable = False
     return table
 
 
 def gather_stencil(stencil: tuple, u_nodes: np.ndarray) -> np.ndarray:
-    """The (b, n, n) interior values of the 5-point operator applied to the
-    (b, n+2, n+2) node arrays u_nodes, each neighbor gathered through
-    `_neighbor_table` and the terms summed N, W, C, E, S. Boundary nodes
-    are read, not assumed zero. stencil is (center, north, south, west,
-    east), each a (b, n, n) array or a scalar."""
+    """The row-padded (b, n, m) values of the 5-point operator applied to
+    the (b, m, m) node arrays u_nodes over their interior rows, each
+    neighbor gathered through `_neighbor_table` and the terms summed
+    N, W, C, E, S. Boundary nodes are read, not assumed zero; columns 0
+    and m-1 hold no operator row. stencil is (center, north, south, west,
+    east), each a row-padded (b, n, m) array or a scalar."""
     center, north, south, west, east = stencil
     b, m = len(u_nodes), u_nodes.shape[-1]
-    table = _neighbor_table(m - 2)
+    table = _neighbor_table(m)
     flat = u_nodes.reshape(b, m * m)
     out = np.multiply(north, np.take(flat, table[0], axis=1))
     term = np.empty(out.shape)
@@ -234,8 +262,9 @@ def poisson_preconditioner(grid: Grid2D, sign: float, coef=None):
 
 
 def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
-    """Stencil (center, north, south, west, east) of sign * div(coef grad u)
-    with face coefficients by arithmetic mean, for (..., m, m) node arrays.
+    """Row-padded stencil (center, north, south, west, east) of
+    sign * div(coef grad u) with face coefficients by arithmetic mean, for
+    (..., m, m) node arrays.
 
     sign=-1 gives the SPD Darcy form -div(a grad u); sign=+1 the
     diffusion-reaction flux term div(k grad u). The values are those of
@@ -250,17 +279,25 @@ def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
       s / (-sign * h2) and sign * a / h2 equals a / (sign * h2).
     """
     h2 = grid.h ** 2
-    # vertical[..., i, j]: the face between node rows i and i+1 of interior
-    # column j; horizontal[..., i, j]: between node columns j and j+1
-    vertical = coef[..., :-1, 1:-1] + coef[..., 1:, 1:-1]
+    *lead, m = coef.shape[:-1]
+    rows, size = (*lead, m - 2, m), (m - 2) * m
+    c = coef.reshape(*lead, m * m)
+    # vertical[..., p]: the face between flat nodes p and p+m, so node q of
+    # the interior rows has its north face at q-m and its south face at q;
+    # horizontal[..., p]: between flat nodes m-1+p and m+p, so node q's
+    # west face is at q-m and its east face at q-m+1
+    vertical = c[..., :-m] + c[..., m:]
     vertical *= 0.5
-    horizontal = coef[..., 1:-1, :-1] + coef[..., 1:-1, 1:]
+    horizontal = c[..., m - 1:m * m - m] + c[..., m:m * m - m + 1]
     horizontal *= 0.5
-    center = vertical[..., :-1, :] + vertical[..., 1:, :]
-    center += horizontal[..., :-1]
-    center += horizontal[..., 1:]
+    north = vertical[..., :size].reshape(rows)
+    south = vertical[..., m:].reshape(rows)
+    west = horizontal[..., :-1].reshape(rows)
+    east = horizontal[..., 1:].reshape(rows)
+    center = north + south
+    center += west
+    center += east
     center /= -sign * h2
     vertical /= sign * h2
     horizontal /= sign * h2
-    return (center, vertical[..., :-1, :], vertical[..., 1:, :],
-            horizontal[..., :-1], horizontal[..., 1:])
+    return center, north, south, west, east

@@ -20,7 +20,10 @@ from pdeforge.grid import FieldSample, Grid2D
 from pdeforge.grid_ops import (
     DimensionError,
     EllipticityError,
+    StencilOperator,
+    _five_point,
     apply_operator,
+    apply_stencil,
 )
 
 
@@ -76,6 +79,38 @@ class TestRegistry:
             np.testing.assert_array_equal((A @ x).view(np.uint64),
                                           (csr @ x).view(np.uint64))
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_row_padding_leaks_nothing(self, pde, n):
+        # the stencil's columns 0 and m-1 hold wrapped faces; none of them
+        # may reach f, the solver operator or the CSR reference
+        grid, m = Grid2D(n), n + 2
+        gen = RngStream(n, "sample_params", 3).generator()
+        draws = [draw_coefficients(pde, grid, gen) for _ in range(3)]
+        fields = {name: np.stack([d.fields[name].values for d in draws])
+                  for name in FAMILIES[pde].coefficients}
+        u = np.zeros((3, m, m))
+        u[:, 1:-1, 1:-1] = gen.standard_normal((3, n, n))
+        stencil = FAMILIES[pde].stencil(grid, **fields)
+        for coef in stencil:
+            assert np.shape(coef) in ((), (3, n, m))
+        boundary = np.ones((m, m), dtype=bool)
+        boundary[1:-1, 1:-1] = False
+        for out in (np.full((3, m, m), np.nan), np.full((3, m, m), -0.0)):
+            f = apply_stencil(stencil, u, out)
+            assert not f.view(np.uint64)[:, boundary].any()  # +0.0 bytes
+        f = apply_block(pde, grid, fields, u)
+        assert not f.view(np.uint64)[:, boundary].any()
+        for i, coeffs in enumerate(draws):
+            csr = _five_point(grid, *coeffs.stencil())
+            assert csr.nnz == coeffs.assemble().nnz == 5 * n * n - 4 * n
+            op = StencilOperator(grid, coeffs.stencil())
+            x = u[i, 1:-1, 1:-1].reshape(-1)
+            np.testing.assert_array_equal((op @ x).view(np.uint64),
+                                          (csr @ x).view(np.uint64))
+            np.testing.assert_array_equal(
+                f[i, 1:-1, 1:-1].reshape(-1).view(np.uint64),
+                (csr @ x).view(np.uint64))
+
     def test_apply_rejects_foreign_u(self, pde):
         grid = Grid2D(4)
         gen = RngStream(0, "sample_params", 0).generator()
@@ -120,8 +155,11 @@ def test_manifest_states_the_operator(pde, operator, tmp_path):
 
 
 class ConstantField:
-    def sample(self, grid, rng):
-        return FieldSample.constant(grid, 1.0)
+    def draw(self, grid, gen, out):
+        out[...] = 1.0
+
+    def finish(self, values):
+        pass
 
     def to_dict(self):
         return {"distribution": "constant", "value": 1.0}

@@ -394,6 +394,17 @@ class TestDiffoas:
                 for name, entry in ds.manifest.field_files.items()}
         assert crcs == self.GOLDEN_CRC32[pde]
 
+    @pytest.mark.parametrize("threads", [1, None])
+    def test_benchmark_workload_crc32(self, tmp_path, threads):
+        # perfbench's action-darcy64: the pool built apart, then given
+        config = GenerationConfig("darcy", Grid2D(64), 500, master_seed=0)
+        pool = build_basis_pool(config)
+        ds = generate_diffoas(config, tmp_path / "d", threads=threads,
+                              pool=pool)
+        crcs = {name: entry["crc32"]
+                for name, entry in ds.manifest.field_files.items()}
+        assert crcs == {"a": 3715607628, "f": 3526646039, "u": 2400467316}
+
     def test_boundary_zero_everywhere(self, tmp_path):
         config = small_config(num_samples=5)
         ds = generate_diffoas(config, tmp_path / "d")
