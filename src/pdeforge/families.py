@@ -23,9 +23,9 @@ M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973).
 
 Adding a family costs one record. Give each coefficient a distribution
-(anything with `draw(grid, gen, out)`, `finish(values)` and `to_dict()`,
-such as `GrfParams`: `fields.draw_block` tells how they are called), and
-add the record:
+(anything with `draw(grid, gen, out)`, which fills a (b, m, m) block of
+b samples from gen in sample order, and `to_dict()`, such as `GrfParams`:
+`fields.draw_block` tells how they are called), and add the record:
 
     FAMILIES["poisson"] = PdeFamily(
         distributions={"c": Uniform(1.0, 2.0)},
@@ -36,7 +36,8 @@ add the record:
     )
 
 A family needs at least one coefficient field: the fields carry the grid.
-Coefficients are drawn in dict order, then the forcing, from one stream;
+Coefficients are drawn from one stream field by field in dict order,
+all samples of a block of one field before the next, then the forcing;
 that order is part of the byte contract of every dataset of the family.
 """
 
@@ -47,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import GrfParams, sample_uniform
+from .fields import FieldParameterError, GrfParams
 from .grid import FieldSample, Grid2D
 from .grid_ops import (
     DimensionError,
@@ -70,15 +71,12 @@ class ShiftedGrf:
     min_value: float
 
     def draw(self, grid: Grid2D, gen, out: np.ndarray) -> None:
-        self.grf.draw(grid, gen, out)
-
-    def finish(self, values: np.ndarray) -> None:
-        """The GRF's finish, then each (m, m) draw of the (b, m, m) values
+        """The GRF's draw into the (b, m, m) out, then each (m, m) draw
         shifted alone."""
-        self.grf.finish(values)
-        low = values.min(axis=(-2, -1))
+        self.grf.draw(grid, gen, out)
+        low = out.min(axis=(-2, -1))
         for i in np.flatnonzero(low < self.min_value):
-            values[i] += self.min_value - low[i]
+            out[i] += self.min_value - low[i]
 
     def to_dict(self) -> dict:
         return {**self.grf.to_dict(), "shift_to_min": self.min_value}
@@ -91,11 +89,13 @@ class Uniform:
     lo: float
     hi: float
 
-    def draw(self, grid: Grid2D, gen, out: np.ndarray) -> None:
-        out[...] = sample_uniform(grid, self.lo, self.hi, gen).values
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise FieldParameterError(
+                f"need lo < hi, got [{self.lo}, {self.hi})")
 
-    def finish(self, values: np.ndarray) -> None:
-        pass
+    def draw(self, grid: Grid2D, gen, out: np.ndarray) -> None:
+        out[...] = gen.uniform(self.lo, self.hi, size=out.shape)
 
     def to_dict(self) -> dict:
         return {"distribution": "uniform", "lo": self.lo, "hi": self.hi}

@@ -93,21 +93,17 @@ class GrfParams:
 
     def draw(self, grid: Grid2D, gen: np.random.Generator,
              out: np.ndarray) -> None:
-        """One sample's spectral sum into out, an (m, m) array: its normal
-        draws from gen, then the two GEMMs at one sample's shapes."""
-        lam = _spectral_amplitudes(grid.n_interior, self.tau, self.alpha)
-        xi = gen.standard_normal(lam.shape)
-        xi *= lam
+        """Fill out, a (b, m, m) block, with b draws: one call for all the
+        normal draws, in sample order, then two stacked GEMMs, each slice
+        one sample's, then scale, offset and transform, each value alone."""
+        gen.standard_normal(out=out)
+        out *= _spectral_amplitudes(grid.n_interior, self.tau, self.alpha)
         B = _cosine_table(grid.n_interior)
-        np.matmul(B.T @ xi, B, out=out)
-
-    def finish(self, values: np.ndarray) -> None:
-        """Scale, offset and transform, in place, on any number of draws
-        at once; each value alone."""
-        values *= self.scale
-        values += self.offset
+        np.matmul(np.matmul(B.T, out), B, out=out)
+        out *= self.scale
+        out += self.offset
         if self.transform == "exp":
-            np.exp(values, out=values)
+            np.exp(out, out=out)
 
 
 @lru_cache(maxsize=32)
@@ -133,20 +129,20 @@ def _spectral_amplitudes(n_interior: int, tau: float, alpha: float) -> np.ndarra
 def draw_block(distributions: dict, grid: Grid2D, rng, b: int) -> dict:
     """Field name -> (b, m, m) node arrays of b samples drawn from rng.
 
-    The samples are drawn in order, each sample's fields in dict order:
-    a distribution's `draw(grid, gen, out)` reads the stream and writes one
-    sample straight into the block, with one sample's operand shapes. Then
-    each field's `finish(values)` runs once on the whole block, and treats
-    every sample alone, so sample i gets the bits of a one-sample draw
-    from the same stream position. `GrfParams` is such a distribution."""
+    The fields are drawn in dict order, each field's b samples in one
+    `draw(grid, gen, out)` call of its distribution, which fills the
+    field's whole block from the stream in sample order (field-major: all
+    b samples of the first field, then all b of the next). Every step of a
+    draw is elementwise, a per-sample reduction or a stacked product whose
+    slices are one sample's products, so sample i gets the bits of a
+    one-sample draw from the same stream position. `GrfParams` is such a
+    distribution."""
     gen = _as_generator(rng)
     m = grid.n_nodes
-    block = {name: np.empty((b, m, m)) for name in distributions}
-    for i in range(b):
-        for name, dist in distributions.items():
-            dist.draw(grid, gen, block[name][i])
+    block = {}
     for name, dist in distributions.items():
-        dist.finish(block[name])
+        block[name] = np.empty((b, m, m))
+        dist.draw(grid, gen, block[name])
     return block
 
 

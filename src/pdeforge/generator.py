@@ -17,27 +17,28 @@ path builds a CSR matrix or imports scipy.
 Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
 indices starting at a multiple of SAMPLE_BLOCK (`_diffoas_block`), one
 work item per block. Block j draws from three `RngStream` generators,
-(seed, role, j) for the roles sample_params, weights and noise, and takes
-every sample of the block from them in sample order: its coefficients,
-its weights with their redraws, and its noise GRF. Earlier samples of a
-block are always drawn first, so sample k's bytes are a pure function of
-(seed, k) at any thread count and any sample count; SAMPLE_BLOCK is part
-of that contract.
+(seed, role, j) for the roles sample_params, weights and noise. It draws
+its coefficients field by field, each for a full SAMPLE_BLOCK samples
+(a short last block keeps the first ones), and its weights, with their
+redraws, and noise GRFs in sample order. So sample k's bytes are a pure
+function of (seed, k) at any thread and sample count; SAMPLE_BLOCK is
+part of that contract.
 
 Why a block has the bits of its samples alone, stated here once: each
-coefficient and noise GRF is drawn per sample, in stream order, straight
-into the block's (b, m, m) buffer (`fields.draw_block`), and its two
-GEMMs, like the weights @ pool product that writes the sample's u, keep
-the operand shapes of a single sample, because BLAS results can depend
-on operand shapes. Everything else runs once on the contiguous block and
-is elementwise or a per-sample reduction: the GRFs' scale, offset and
-exp, a shift to a minimum, the noise normalization (max |g| as
-max(max g, -min g)) and amplitude, the mask, the stencil and its
-application in the row-padded layout of `grid_ops`. Verification takes
-each norm per sample. So sample i of a block gets the bits it would get
-alone. A block item is a dict of field name -> (b, m, m) node arrays,
-which `write_dataset` writes with one write and one CRC-32 update per
-field, as the bytes of its samples one after another.
+field is drawn in one call (`fields.draw_block`) that fills the block's
+(b, m, m) buffer in sample order, and its two GEMMs, like the weights @
+pool product that writes u, are stacked: numpy runs one product per
+sample, with one sample's operand shapes, as BLAS results can depend on
+shapes (one (b, l) @ (l, m*m) GEMM rounds otherwise). Everything else
+runs once on the contiguous block and is elementwise or a per-sample
+reduction: the GRFs' scale, offset and exp, a shift to a minimum, the
+noise normalization (max |g| as max(max g, -min g)) and amplitude, the
+mask, the stencil and its application in the row-padded layout of
+`grid_ops`. Verification takes each norm per sample. So sample i of a
+block gets the bits it would get alone. A block item is a dict of field
+name -> (b, m, m) node arrays, which `write_dataset` writes with one
+write and one CRC-32 update per field, as the bytes of its samples one
+after another.
 
 Blocks run on `threads` worker threads, by default one per usable CPU,
 and are written in block order; `verify_dataset` checks blocks on one
@@ -313,18 +314,17 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
                    delta: float) -> np.ndarray:
     """(b, m, m) node arrays: b samples, each the pool combined with
     weights drawn from gen_w plus masked noise drawn from gen_n, in sample
-    order. Each weights @ pool product writes its sample's row with the
-    operand shapes of one sample, and the noise GRFs are drawn into one
-    block (`draw_block`); the noise normalization, its amplitude and the
-    mask act on the whole block (module docstring)."""
+    order. The weights @ pool product is one stacked product of one GEMV
+    per sample, and the noise GRFs are drawn in one block (`draw_block`);
+    the noise normalization, its amplitude and the mask act on the whole
+    block (module docstring)."""
     if pool.size < 1:
         raise GenerationError("basis pool is empty")
     if not (eta >= 0 and delta > 0):  # NaN fails it
         raise GenerationError("need eta >= 0 and delta > 0")
     grid = pool.grid
     m = grid.n_nodes
-    stack = pool.stacked()
-    u = np.empty((b, m * m))
+    w = np.empty((b, 1, pool.size))
     for i in range(b):
         for _ in range(100):
             mu = gen_w.standard_normal(pool.size)
@@ -335,19 +335,20 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
             raise DegenerateWeightsError(
                 "100 consecutive weight draws below the resample threshold"
             )
-        np.matmul(mu / total, stack, out=u[i])
-    u = u.reshape(-1, m, m)
+        np.divide(mu, total, out=w[i, 0])
+    # a stacked product: each slice is one sample's (1, l) @ (l, m*m) GEMV
+    u = np.matmul(w, pool.stacked()).reshape(b, m, m)
     if eta > 0:
         g = draw_block({"noise": NOISE_GRF}, grid, gen_n, b)["noise"]
         # max |g| per sample, with no |g| array
         g_max = np.maximum(g.max(axis=(1, 2), keepdims=True),
                            -g.min(axis=(1, 2), keepdims=True))
-        # noise = g / g_max, or 0 for an all-zero draw
-        noise = np.divide(g, g_max, out=g, where=g_max != 0)
-        noise[g_max[:, 0, 0] == 0] = 0.0
-        amplitude = eta * np.abs(u).max(axis=(1, 2), keepdims=True)
-        noise *= amplitude * boundary_decay_mask(grid).values
-        u += noise
+        g_max[g_max == 0] = np.inf  # an all-zero draw stays 0, with no 0/0
+        g /= g_max
+        amplitude = eta * np.maximum(u.max(axis=(1, 2), keepdims=True),
+                                     -u.min(axis=(1, 2), keepdims=True))
+        g *= amplitude * boundary_decay_mask(grid).values
+        u += g
     return u
 
 
@@ -381,14 +382,16 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
                    indices: range) -> dict:
     """The operator-action samples of indices, a range starting at a
     multiple of SAMPLE_BLOCK, as one block item: field name -> (b, m, m)
-    node arrays. Its samples are drawn in order from the block's three
-    streams, and the stencil and its application run on the block (module
-    docstring)."""
+    node arrays, drawn from the block's three streams; the stencil and its
+    application run on the block (module docstring)."""
     pde, grid, seed = config.pde, config.grid, config.master_seed
     gen_c, gen_w, gen_n = (
         RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
         for role in ("sample_params", "weights", "noise"))
-    fields = draw_block(family(pde).distributions, grid, gen_c, len(indices))
+    # a full block of coefficients, so that no field's stream position
+    # depends on the length of a short last block
+    fields = {name: values[:len(indices)] for name, values in draw_block(
+        family(pde).distributions, grid, gen_c, SAMPLE_BLOCK).items()}
     u = _combine_block(pool, gen_w, gen_n, len(indices), config.noise_eta,
                        config.weight_resample_threshold)
     return {**fields, "f": apply_block(pde, grid, fields, u), "u": u}

@@ -6,9 +6,10 @@ from pdeforge.families import (
     FAMILIES,
     PdeCoefficients,
     PdeFamily,
+    Uniform,
     apply_block,
 )
-from pdeforge.fields import GrfParams, RngStream
+from pdeforge.fields import FieldParameterError, GrfParams, RngStream
 from pdeforge.generator import (
     GenerationConfig,
     draw_coefficients,
@@ -158,9 +159,6 @@ class ConstantField:
     def draw(self, grid, gen, out):
         out[...] = 1.0
 
-    def finish(self, values):
-        pass
-
     def to_dict(self):
         return {"distribution": "constant", "value": 1.0}
 
@@ -198,6 +196,13 @@ def test_new_family_costs_one_record(monkeypatch, tmp_path):
                                   np.ones((8, 8)))
     report = verify_dataset(ds, tol=1e-13)
     assert report.passed and report.num_samples == 4
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0),
+                                    (0.0, float("nan"))])
+def test_uniform_needs_lo_below_hi(lo, hi):
+    with pytest.raises(FieldParameterError, match="need lo < hi"):
+        Uniform(lo, hi)
 
 
 def test_unknown_family_rejected():

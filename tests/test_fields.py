@@ -7,6 +7,7 @@ from pdeforge.fields import (
     RngStream,
     boundary_decay_mask,
     chebyshev_basis_field,
+    draw_block,
     fourier_basis_field,
     sample_grf,
     sample_uniform,
@@ -57,6 +58,17 @@ class TestGrfParams:
 
 
 class TestSampleGrf:
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_block_draw_is_one_sample_draw_at_a_time(self, n):
+        # the stacked normal draw and GEMMs against b one-sample draws
+        g = Grid2D(n)
+        p = GrfParams(tau=7.0, alpha=2.5, scale=0.5, transform="exp")
+        block = draw_block({"g": p}, g, RngStream(2, "noise", 0), 8)["g"]
+        gen = RngStream(2, "noise", 0).generator()
+        for values in block:
+            np.testing.assert_array_equal(
+                values, draw_block({"g": p}, g, gen, 1)["g"][0])
+
     def test_deterministic(self):
         g = Grid2D(8)
         p = GrfParams(tau=7.0, alpha=2.5)

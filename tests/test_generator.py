@@ -19,7 +19,7 @@ from pdeforge.dataset_io import (
     write_dataset,
 )
 from pdeforge.families import FAMILIES, PdeCoefficients, PdeFamily
-from pdeforge.fields import RngStream
+from pdeforge.fields import RngStream, draw_block
 from pdeforge.generator import (
     BasisPool,
     BasisConstructionError,
@@ -217,6 +217,42 @@ class TestCombine:
         eps = out.values - base.values
         assert np.max(np.abs(eps)) <= eta * np.max(np.abs(base.values)) + 1e-15
 
+    def test_all_zero_noise_draw_adds_nothing(self, monkeypatch):
+        # g / max|g| would be 0/0; the warning is an error under pytest
+        config = small_config(n_basis=5)
+        pool = build_basis_pool(config)
+        base = generator._combine_block(
+            pool, RngStream(7, "weights", 0).generator(),
+            RngStream(7, "noise", 0).generator(), 3, 0.0, 1e-3)
+        monkeypatch.setattr(generator, "draw_block", lambda dists, grid, rng,
+                            b: {name: np.zeros((b,) + base.shape[1:])
+                                for name in dists})
+        out = generator._combine_block(
+            pool, RngStream(7, "weights", 0).generator(),
+            RngStream(7, "noise", 0).generator(), 3, 0.01, 1e-3)
+        assert not np.isnan(out).any()
+        np.testing.assert_array_equal(out, base)
+
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_pool_product_is_one_gemv_per_sample(self, n):
+        # a single (b, l) @ (l, m*m) GEMM rounds differently
+        g = Grid2D(n)
+        gen = np.random.default_rng(n)
+        pool = BasisPool(g, [FieldSample.from_interior(
+            g, gen.standard_normal(n * n)) for _ in range(30)])
+        delta = 1e-3 * math.sqrt(pool.size)
+        with generator.one_blas_thread():
+            u = generator._combine_block(
+                pool, RngStream(5, "weights", 0).generator(), None,
+                generator.SAMPLE_BLOCK, 0.0, delta)
+            gen_w = RngStream(5, "weights", 0).generator()
+            for row in u:
+                mu = gen_w.standard_normal(pool.size)
+                while abs(mu.sum()) < delta:
+                    mu = gen_w.standard_normal(pool.size)
+                np.testing.assert_array_equal(
+                    row.ravel(), (mu / mu.sum()) @ pool.stacked())
+
     @pytest.mark.parametrize("eta,delta", [(float("nan"), 1e-3),
                                            (0.01, float("nan"))])
     def test_nan_eta_or_delta_rejected(self, eta, delta):
@@ -328,23 +364,27 @@ class TestDiffoas:
                          pool=pool)
 
         def one_at_a_time():
-            # block j's three streams, each drawn in sample order
-            for k in range(num_samples):
-                if k % generator.SAMPLE_BLOCK == 0:
-                    j = k // generator.SAMPLE_BLOCK
-                    gen_c, gen_w, gen_n = (
-                        RngStream(4, role, j).generator()
-                        for role in ("sample_params", "weights", "noise"))
-                coeffs = generator.draw_coefficients(pde, config.grid, gen_c)
-                u = generator._combine_block(
-                    pool, gen_w, gen_n, 1, config.noise_eta,
-                    config.weight_resample_threshold)
-                f = generator.apply_block(pde, config.grid, {
-                    name: fs.values[None]
-                    for name, fs in coeffs.fields.items()}, u)
-                yield {**coeffs.field_map(),
-                       "f": FieldSample(config.grid, f[0]),
-                       "u": FieldSample(config.grid, u[0])}
+            # block j's three streams: each coefficient field drawn one
+            # sample at a time, a full block of it before the next field,
+            # then each sample's weights and noise in sample order
+            block = generator.SAMPLE_BLOCK
+            for start in range(0, num_samples, block):
+                gen_c, gen_w, gen_n = (
+                    RngStream(4, role, start // block).generator()
+                    for role in ("sample_params", "weights", "noise"))
+                coeffs = {name: [draw_block({name: dist}, config.grid,
+                                            gen_c, 1)[name]
+                                 for _ in range(block)]
+                          for name, dist in
+                          FAMILIES[pde].distributions.items()}
+                for i in range(min(block, num_samples - start)):
+                    fields = {name: draws[i]
+                              for name, draws in coeffs.items()}
+                    u = generator._combine_block(
+                        pool, gen_w, gen_n, 1, config.noise_eta,
+                        config.weight_resample_threshold)
+                    f = generator.apply_block(pde, config.grid, fields, u)
+                    yield {**fields, "f": f, "u": u}
 
         write_dataset(tmp_path / "ref", one_at_a_time(),
                       DatasetManifest(pde, 9, num_samples, "diffoas"))
@@ -352,14 +392,16 @@ class TestDiffoas:
             assert (tmp_path / "blocks" / f"{name}.f64").read_bytes() == \
                 (tmp_path / "ref" / f"{name}.f64").read_bytes(), name
 
-    def test_samples_do_not_depend_on_the_sample_count(self, tmp_path):
-        # the last block of 10 samples is a prefix of the one of 13
-        config = small_config(num_samples=10)
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    def test_samples_do_not_depend_on_the_sample_count(self, pde, tmp_path):
+        # the last block of 10 samples is a prefix of the one of 13; for
+        # diffusion, q's stream position follows a full block of k
+        config = small_config(pde=pde, num_samples=10)
         pool = build_basis_pool(config)
         generate_diffoas(config, tmp_path / "n10", pool=pool)
         generate_diffoas(dataclasses.replace(config, num_samples=13),
                          tmp_path / "n13", pool=pool)
-        for name in ("a", "f", "u"):
+        for name in FAMILIES[pde].field_names:
             short = (tmp_path / "n10" / f"{name}.f64").read_bytes()
             long = (tmp_path / "n13" / f"{name}.f64").read_bytes()
             assert len(long) == len(short) * 13 // 10
@@ -378,11 +420,12 @@ class TestDiffoas:
 
     # field CRC32s of `pdeforge generate --pde <pde> --grid 24 --samples 12
     # --seed 3`, pinned when the streams became SFC64 with one stream per
-    # block and role
+    # block and role; diffusion's k, q and f re-pinned when a block's
+    # coefficients became drawn field by field, a full block of k first
     GOLDEN_CRC32 = {
         "darcy": {"a": 0x9116d394, "f": 0xab8e965a, "u": 0x0032e82f},
         "helmholtz": {"k2": 0x32c70483, "f": 0x4d0d972e, "u": 0xbe102866},
-        "diffusion": {"k": 0xb99879e4, "q": 0x5868189d, "f": 0x7bae9da1,
+        "diffusion": {"k": 0x9a95d958, "q": 0x211a5338, "f": 0x7fe4b68d,
                       "u": 0x45edc253},
     }
 
