@@ -8,24 +8,30 @@ crashed write never leaves a readable dataset.
 `write_dataset` takes items of one sample or of a block of samples as
 (b, m, m) arrays, with the same bytes on disk either way (the `generator`
 docstring tells why a block holds the bits of its samples alone);
-`Dataset.blocks` reads blocks back, one `readinto` per field and block.
+`Dataset.map_blocks` reads blocks back, one seek and one `readinto` per
+field and block, on the thread that processes the block, and
+`Dataset.blocks` is the same reader in order.
 
 `read_dataset` judges the manifest and each field file's presence and
 length up front. The bytes are checked against the manifest's CRC-32s as
-they are read, so that a full pass reads each byte once: `Dataset.blocks`
-after its last block, `Dataset.field_sample` once per field, on its first
-read. DatasetIntegrityError names the field file that does not match.
+they are read, so that a full pass reads each byte once: each block's
+bytes are CRCed as they are read and the blocks' CRC-32s folded in order
+(`crc32_combine`) and checked after the last block, and
+`Dataset.field_sample` CRCs a field once, on its first read.
+DatasetIntegrityError names the field file that does not match.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .grid import FieldSample, Grid2D
 FORMAT = {"format_version": 1, "dtype": "float64-le",
           "layout": "sample-major,row-major-nodes-including-boundary"}
 CHECKSUM_CHUNK = 1 << 20  # bytes per read in checksum_field
+CRC32_POLY = 0xEDB88320  # the IEEE polynomial, bit-reflected as zlib uses it
 
 # the stored fields of each family at import; DatasetManifest.field_names
 # reads the registry at call time
@@ -148,6 +155,41 @@ def checksum_field(dir: os.PathLike, field_name: str) -> int:
         while size := fh.readinto(buf):
             crc = zlib.crc32(view[:size], crc)
     return crc & 0xFFFFFFFF
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a * b modulo CRC32_POLY over GF(2), both in the reflected order in
+    which bit 31 is x^0; a is not 0."""
+    top = 1 << 31
+    product = 0
+    while True:
+        if a & top:
+            product ^= b
+            if not a & (top - 1):
+                return product
+        top >>= 1
+        b = (b >> 1) ^ CRC32_POLY if b & 1 else b >> 1
+
+
+@lru_cache(maxsize=16)
+def _zeros_operator(nbytes: int) -> int:
+    """x^(8 nbytes) modulo CRC32_POLY: appending nbytes to a message
+    multiplies its CRC register by it. By squaring x^8 (bit 23)."""
+    result, power = 1 << 31, 1 << 23
+    while nbytes:
+        if nbytes & 1:
+            result = _multmodp(power, result)
+        power = _multmodp(power, power)
+        nbytes >>= 1
+    return result
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """The CRC-32 of bytes A + B from crc1 = zlib.crc32(A), crc2 =
+    zlib.crc32(B) and len2 = len(B), as zlib's crc32_combine: the
+    conditioning of the two CRCs cancels, so crc1 is moved past len2 zero
+    bytes and XORed with crc2."""
+    return _multmodp(_zeros_operator(len2), crc1) ^ crc2
 
 
 def write_dataset(
@@ -266,11 +308,12 @@ class Dataset:
                 f"{entry['crc32']:#010x}")
         self._checked.add(field_name)
 
-    def _read_block(self, fh, b: int) -> np.ndarray:
-        """The next b samples, as (b, m, m) node arrays, of a field file
-        open at a sample boundary."""
+    def _read(self, fh, start: int, b: int) -> np.ndarray:
+        """The b samples from sample start, as (b, m, m) node arrays, of an
+        open field file: one seek and one readinto."""
         m = self.grid.n_nodes
         values = np.empty((b, m, m), dtype="<f8")
+        fh.seek(start * values[0].nbytes)
         if fh.readinto(values) != values.nbytes:
             raise DatasetIntegrityError(
                 f"{Path(fh.name).name} ends inside a sample")
@@ -278,8 +321,8 @@ class Dataset:
 
     def field_sample(self, field_name: str, k: int) -> FieldSample:
         """Sample k of a field. The first read of a field from this Dataset
-        CRCs its whole file (`checksum_field`), unless `blocks` has already
-        checked it, so a corrupt byte anywhere in the field raises
+        CRCs its whole file (`checksum_field`), unless `map_blocks` has
+        already checked it, so a corrupt byte anywhere in the field raises
         DatasetIntegrityError at any k; later reads of the field read one
         sample."""
         if field_name not in self.manifest.field_names:
@@ -291,38 +334,71 @@ class Dataset:
         if field_name not in self._checked:
             self._check_crc(field_name, checksum_field(self.dir, field_name))
         with open(self._path(field_name), "rb") as fh:
-            fh.seek(k * self.manifest.nodes_per_sample * 8)
-            return FieldSample(self.grid, self._read_block(fh, 1)[0])
+            return FieldSample(self.grid, self._read(fh, k, 1)[0])
 
-    def blocks(self, size: int) -> Iterator[dict]:
-        """Every sample in order, size consecutive samples at a time (the
-        last block may be shorter): dicts of field name -> (b, m, m) node
-        arrays. Each field file is opened once, and each block of a field
-        is one read, whose arrays update that field's CRC-32 before the
-        block is yielded.
+    def map_blocks(self, size: int, worker: Callable,
+                   run: Callable = map) -> Iterator:
+        """worker(start, block) for every block of size consecutive samples
+        from sample start (the last block may be shorter), yielded in
+        order; a block is a dict of field name -> (b, m, m) node arrays.
 
-        After the last block, DatasetIntegrityError names the first field
-        file whose CRC-32 is not the manifest's. So a consumer that stops
-        early has checked nothing: the bytes it was given may be corrupt.
-        A file that ends inside a block raises DatasetIntegrityError at
-        that block."""
+        run(task, items) calls task on each item and yields the results in
+        order: `map` by default, or a runner that calls it on worker
+        threads. Each task reads its block, one seek and one readinto per
+        field under that file's lock, and CRCs its bytes on the thread
+        that runs it, while they are in cache. Each field file is opened
+        once. The calling thread folds the blocks' CRC-32s in order
+        (`crc32_combine`); after the last block, DatasetIntegrityError
+        names the first field file whose CRC-32 is not the manifest's. So a
+        consumer that stops early has checked nothing: the bytes it was
+        given may be corrupt. A file that ends inside a block raises
+        DatasetIntegrityError at that block.
+
+        Integrity comes first: when a task raises any other error, every
+        field file is CRCed whole (`checksum_field`) and a mismatch raises
+        DatasetIntegrityError in place of that error, since a corrupt byte
+        may be its cause."""
         if size < 1:
             raise ValueError(f"block size must be >= 1, got {size}")
         total = self.manifest.num_samples
         names = self.manifest.field_names
         crcs = dict.fromkeys(names, 0)
         with ExitStack() as stack:
-            handles = {name: stack.enter_context(open(self._path(name), "rb"))
-                       for name in names}
-            for start in range(0, total, size):
+            files = {name: (stack.enter_context(open(self._path(name), "rb")),
+                            threading.Lock()) for name in names}
+
+            def task(start: int) -> tuple:
                 b = min(size, total - start)
-                block = {name: self._read_block(fh, b)
-                         for name, fh in handles.items()}
-                for name, values in block.items():
-                    crcs[name] = zlib.crc32(values, crcs[name])
-                yield block
+                block, block_crcs = {}, {}
+                for name, (fh, lock) in files.items():
+                    with lock:  # the seek and the read as one step
+                        block[name] = values = self._read(fh, start, b)
+                    block_crcs[name] = zlib.crc32(values)
+                return worker(start, block), block_crcs, values.nbytes
+
+            try:
+                for result, block_crcs, nbytes in run(
+                        task, range(0, total, size)):
+                    for name in names:
+                        crcs[name] = crc32_combine(crcs[name],
+                                                   block_crcs[name], nbytes)
+                    yield result
+            except DatasetIntegrityError:
+                raise
+            except Exception:
+                for name in names:
+                    self._check_crc(name, checksum_field(self.dir, name))
+                raise
         for name in names:
             self._check_crc(name, crcs[name])
+
+    def blocks(self, size: int) -> Iterator[dict]:
+        """Every sample in order, size consecutive samples at a time (the
+        last block may be shorter): dicts of field name -> (b, m, m) node
+        arrays, read in the calling thread and checked as `map_blocks`
+        tells. Each field file is opened once, and each block of a field
+        is one read."""
+        return self.map_blocks(size, lambda start, block: block)
 
 
 def read_dataset(dir: os.PathLike) -> Dataset:

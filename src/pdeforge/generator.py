@@ -10,8 +10,8 @@ normalized Gaussian weights, add edge-decaying noise, and compute the
 forcing by one application of the family's 5-point stencil to the node
 array: the sparse matrix-vector product without building the matrix.
 Every GMRES solve applies the stencil matrix-free as well, and
-verification recomputes A u with the stencil's index-gather form
-(`verify_dataset`); `grid_ops` tells how the forms check each other. No
+verification recomputes A u - f from the stencil's 2-D neighbor views of
+u (`verify_dataset`); `grid_ops` tells how the forms check each other. No
 path builds a CSR matrix or imports scipy.
 
 Operator-action samples are made in blocks of SAMPLE_BLOCK consecutive
@@ -34,16 +34,17 @@ runs once on the contiguous block and is elementwise or a per-sample
 reduction: the GRFs' scale, offset and exp, a shift to a minimum, the
 noise normalization (max |g| as max(max g, -min g)) and amplitude, the
 mask, the stencil and its application in the row-padded layout of
-`grid_ops`. Verification takes each norm per sample. So sample i of a
-block gets the bits it would get alone. A block item is a dict of field
+`grid_ops`. Verification takes each norm per sample, as one stacked
+product of per-sample dot products. So sample i of a block gets the bits
+it would get alone. A block item is a dict of field
 name -> (b, m, m) node arrays, which `write_dataset` writes with one
 write and one CRC-32 update per field, as the bytes of its samples one
 after another.
 
 Blocks run on `threads` worker threads, by default one per usable CPU,
-and are written in block order; `verify_dataset` checks blocks on one
-thread per usable CPU too. The generate paths, the pool build and
-verification run with numpy's OpenBLAS pinned to one thread
+and are written in block order; `verify_dataset` reads, CRCs and checks
+blocks on one thread per usable CPU too. The generate paths, the pool
+build and verification run with numpy's OpenBLAS pinned to one thread
 (`one_blas_thread`): OpenBLAS splits a matrix product, and a dot product
 of a long vector, among its threads in a way that changes its rounding,
 and N worker threads x N BLAS threads would oversubscribe the CPUs. With
@@ -62,7 +63,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import chain, count, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -80,7 +81,7 @@ from .fields import (
     sample_grf,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import EllipticityError, gather_stencil
+from .grid_ops import EllipticityError, stencil_residual
 from .solvers import SolveOptions, gmres
 
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
@@ -403,9 +404,8 @@ def _run_samples(worker, items, threads: int):
     they run on that many threads, at most 2 * threads of them pulled and
     submitted ahead of the consumer: a slow consumer holds a bounded number
     of items and results, not all of them. A lone item runs in the calling
-    thread: a thread gains it nothing, and starting one made perfbench's
-    one-block warm-up (a generate and a verify) 3-4 ms slower on a 2-vCPU
-    Xeon. Items not started when the consumer stops are cancelled."""
+    thread: a thread gains it nothing. Items not started when the consumer
+    stops are cancelled."""
     todo = iter(items)
     first = [] if threads == 1 else list(islice(todo, 2))
     todo = chain(first, todo)
@@ -582,33 +582,36 @@ class VerificationReport:
 @one_blas_thread()
 def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
     """Measure ||A u - f|| / ||f|| over the interior nodes of every sample,
-    with A u recomputed from the stored fields by `gather_stencil`: an
-    independent check of the `apply_stencil` that computed f (`grid_ops`).
+    with A u - f recomputed from the stored fields by `stencil_residual`,
+    from 2-D neighbor views of u: an independent check of the flat-offset
+    `apply_stencil` that computed f (`grid_ops`).
 
-    The calling thread reads the dataset SAMPLE_BLOCK samples at a time
-    (`Dataset.blocks`, which CRCs each byte as it reads it), and each
-    block's stencil is built and applied once, on its (b, m, m) arrays, on
-    one worker thread per usable CPU with one BLAS thread, at most two
-    blocks per thread ahead (`_run_samples`). Each residual is
-    bit-identical to that of the sample's CSR matrix alone (module
-    docstring), at any thread count. A sample fails when its residual is
-    not within tol, or when its stored u is not zero on the boundary: the
-    residual reads the boundary nodes next to the interior, and no row
-    reads the corners.
+    The dataset is checked SAMPLE_BLOCK samples at a time on one worker
+    thread per usable CPU with one BLAS thread, at most two blocks per
+    thread ahead (`_run_samples`). Each worker reads its block, CRCs its
+    bytes, builds its stencil and applies it once, on the (b, m, m)
+    arrays, and takes the norms of f and of the residual per sample as
+    one stacked product, each slice the dot product `np.linalg.norm`
+    takes; the calling thread folds the CRC-32s in block order
+    (`Dataset.map_blocks`). Each residual is bit-identical to that of the
+    sample's CSR matrix alone (module docstring), at any thread count. A
+    sample fails when its residual is not within tol, or when its stored u
+    is not zero on the boundary: the residual reads the boundary nodes
+    next to the interior, and no row reads the corners.
 
     Integrity comes first: a field file whose CRC-32 is not the manifest's
     raises DatasetIntegrityError after the last block. When a block
-    raises, the bytes not yet read are read and CRCed, and a mismatch
-    raises DatasetIntegrityError in place of the block's error, since a
-    corrupt byte may be its cause. Otherwise EllipticityError names the
-    block whose coefficients are not elliptic."""
+    raises, every field file is CRCed, and a mismatch raises
+    DatasetIntegrityError in place of the block's error, since a corrupt
+    byte may be its cause. Otherwise EllipticityError names the block
+    whose coefficients are not elliptic."""
     pde_family = family(dataset.manifest.pde)
     grid = dataset.grid
+    threads = _thread_count(None)
 
-    def check(item) -> tuple:
-        """(residuals, failing sample indices) of item, a pair of the
-        block's first sample index and the block."""
-        start, block = item
+    def check(start: int, block: dict) -> tuple:
+        """(residuals, failing sample indices) of the block of samples
+        from start."""
         u = block["u"]
         b = len(u)
         try:
@@ -617,34 +620,25 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
         except EllipticityError as exc:
             raise EllipticityError(
                 f"samples {start}..{start + b - 1}: {exc}") from exc
-        f_int = block["f"][:, 1:-1, 1:-1]
-        # the row-padded (b, n, m) gather at its interior columns
-        r = np.subtract(gather_stencil(stencil, u)[..., 1:-1], f_int)
+        r = stencil_residual(stencil, u, block["f"]).reshape(b, 1, -1)
+        f_int = block["f"][:, 1:-1, 1:-1].reshape(b, 1, -1)
+        # per sample, sqrt(v . v): the ddot of np.linalg.norm, stacked
+        f_norm, r_norm = (np.sqrt(np.matmul(v, v.transpose(0, 2, 1)))
+                          .reshape(b) for v in (f_int, r))
+        rel = r_norm / np.maximum(f_norm, 1e-300)
         # NaN counts as nonzero
         off_boundary = (u[:, [0, -1], :].any(axis=(1, 2))
                         | u[:, :, [0, -1]].any(axis=(1, 2)))
-        residuals, failing = [], []
-        for i in range(b):
-            denom = max(float(np.linalg.norm(f_int[i].ravel())), 1e-300)
-            rel = float(np.linalg.norm(r[i].ravel())) / denom
-            residuals.append(rel)
-            if not rel <= tol or off_boundary[i]:  # a NaN residual fails
-                failing.append(start + i)
-        return residuals, failing
+        failing = ~(rel <= tol) | off_boundary  # a NaN residual fails
+        return rel.tolist(), (start + np.flatnonzero(failing)).tolist()
 
     residuals = []
     failing = []
-    blocks = dataset.blocks(SAMPLE_BLOCK)
-    try:
-        for rel, bad in _run_samples(
-                check, zip(count(0, SAMPLE_BLOCK), blocks),
-                _thread_count(None)):
-            residuals += rel
-            failing += bad
-    except Exception:
-        for _ in blocks:  # CRCs the rest; DatasetIntegrityError on a mismatch
-            pass
-        raise
+    for rel, bad in dataset.map_blocks(
+            SAMPLE_BLOCK, check,
+            lambda task, items: _run_samples(task, items, threads)):
+        residuals += rel
+        failing += bad
     residuals = np.asarray(residuals)
     return VerificationReport(
         num_samples=len(residuals),

@@ -14,24 +14,26 @@ The stencil's arrays are row-padded: (..., n, m), the coefficients of the
 n interior rows at all m columns of each row. Read flat, the interior rows
 of an (..., m, m) node array are the contiguous range [m, m*m - m), and
 the neighbors of its nodes are the same range shifted by -m, -1, +1 and
-+m, so every pass over a block is one contiguous run per sample rather
-than one short run per row. The coefficients at columns 0 and m-1 belong
-to boundary nodes (the west face of column 0 and the east face of column
-m-1 wrap to the neighboring row), and no form uses them. The stencil has
-three forms, each built from it alone and each summing a row's terms in
-the order N, W, C, E, S:
++m, so each of `apply_stencil`'s passes over a block is one contiguous
+run per sample rather than one short run per row. The coefficients at
+columns 0 and m-1 belong to boundary nodes (the west face of column 0 and
+the east face of column m-1 wrap to the neighboring row), and no form
+uses them. The stencil has three forms, each built from it alone and each
+summing a row's terms in the order N, W, C, E, S:
 
 - `apply_stencil` applies it to node arrays, one sample or a block, by
   slicing the flat neighbors out of the array, and writes f = A u on the
   whole node set: the interior rows, then zero at every boundary node.
   Generation computes f with it, and `StencilOperator` wraps it as the
   square operator on interior vectors that the GMRES solves use.
-- `gather_stencil` applies it to a block of node arrays through an
-  explicit table of flat neighbor indices over [m, m*m - m) (`np.take`),
-  reading the boundary nodes as the operator's zero-Dirichlet rows do.
-  Verification recomputes A u with it and compares with the stored f over
-  the interior columns; as it shares no indexing with `apply_stencil`, a
-  slip in either shows as a residual.
+- `stencil_residual` applies it to node arrays, one sample or a block,
+  through the 2-D neighbor views of u over the interior (`u[..., :-2,
+  1:-1]` for the north neighbors, and so on) times the stencil's interior
+  columns, reading the boundary nodes as the operator's zero-Dirichlet
+  rows do, and subtracts a stored f: A u - f over the interior nodes.
+  Verification measures its residuals with it; as its 2-D indexing
+  shares nothing with `apply_stencil`'s flat offsets, a slip in either
+  shows as a residual.
 - `_five_point` has scipy build it as a `CsrMatrix`, a
   `scipy.sparse.csr_array` in canonical form, from its five diagonals over
   the interior columns: each row stores its nonzero entries in ascending
@@ -41,10 +43,10 @@ the order N, W, C, E, S:
   harness's; no command builds it, and `scipy.sparse` is imported only
   when one is built.
 
-On a `u` that is zero on the boundary the three agree bit for bit, up to
-the sign of a zero: a missing CSR entry, a zero coefficient and a
-coefficient times a zero boundary value add the same nothing to a row's
-sum.
+On a `u` that is zero on the boundary the three give the same A u bit
+for bit, up to the sign of a zero: a missing CSR entry, a zero
+coefficient and a coefficient times a zero boundary value add the same
+nothing to a row's sum.
 """
 
 from __future__ import annotations
@@ -195,35 +197,32 @@ class StencilOperator:
         return self._out[1:-1, 1:-1].flatten()
 
 
-@lru_cache(maxsize=8)
-def _neighbor_table(m: int) -> np.ndarray:
-    """(5, m-2, m) flat indices into the m*m node array: the N, W, C, E
-    and S neighbors of every node of the interior rows, [m, m*m - m) read
-    flat. Read-only."""
-    node = np.arange(m, m * m - m).reshape(m - 2, m)
-    table = np.stack([node - m, node - 1, node, node + 1, node + m])
-    table.flags.writeable = False
-    return table
-
-
-def gather_stencil(stencil: tuple, u_nodes: np.ndarray) -> np.ndarray:
-    """The row-padded (b, n, m) values of the 5-point operator applied to
-    the (b, m, m) node arrays u_nodes over their interior rows, each
-    neighbor gathered through `_neighbor_table` and the terms summed
-    N, W, C, E, S. Boundary nodes are read, not assumed zero; columns 0
-    and m-1 hold no operator row. stencil is (center, north, south, west,
-    east), each a row-padded (b, n, m) array or a scalar."""
+def stencil_residual(stencil: tuple, u_nodes: np.ndarray,
+                     f_nodes: np.ndarray) -> np.ndarray:
+    """A u - f over the interior nodes of the (..., m, m) node arrays
+    u_nodes and f_nodes, as a fresh (..., n, n) array: the 5-point
+    operator applied through the 2-D neighbor views of u over the interior
+    (`u[..., :-2, 1:-1]` for the north neighbors, `u[..., 1:-1, :-2]` for
+    the west ones, and so on), each times the stencil's interior columns,
+    the terms summed N, W, C, E, S, then f subtracted. Boundary nodes are
+    read, not assumed zero. stencil is (center, north, south, west, east),
+    each a row-padded (..., n, m) array or a scalar."""
     center, north, south, west, east = stencil
-    b, m = len(u_nodes), u_nodes.shape[-1]
-    table = _neighbor_table(m)
-    flat = u_nodes.reshape(b, m * m)
-    out = np.multiply(north, np.take(flat, table[0], axis=1))
-    term = np.empty(out.shape)
-    for coef, index in zip((west, center, east, south), table[1:]):
-        np.take(flat, index, axis=1, out=term)
-        term *= coef
-        out += term
-    return out
+    u = u_nodes
+    terms = ((north, u[..., :-2, 1:-1]), (west, u[..., 1:-1, :-2]),
+             (center, u[..., 1:-1, 1:-1]), (east, u[..., 1:-1, 2:]),
+             (south, u[..., 2:, 1:-1]))
+
+    def interior(coef):
+        return coef[..., 1:-1] if np.ndim(coef) else coef
+
+    (coef, view), *rest = terms
+    r = np.multiply(interior(coef), view)
+    term = np.empty(r.shape)
+    for coef, view in rest:
+        r += np.multiply(interior(coef), view, out=term)
+    r -= f_nodes[..., 1:-1, 1:-1]
+    return r
 
 
 @lru_cache(maxsize=8)
@@ -269,14 +268,19 @@ def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
     sign=-1 gives the SPD Darcy form -div(a grad u); sign=+1 the
     diffusion-reaction flux term div(k grad u). The values are those of
     center = sign * (-(a_n + a_s + a_w + a_e)) / h2 and
-    neighbor = sign * a_f / h2, a_f = 0.5 * (c + c_f), bit for bit, at
-    fewer passes over the arrays:
+    neighbor = sign * a_f / h2, a_f = 0.5 * (c + c_f), at fewer passes
+    over the arrays, and bit for bit but for the exception the last point
+    names:
     - each face mean is computed once: the south face of node (i, j) is
       the north face of node (i+1, j), and IEEE addition commutes; likewise
       east and west;
     - sign is +-1, and multiplying or dividing by -1 is exact, as is
       negating a correctly rounded quotient: sign * (-s) / h2 equals
-      s / (-sign * h2) and sign * a / h2 equals a / (sign * h2).
+      s / (-sign * h2) and sign * a / h2 equals a / (sign * h2);
+    - the halving of each face mean is folded into that division: the
+      face sums c + c_f are divided by 2 * sign * h2. Scaling by 2 or 0.5
+      is exact, so this keeps every bit unless a face sum is subnormal or
+      above 2^1023.
     """
     h2 = grid.h ** 2
     *lead, m = coef.shape[:-1]
@@ -287,9 +291,7 @@ def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
     # horizontal[..., p]: between flat nodes m-1+p and m+p, so node q's
     # west face is at q-m and its east face at q-m+1
     vertical = c[..., :-m] + c[..., m:]
-    vertical *= 0.5
     horizontal = c[..., m - 1:m * m - m] + c[..., m:m * m - m + 1]
-    horizontal *= 0.5
     north = vertical[..., :size].reshape(rows)
     south = vertical[..., m:].reshape(rows)
     west = horizontal[..., :-1].reshape(rows)
@@ -297,7 +299,7 @@ def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:
     center = north + south
     center += west
     center += east
-    center /= -sign * h2
-    vertical /= sign * h2
-    horizontal /= sign * h2
+    center /= -2.0 * sign * h2
+    vertical /= 2.0 * sign * h2
+    horizontal /= 2.0 * sign * h2
     return center, north, south, west, east

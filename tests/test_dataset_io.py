@@ -1,5 +1,7 @@
 import json
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -313,6 +315,28 @@ class TestBlocks:
         list(ds.blocks(4))
         assert reads == [4, 4, 4, 3, 3, 3]
 
+    def test_blocks_read_on_more_threads_than_cpus(self, tmp_path):
+        # each task seeks and reads the shared file objects of its block
+        _, written = write_small(tmp_path, n=3, count=64)
+        ds = read_dataset(tmp_path)
+
+        def threaded(task, items):
+            with ThreadPoolExecutor(8) as pool:
+                yield from pool.map(task, items)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(ds.map_blocks(1, lambda start, block: (start, block),
+                                     threaded))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [start for start, _ in got] == list(range(64))
+        for start, block in got:
+            for name in ("a", "f", "u"):
+                assert np.array_equal(block[name][0],
+                                      written[start][name].values)
+
     def test_block_size_must_be_positive(self, tmp_path):
         write_small(tmp_path, n=3, count=2)
         with pytest.raises(ValueError):
@@ -365,3 +389,23 @@ class TestChecksum:
     def test_stable_across_reads(self, tmp_path):
         write_small(tmp_path, n=3, count=2, seed=9)
         assert checksum_field(tmp_path, "u") == checksum_field(tmp_path, "u")
+
+
+class TestCrc32Combine:
+    # one full 8-sample block of n = 6 (m = 8) and a short last block of 3
+    @pytest.mark.parametrize("len2", [0, 1, 12345, 8 * 64 * 8, 3 * 64 * 8])
+    @pytest.mark.parametrize("len1", [0, 7, 8 * 64 * 8])
+    def test_matches_crc_of_the_concatenation(self, len1, len2):
+        gen = np.random.default_rng(len1 + len2)
+        a, b = gen.bytes(len1), gen.bytes(len2)
+        assert dataset_io.crc32_combine(
+            zlib.crc32(a), zlib.crc32(b), len2) == zlib.crc32(a + b)
+
+    def test_folds_blocks_in_order(self):
+        gen = np.random.default_rng(1)
+        pieces = [gen.bytes(size) for size in (512, 512, 512, 192)]
+        crc = 0
+        for piece in pieces:
+            crc = dataset_io.crc32_combine(crc, zlib.crc32(piece),
+                                           len(piece))
+        assert crc == zlib.crc32(b"".join(pieces))

@@ -861,3 +861,90 @@ class TestBlockVerify:
         with pytest.raises(EllipticityError, match=re.escape(
                 f"samples {first}..{2 * first - 1}:")):
             verify_dataset(read_dataset(out), 1e-12)
+
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def copy_dataset(ds, out: Path) -> Path:
+    out.mkdir()
+    names = [f"{name}.f64" for name in ds.manifest.field_names]
+    for filename in names + ["manifest.json"]:
+        (out / filename).write_bytes((ds.dir / filename).read_bytes())
+    return out
+
+
+class TestVerifyCanFail:
+    # verify recomputes f = A u exactly, so at tol 0 any change fails
+    COUNT = 2 * generator.SAMPLE_BLOCK + 3
+    BAD = generator.SAMPLE_BLOCK + 2
+
+    @pytest.fixture(scope="class")
+    def source(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("verify") / "d"
+        ds = generate_diffoas(small_config(num_samples=self.COUNT), out)
+        report = verify_dataset(ds, 0.0)
+        assert report.passed and report.max_relative_residual == 0.0
+        return ds
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_ulp_of_f_fails_that_sample_alone(self, source, tmp_path,
+                                                  monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        out = copy_dataset(source, tmp_path / "d")
+        f = read_field(source, "f")
+        f[self.BAD, 5, 3] = np.nextafter(f[self.BAD, 5, 3], np.inf)
+        rewrite_field(out, "f", f)
+        report = verify_dataset(read_dataset(out), 0.0)
+        assert report.failing_indices == [self.BAD]
+        assert report.max_relative_residual > 0.0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("node", [(0, 4), (4, 0), (4, 11), (11, 4)],
+                             ids=["north", "west", "east", "south"])
+    def test_each_neighbor_direction_reaches_the_residual(
+            self, source, tmp_path, monkeypatch, cpus, node):
+        # a boundary node of u is read by one interior row alone, through
+        # the neighbor view of one direction
+        use_cpus(monkeypatch, cpus)
+        out = copy_dataset(source, tmp_path / "d")
+        u = read_field(source, "u")
+        u[(self.BAD, *node)] = 1e-3
+        rewrite_field(out, "u", u)
+        report = verify_dataset(read_dataset(out), 1.0)
+        assert report.failing_indices == [self.BAD]
+        # the other samples' residuals stay 0.0
+        assert report.max_relative_residual > 0.0
+        assert report.mean_relative_residual == pytest.approx(
+            report.max_relative_residual / self.COUNT)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_file_cut_after_read_dataset_names_it(self, source, tmp_path,
+                                                  monkeypatch, cpus):
+        # the worker that reads the cut block raises; no other error, and
+        # the run ends
+        use_cpus(monkeypatch, cpus)
+        out = copy_dataset(source, tmp_path / "d")
+        ds = read_dataset(out)
+        path = out / "u.f64"
+        slab = ds.manifest.nodes_per_sample * 8
+        path.write_bytes(path.read_bytes()[:(generator.SAMPLE_BLOCK + 3)
+                                           * slab + 8])
+        raised = []
+
+        def run():
+            try:
+                verify_dataset(ds, 1e-12)
+            except Exception as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(raised) == 1
+        assert type(raised[0]) is DatasetIntegrityError
+        assert str(raised[0]) == "u.f64 ends inside a sample"

@@ -13,6 +13,7 @@ from pdeforge.grid_ops import (
     DimensionError,
     EllipticityError,
     apply_operator,
+    stencil_residual,
 )
 
 DARCY, HELMHOLTZ, DIFFUSION = (FAMILIES[pde] for pde in
@@ -346,3 +347,42 @@ class TestStencils:
     def test_node_array_of_another_grid_rejected(self):
         with pytest.raises(DimensionError):
             DARCY.stencil(Grid2D(4), a=np.ones((3, 5, 5)))
+
+
+class TestStencilResidual:
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    def test_matches_the_csr_residual(self, pde):
+        grid = Grid2D(9)
+        gen = np.random.default_rng(8)
+        record = FAMILIES[pde]
+        fields = {name: 0.5 + gen.uniform(size=(3, 11, 11))
+                  for name in record.coefficients}
+        u = np.zeros((3, 11, 11))
+        u[:, 1:-1, 1:-1] = gen.standard_normal((3, 9, 9))
+        f = gen.standard_normal((3, 11, 11))
+        r = stencil_residual(record.stencil(grid, **fields), u, f)
+        assert r.shape == (3, 9, 9)
+        for i in range(3):
+            A = _five_point(grid, *record.stencil(grid, **{
+                name: v[i] for name, v in fields.items()}))
+            ref = apply_operator(A, u[i, 1:-1, 1:-1].ravel()) \
+                - f[i, 1:-1, 1:-1].ravel()
+            np.testing.assert_array_equal(r[i].ravel(), ref)
+
+    @pytest.mark.parametrize("direction, node, row", [
+        ("north", (0, 3), (0, 2)), ("west", (3, 0), (2, 0)),
+        ("east", (3, 7), (2, 5)), ("south", (7, 3), (5, 2))])
+    def test_each_boundary_neighbor_reaches_one_row(self, direction, node,
+                                                    row):
+        # a boundary node is read by one interior row alone, through the
+        # neighbor view of one direction
+        grid = Grid2D(6)
+        stencil = DARCY.stencil(grid, a=random_field(grid, 4))
+        gen = np.random.default_rng(2)
+        u = np.zeros((1, 8, 8))
+        u[0, 1:-1, 1:-1] = gen.standard_normal((6, 6))
+        f = gen.standard_normal((1, 8, 8))
+        base = stencil_residual(stencil, u, f)
+        u[(0, *node)] = 1.0
+        changed = stencil_residual(stencil, u, f) != base
+        assert np.argwhere(changed[0]).tolist() == [list(row)]
