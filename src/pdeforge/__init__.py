@@ -16,7 +16,6 @@ from .fields import (
     chebyshev_basis_field,
     fourier_basis_field,
     sample_grf,
-    sample_uniform,
 )
 from .generator import (
     BasisPool,

@@ -8,9 +8,8 @@ crashed write never leaves a readable dataset.
 `write_dataset` takes items of one sample or of a block of samples as
 (b, m, m) arrays, with the same bytes on disk either way (the `generator`
 docstring tells why a block holds the bits of its samples alone);
-`Dataset.map_blocks` reads blocks back, one seek and one `readinto` per
-field and block, on the thread that processes the block, and
-`Dataset.blocks` is the same reader in order.
+`Dataset.blocks` is the one reader of blocks, one seek and one `readinto`
+per field and block, on the thread that processes the block.
 
 `read_dataset` judges the manifest and each field file's presence and
 length up front. The bytes are checked against the manifest's CRC-32s as
@@ -321,7 +320,7 @@ class Dataset:
 
     def field_sample(self, field_name: str, k: int) -> FieldSample:
         """Sample k of a field. The first read of a field from this Dataset
-        CRCs its whole file (`checksum_field`), unless `map_blocks` has
+        CRCs its whole file (`checksum_field`), unless `blocks` has
         already checked it, so a corrupt byte anywhere in the field raises
         DatasetIntegrityError at any k; later reads of the field read one
         sample."""
@@ -336,11 +335,13 @@ class Dataset:
         with open(self._path(field_name), "rb") as fh:
             return FieldSample(self.grid, self._read(fh, k, 1)[0])
 
-    def map_blocks(self, size: int, worker: Callable,
-                   run: Callable = map) -> Iterator:
+    def blocks(self, size: int,
+               worker: Callable = lambda start, block: block,
+               run: Callable = map) -> Iterator:
         """worker(start, block) for every block of size consecutive samples
         from sample start (the last block may be shorter), yielded in
-        order; a block is a dict of field name -> (b, m, m) node arrays.
+        order; a block is a dict of field name -> (b, m, m) node arrays,
+        and the default worker yields the blocks themselves.
 
         run(task, items) calls task on each item and yields the results in
         order: `map` by default, or a runner that calls it on worker
@@ -391,14 +392,6 @@ class Dataset:
                 raise
         for name in names:
             self._check_crc(name, crcs[name])
-
-    def blocks(self, size: int) -> Iterator[dict]:
-        """Every sample in order, size consecutive samples at a time (the
-        last block may be shorter): dicts of field name -> (b, m, m) node
-        arrays, read in the calling thread and checked as `map_blocks`
-        tells. Each field file is opened once, and each block of a field
-        is one read."""
-        return self.map_blocks(size, lambda start, block: block)
 
 
 def read_dataset(dir: os.PathLike) -> Dataset:

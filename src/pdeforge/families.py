@@ -24,8 +24,9 @@ M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus & Golub, SIAM J. Numer. Anal.
 
 Adding a family costs one record. Give each coefficient a distribution
 (anything with `draw(grid, gen, out)`, which fills a (b, m, m) block of
-b samples from gen in sample order, and `to_dict()`, such as `GrfParams`:
-`fields.draw_block` tells how they are called), and add the record:
+b samples from gen, a `np.random.Generator`, in sample order, and
+`to_dict()`, such as `GrfParams`: `fields.draw_block` tells how they are
+called), and add the record:
 
     FAMILIES["poisson"] = PdeFamily(
         distributions={"c": Uniform(1.0, 2.0)},
@@ -251,12 +252,11 @@ def apply_block(pde: str, grid: Grid2D, fields: dict,
                 u: np.ndarray) -> np.ndarray:
     """f = A u matrix-free for a block of samples, with zero boundary:
     fields maps each coefficient name of the family to (b, m, m) node
-    arrays, and u holds b samples' (m, m) node arrays on grid, which must
-    vanish on the boundary. Every step is elementwise, so sample i of f
-    is bit-identical to the same call on sample i alone."""
+    arrays, and u holds b samples' (m, m) node arrays on grid. The rows
+    next to the boundary read u's boundary nodes, so f is the operator's
+    only when u vanishes there, as a pool that `generator.generate_diffoas`
+    accepts makes it. Every step is elementwise, so sample i of f is
+    bit-identical to the same call on sample i alone."""
     u = _check_field(grid, u, "u")
-    if (u[..., 0, :].any() or u[..., -1, :].any() or u[..., 0].any()
-            or u[..., -1].any()):
-        raise ValueError("u must vanish on the boundary")
     return apply_stencil(family(pde).stencil(grid, **fields), u,
                          np.empty(u.shape))

@@ -7,6 +7,11 @@ controlled by (tau, alpha):
     lam_k   = tau^(alpha-1) * (pi^2 |k|^2 + tau^2)^(-alpha/2)
 
 with K = n_interior + 1, so the mode count matches the node count.
+
+Every draw reads a `np.random.Generator`, such as `RngStream.generator()`
+gives: `draw_block` fills (b, m, m) blocks from it, one `draw(grid, gen,
+out)` call of each field's distribution, and `sample_grf` is its
+one-sample case.
 """
 
 from __future__ import annotations
@@ -60,20 +65,11 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(ss))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise FieldParameterError(f"expected RngStream or Generator, got {type(rng)}")
-
-
 @dataclass(frozen=True)
 class GrfParams:
     tau: float
     alpha: float
     scale: float = 1.0
-    offset: float = 0.0
     transform: str = "none"  # "none" | "exp"
 
     def __post_init__(self):
@@ -89,19 +85,18 @@ class GrfParams:
 
     def to_dict(self) -> dict:
         return {"tau": self.tau, "alpha": self.alpha, "scale": self.scale,
-                "offset": self.offset, "transform": self.transform}
+                "transform": self.transform}
 
     def draw(self, grid: Grid2D, gen: np.random.Generator,
              out: np.ndarray) -> None:
         """Fill out, a (b, m, m) block, with b draws: one call for all the
         normal draws, in sample order, then two stacked GEMMs, each slice
-        one sample's, then scale, offset and transform, each value alone."""
+        one sample's, then scale and transform, each value alone."""
         gen.standard_normal(out=out)
         out *= _spectral_amplitudes(grid.n_interior, self.tau, self.alpha)
         B = _cosine_table(grid.n_interior)
         np.matmul(np.matmul(B.T, out), B, out=out)
         out *= self.scale
-        out += self.offset
         if self.transform == "exp":
             np.exp(out, out=out)
 
@@ -126,8 +121,9 @@ def _spectral_amplitudes(n_interior: int, tau: float, alpha: float) -> np.ndarra
     return tau ** (alpha - 1.0) * (np.pi ** 2 * k2 + tau ** 2) ** (-alpha / 2.0)
 
 
-def draw_block(distributions: dict, grid: Grid2D, rng, b: int) -> dict:
-    """Field name -> (b, m, m) node arrays of b samples drawn from rng.
+def draw_block(distributions: dict, grid: Grid2D, gen: np.random.Generator,
+               b: int) -> dict:
+    """Field name -> (b, m, m) node arrays of b samples drawn from gen.
 
     The fields are drawn in dict order, each field's b samples in one
     `draw(grid, gen, out)` call of its distribution, which fills the
@@ -137,7 +133,6 @@ def draw_block(distributions: dict, grid: Grid2D, rng, b: int) -> dict:
     slices are one sample's products, so sample i gets the bits of a
     one-sample draw from the same stream position. `GrfParams` is such a
     distribution."""
-    gen = _as_generator(rng)
     m = grid.n_nodes
     block = {}
     for name, dist in distributions.items():
@@ -146,19 +141,11 @@ def draw_block(distributions: dict, grid: Grid2D, rng, b: int) -> dict:
     return block
 
 
-def sample_grf(grid: Grid2D, params: GrfParams, rng) -> FieldSample:
+def sample_grf(grid: Grid2D, params: GrfParams,
+               gen: np.random.Generator) -> FieldSample:
     """One spectral GRF draw on the full node set: the one-sample case of
     `draw_block`."""
-    return FieldSample(grid, draw_block({"g": params}, grid, rng, 1)["g"][0])
-
-
-def sample_uniform(grid: Grid2D, lo: float, hi: float, rng) -> FieldSample:
-    """i.i.d. U[lo, hi) at every node."""
-    if lo >= hi:
-        raise FieldParameterError(f"need lo < hi, got [{lo}, {hi})")
-    gen = _as_generator(rng)
-    m = grid.n_nodes
-    return FieldSample(grid, gen.uniform(lo, hi, size=(m, m)))
+    return FieldSample(grid, draw_block({"g": params}, grid, gen, 1)["g"][0])
 
 
 def _diagonal_pair(index: int, start: int) -> tuple[int, int]:

@@ -31,7 +31,7 @@ pool product that writes u, are stacked: numpy runs one product per
 sample, with one sample's operand shapes, as BLAS results can depend on
 shapes (one (b, l) @ (l, m*m) GEMM rounds otherwise). Everything else
 runs once on the contiguous block and is elementwise or a per-sample
-reduction: the GRFs' scale, offset and exp, a shift to a minimum, the
+reduction: the GRFs' scale and exp, a shift to a minimum, the
 noise normalization (max |g| as max(max g, -min g)) and amplitude, the
 mask, the stencil and its application in the row-padded layout of
 `grid_ops`. Verification takes each norm per sample, as one stacked
@@ -256,17 +256,9 @@ class BasisPool:
 
 
 def pool_cache_key(config: GenerationConfig) -> dict:
-    """Everything a solved pool depends on, kept as its `BasisPool.key`;
-    the manifest records the key's "preconditioner"."""
-    return {
-        "pde": config.pde,
-        "field_params": FAMILIES[config.pde].field_params,
-        "preconditioner": FAMILIES[config.pde].preconditioner_name,
-        "grid_interior": config.grid.n_interior,
-        "n_basis": config.n_basis,
-        "solver_tol": config.solver_tol,
-        "master_seed": config.master_seed,
-    }
+    """A solved pool's `BasisPool.key`: the "preconditioner" of its
+    solves, which the manifest records."""
+    return {"preconditioner": FAMILIES[config.pde].preconditioner_name}
 
 
 @one_blas_thread()
@@ -443,8 +435,11 @@ def generate_diffoas(
     pool is used as it is; an ablation pool (`make_ablation_pool`) names
     its kind in its key, and the manifest method is then "ablation-<kind>".
     The samples and the manifest take n_basis, and so delta, from the
-    pool's size. An empty pool, or one on another grid, raises
-    GenerationError before out_dir is touched.
+    pool's size. An empty pool, one on another grid, or one with a basis
+    that does not vanish on the boundary raises GenerationError before
+    out_dir is touched: every u is a combination of the basis plus noise
+    masked to zero there, so a basis zero on the boundary makes every u
+    zero there, as the operator action needs (`apply_block`).
 
     The manifest records where the pool came from in generation["pool"]:
     "cache" is "solved" (built by this call), "none" (an ablation pool) or
@@ -467,6 +462,10 @@ def generate_diffoas(
     if pool.grid != config.grid:
         raise GenerationError(
             f"pool is on {pool.grid}, the config on {config.grid}")
+    m = pool.grid.n_nodes
+    basis = pool.stacked().reshape(pool.size, m, m)
+    if basis[:, [0, -1]].any() or basis[:, :, [0, -1]].any():
+        raise GenerationError("pool basis does not vanish on the boundary")
     kind = pool.key.get("ablation")
     cache = "solved" if solved else "given" if kind is None else "none"
     config = replace(config, n_basis=pool.size)
@@ -555,8 +554,8 @@ def make_ablation_pool(config: GenerationConfig, kind: str) -> BasisPool:
         mask = boundary_decay_mask(grid).values
         basis = []
         for i in range(count):
-            g = sample_grf(grid, ABLATION_GRF,
-                           RngStream(config.master_seed, "basis_params", i))
+            g = sample_grf(grid, ABLATION_GRF, RngStream(
+                config.master_seed, "basis_params", i).generator())
             basis.append(FieldSample(grid, g.values * mask))
     elif kind == "fourier":
         basis = [fourier_basis_field(grid, i + 1) for i in range(count)]
@@ -593,11 +592,14 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
     arrays, and takes the norms of f and of the residual per sample as
     one stacked product, each slice the dot product `np.linalg.norm`
     takes; the calling thread folds the CRC-32s in block order
-    (`Dataset.map_blocks`). Each residual is bit-identical to that of the
+    (`Dataset.blocks`). Each residual is bit-identical to that of the
     sample's CSR matrix alone (module docstring), at any thread count. A
     sample fails when its residual is not within tol, or when its stored u
     is not zero on the boundary: the residual reads the boundary nodes
-    next to the interior, and no row reads the corners.
+    next to the interior, and no row reads the corners. A block's
+    arithmetic runs with numpy's overflow and invalid warnings off: a NaN
+    or infinite residual fails its sample, and a corrupt byte that causes
+    one raises DatasetIntegrityError.
 
     Integrity comes first: a field file whose CRC-32 is not the manifest's
     raises DatasetIntegrityError after the last block. When a block
@@ -614,18 +616,19 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
         from start."""
         u = block["u"]
         b = len(u)
-        try:
-            stencil = pde_family.stencil(grid, **{
-                name: block[name] for name in pde_family.coefficients})
-        except EllipticityError as exc:
-            raise EllipticityError(
-                f"samples {start}..{start + b - 1}: {exc}") from exc
-        r = stencil_residual(stencil, u, block["f"]).reshape(b, 1, -1)
-        f_int = block["f"][:, 1:-1, 1:-1].reshape(b, 1, -1)
-        # per sample, sqrt(v . v): the ddot of np.linalg.norm, stacked
-        f_norm, r_norm = (np.sqrt(np.matmul(v, v.transpose(0, 2, 1)))
-                          .reshape(b) for v in (f_int, r))
-        rel = r_norm / np.maximum(f_norm, 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                stencil = pde_family.stencil(grid, **{
+                    name: block[name] for name in pde_family.coefficients})
+            except EllipticityError as exc:
+                raise EllipticityError(
+                    f"samples {start}..{start + b - 1}: {exc}") from exc
+            r = stencil_residual(stencil, u, block["f"]).reshape(b, 1, -1)
+            f_int = block["f"][:, 1:-1, 1:-1].reshape(b, 1, -1)
+            # per sample, sqrt(v . v): the ddot of np.linalg.norm, stacked
+            f_norm, r_norm = (np.sqrt(np.matmul(v, v.transpose(0, 2, 1)))
+                              .reshape(b) for v in (f_int, r))
+            rel = r_norm / np.maximum(f_norm, 1e-300)
         # NaN counts as nonzero
         off_boundary = (u[:, [0, -1], :].any(axis=(1, 2))
                         | u[:, :, [0, -1]].any(axis=(1, 2)))
@@ -634,7 +637,7 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
 
     residuals = []
     failing = []
-    for rel, bad in dataset.map_blocks(
+    for rel, bad in dataset.blocks(
             SAMPLE_BLOCK, check,
             lambda task, items: _run_samples(task, items, threads)):
         residuals += rel

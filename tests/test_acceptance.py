@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from pdeforge import cli
-from pdeforge.families import PdeCoefficients
-from pdeforge.fields import GrfParams, sample_grf, sample_uniform
+from pdeforge.families import PdeCoefficients, Uniform
+from pdeforge.fields import GrfParams, draw_block, sample_grf
 from pdeforge.generator import (
     ABLATION_POOL_SIZES,
     GenerationConfig,
@@ -195,7 +195,8 @@ def test_criterion_07_oracle_equivalence_suite(report):
             else:
                 coeffs = PdeCoefficients(
                     "diffusion", k=sample_grf(grid, coef, rng),
-                    q=sample_uniform(grid, 0.0, 1.0, rng))
+                    q=FieldSample(grid, draw_block(
+                        {"q": Uniform(0.0, 1.0)}, grid, rng, 1)["q"][0]))
             A, dense = coeffs.operator(), coeffs.assemble().toarray()
             x = rng.standard_normal(grid.n_unknowns)
             y = rng.standard_normal(grid.n_unknowns)

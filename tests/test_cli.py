@@ -509,6 +509,26 @@ class TestFailedGenerate:
         assert json.loads(out)["passed"] is False
 
 
+def test_verify_overflow_prints_only_the_integrity_error(tmp_path):
+    # 0x7f as the top byte of an interior node of sample 1 in u.f64 makes
+    # it about 1e307, so the block's residual overflows before the CRC-32
+    # check at the end. In a fresh process, since pytest makes a numpy
+    # warning an error here
+    data = tmp_path / "D"
+    assert main(["generate", "--grid", "16", "--samples", "8",
+                 "--out", str(data)]) == 0
+    with open(data / "u.f64", "r+b") as fh:
+        fh.seek(3359)
+        fh.write(b"\x7f")
+    result = subprocess.run(
+        [sys.executable, "-m", "pdeforge.cli", "verify", "--data", str(data),
+         "--tol", "1e-12"], capture_output=True, text=True)
+    assert result.returncode == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("I/O or integrity error: u.f64")
+
+
 HEAVY_SCIPY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.sparse")
 
 

@@ -327,8 +327,8 @@ class TestBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = list(ds.map_blocks(1, lambda start, block: (start, block),
-                                     threaded))
+            got = list(ds.blocks(1, lambda start, block: (start, block),
+                                 threaded))
         finally:
             sys.setswitchinterval(interval)
         assert [start for start, _ in got] == list(range(64))

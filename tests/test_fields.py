@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdeforge.families import Uniform
 from pdeforge.fields import (
     FieldParameterError,
     GrfParams,
@@ -10,7 +11,6 @@ from pdeforge.fields import (
     draw_block,
     fourier_basis_field,
     sample_grf,
-    sample_uniform,
 )
 from pdeforge.grid import Grid2D
 
@@ -63,7 +63,8 @@ class TestSampleGrf:
         # the stacked normal draw and GEMMs against b one-sample draws
         g = Grid2D(n)
         p = GrfParams(tau=7.0, alpha=2.5, scale=0.5, transform="exp")
-        block = draw_block({"g": p}, g, RngStream(2, "noise", 0), 8)["g"]
+        block = draw_block({"g": p}, g, RngStream(2, "noise", 0).generator(),
+                           8)["g"]
         gen = RngStream(2, "noise", 0).generator()
         for values in block:
             np.testing.assert_array_equal(
@@ -73,20 +74,20 @@ class TestSampleGrf:
         g = Grid2D(8)
         p = GrfParams(tau=7.0, alpha=2.5)
         s = RngStream(42, "basis_params", 3)
-        a = sample_grf(g, p, s)
-        b = sample_grf(g, p, s)
+        a = sample_grf(g, p, s.generator())
+        b = sample_grf(g, p, s.generator())
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_scale_zero_gives_offset(self):
+    def test_scale_zero_gives_zero_field(self):
         g = Grid2D(5)
-        p = GrfParams(tau=3.0, alpha=2.0, scale=0.0, offset=1.5)
-        f = sample_grf(g, p, RngStream(0, "noise", 0))
-        np.testing.assert_array_equal(f.values, np.full((7, 7), 1.5))
+        p = GrfParams(tau=3.0, alpha=2.0, scale=0.0)
+        f = sample_grf(g, p, RngStream(0, "noise", 0).generator())
+        np.testing.assert_array_equal(f.values, np.zeros((7, 7)))
 
     def test_exp_transform_positive(self):
         g = Grid2D(6)
         p = GrfParams(tau=7.0, alpha=2.5, transform="exp")
-        f = sample_grf(g, p, RngStream(1, "sample_params", 0))
+        f = sample_grf(g, p, RngStream(1, "sample_params", 0).generator())
         assert f.values.min() > 0
 
     def test_mode_variance_ratio(self):
@@ -97,7 +98,7 @@ class TestSampleGrf:
         p = GrfParams(tau=tau, alpha=alpha)
         c1, c2 = [], []
         for i in range(10_000):
-            f = sample_grf(g, p, RngStream(7, "sample_params", i))
+            f = sample_grf(g, p, RngStream(7, "sample_params", i).generator())
             c1.append(project_onto_cosine_mode(f, 1, 0))
             c2.append(project_onto_cosine_mode(f, 2, 0))
         ratio = np.var(c1) / np.var(c2)
@@ -108,7 +109,8 @@ class TestSampleGrf:
         g = Grid2D(10)
         p = GrfParams(tau=3.0, alpha=2.0)
         samples = np.stack([
-            sample_grf(g, p, RngStream(11, "sample_params", i)).values
+            sample_grf(g, p,
+                       RngStream(11, "sample_params", i).generator()).values
             for i in range(10_000)
         ])
         pooled_std = samples.std()
@@ -123,7 +125,7 @@ class TestSampleGrf:
         modes = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (3, 0)]
         coeffs = {m: [] for m in modes}
         for i in range(10_000):
-            f = sample_grf(g, p, RngStream(13, "sample_params", i))
+            f = sample_grf(g, p, RngStream(13, "sample_params", i).generator())
             for m in modes:
                 coeffs[m].append(project_onto_cosine_mode(f, *m))
         variances = [np.var(coeffs[m]) for m in
@@ -132,22 +134,27 @@ class TestSampleGrf:
             assert lo <= hi * 1.05  # 5% slack for projection error
 
 
-class TestSampleUniform:
+def draw_uniform(grid, lo, hi, stream):
+    """One U[lo, hi) field drawn through draw_block, as generation draws."""
+    return draw_block({"q": Uniform(lo, hi)}, grid, stream.generator(),
+                      1)["q"][0]
+
+
+class TestUniform:
     def test_range(self):
-        g = Grid2D(20)
-        f = sample_uniform(g, 0.0, 1.0, RngStream(3, "sample_params", 0))
-        assert f.values.min() >= 0.0 and f.values.max() < 1.0
+        f = draw_uniform(Grid2D(20), 0.0, 1.0,
+                         RngStream(3, "sample_params", 0))
+        assert f.min() >= 0.0 and f.max() < 1.0
 
     def test_tiny_interval(self):
-        g = Grid2D(8)
-        f = sample_uniform(g, 2.0, 2.0 + 1e-9, RngStream(3, "noise", 1))
-        assert f.values.max() - f.values.min() < 1e-9
+        f = draw_uniform(Grid2D(8), 2.0, 2.0 + 1e-9, RngStream(3, "noise", 1))
+        assert f.max() - f.min() < 1e-9
 
     def test_mean(self):
         g = Grid2D(100)  # > 1e4 values per draw
         vals = np.concatenate([
-            sample_uniform(g, -1.0, 3.0,
-                           RngStream(5, "sample_params", i)).values.ravel()
+            draw_uniform(g, -1.0, 3.0,
+                         RngStream(5, "sample_params", i)).ravel()
             for i in range(10)
         ])
         assert vals.size >= 10**5
@@ -155,7 +162,7 @@ class TestSampleUniform:
 
     def test_rejects_bad_interval(self):
         with pytest.raises(FieldParameterError):
-            sample_uniform(Grid2D(3), 1.0, 1.0, RngStream(0, "noise", 0))
+            Uniform(1.0, 1.0)
 
 
 class TestBasisFields:

@@ -687,6 +687,25 @@ class TestAblation:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert read_dataset(out).manifest.num_samples == config.num_samples
 
+    @pytest.mark.parametrize("where", ["everywhere", "one edge node"])
+    def test_pool_off_the_boundary_leaves_the_dataset(self, tmp_path, where):
+        # every u combines the basis, so a basis that is not zero on the
+        # boundary is refused before the dataset in out_dir is touched
+        out = tmp_path / "d"
+        config = small_config(grid=Grid2D(8))
+        generate_diffoas(config, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        if where == "everywhere":
+            pool = BasisPool(config.grid,
+                             [FieldSample.constant(config.grid, 1.0)])
+        else:
+            pool = make_ablation_pool(config, "fourier")
+            pool.basis[1].values[4, -1] = 1e-300
+        with pytest.raises(GenerationError, match="boundary"):
+            generate_diffoas(config, out, pool=pool)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert verify_dataset(read_dataset(out), 1e-12).passed
+
     def test_empty_given_pool_is_a_generation_error(self, tmp_path):
         pool = BasisPool(Grid2D(10), [])
         with pytest.raises(GenerationError, match="empty"):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdeforge.families import FAMILIES
-from pdeforge.fields import GrfParams, RngStream, sample_grf, sample_uniform
+from pdeforge.families import FAMILIES, Uniform
+from pdeforge.fields import GrfParams, RngStream, draw_block, sample_grf
 from pdeforge.generator import draw_coefficients
 from pdeforge.grid import FieldSample, Grid2D, GridError
 from pdeforge.grid_ops import (
@@ -158,7 +158,7 @@ class TestHelmholtz:
     def test_grf_coefficient_rowsums(self):
         g = Grid2D(4)
         k2 = sample_grf(g, GrfParams(tau=3.0, alpha=2.0, scale=0.1),
-                        RngStream(5, "sample_params", 0))
+                        RngStream(5, "sample_params", 0).generator())
         A = _five_point(g, *HELMHOLTZ.stencil(g, k2=k2))
         np.testing.assert_allclose(
             apply_operator(A, np.ones(16)), A.toarray().sum(axis=1),
@@ -213,10 +213,11 @@ class TestDiffusionReaction:
     def test_spmv_matches_dense(self):
         g = Grid2D(4)
         k_raw = sample_grf(g, GrfParams(tau=3.0, alpha=2.0, scale=10.0),
-                           RngStream(9, "sample_params", 0))
+                           RngStream(9, "sample_params", 0).generator())
         shift = max(0.0, 0.1 - k_raw.values.min())
         k = FieldSample(g, k_raw.values + shift)
-        q = sample_uniform(g, 0.0, 1.0, RngStream(9, "sample_params", 1))
+        q = draw_block({"q": Uniform(0.0, 1.0)}, g,
+                       RngStream(9, "sample_params", 1).generator(), 1)["q"][0]
         A = _five_point(g, *DIFFUSION.stencil(g, k=k, q=q))
         dense = A.toarray()
         gen = np.random.default_rng(0)

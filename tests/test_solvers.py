@@ -26,10 +26,10 @@ def darcy_system(n, seed, lognormal=True):
     g = Grid2D(n)
     params = GrfParams(tau=7.0, alpha=2.5,
                        transform="exp" if lognormal else "none")
-    a = sample_grf(g, params, RngStream(seed, "basis_params", 0))
+    a = sample_grf(g, params, RngStream(seed, "basis_params", 0).generator())
     A = PdeCoefficients("darcy", a=a).assemble()
     b = sample_grf(g, GrfParams(tau=7.0, alpha=2.5),
-                   RngStream(seed, "basis_params", 1)).interior()
+                   RngStream(seed, "basis_params", 1).generator()).interior()
     return A, b
 
 
