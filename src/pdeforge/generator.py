@@ -310,7 +310,8 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
     order. The weights @ pool product is one stacked product of one GEMV
     per sample, and the noise GRFs are drawn in one block (`draw_block`);
     the noise normalization, its amplitude and the mask act on the whole
-    block (module docstring)."""
+    block (module docstring). A combination that is not finite raises
+    GenerationError."""
     if pool.size < 1:
         raise GenerationError("basis pool is empty")
     if not (eta >= 0 and delta > 0):  # NaN fails it
@@ -329,8 +330,15 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
                 "100 consecutive weight draws below the resample threshold"
             )
         np.divide(mu, total, out=w[i, 0])
-    # a stacked product: each slice is one sample's (1, l) @ (l, m*m) GEMV
-    u = np.matmul(w, pool.stacked()).reshape(b, m, m)
+    # a stacked product: each slice is one sample's (1, l) @ (l, m*m) GEMV;
+    # an overflow raises GenerationError below, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.matmul(w, pool.stacked()).reshape(b, m, m)
+    # max |u| per sample, with no |u| array; NaN stays NaN
+    u_max = np.maximum(u.max(axis=(1, 2), keepdims=True),
+                       -u.min(axis=(1, 2), keepdims=True))
+    if not np.isfinite(u_max).all():
+        raise GenerationError("the pool combination is not finite")
     if eta > 0:
         g = draw_block({"noise": NOISE_GRF}, grid, gen_n, b)["noise"]
         # max |g| per sample, with no |g| array
@@ -338,9 +346,7 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
                            -g.min(axis=(1, 2), keepdims=True))
         g_max[g_max == 0] = np.inf  # an all-zero draw stays 0, with no 0/0
         g /= g_max
-        amplitude = eta * np.maximum(u.max(axis=(1, 2), keepdims=True),
-                                     -u.min(axis=(1, 2), keepdims=True))
-        g *= amplitude * boundary_decay_mask(grid).values
+        g *= eta * u_max * boundary_decay_mask(grid).values
         u += g
     return u
 
@@ -436,10 +442,12 @@ def generate_diffoas(
     its kind in its key, and the manifest method is then "ablation-<kind>".
     The samples and the manifest take n_basis, and so delta, from the
     pool's size. An empty pool, one on another grid, or one with a basis
-    that does not vanish on the boundary raises GenerationError before
-    out_dir is touched: every u is a combination of the basis plus noise
-    masked to zero there, so a basis zero on the boundary makes every u
-    zero there, as the operator action needs (`apply_block`).
+    that is not finite or not zero on the boundary raises GenerationError
+    before out_dir is touched. Every u is a combination of the basis plus
+    noise masked to zero on the boundary, so u is zero there, as the
+    operator action needs (`apply_block`), as long as the combination is
+    finite; a block whose combination overflows raises GenerationError
+    (`_combine_block`), after out_dir is touched.
 
     The manifest records where the pool came from in generation["pool"]:
     "cache" is "solved" (built by this call), "none" (an ablation pool) or
@@ -464,6 +472,8 @@ def generate_diffoas(
             f"pool is on {pool.grid}, the config on {config.grid}")
     m = pool.grid.n_nodes
     basis = pool.stacked().reshape(pool.size, m, m)
+    if not np.isfinite(basis).all():
+        raise GenerationError("pool basis is not finite")
     if basis[:, [0, -1]].any() or basis[:, :, [0, -1]].any():
         raise GenerationError("pool basis does not vanish on the boundary")
     kind = pool.key.get("ablation")

@@ -160,10 +160,6 @@ class TestUniform:
         assert vals.size >= 10**5
         assert abs(vals.mean() - 1.0) < 0.01
 
-    def test_rejects_bad_interval(self):
-        with pytest.raises(FieldParameterError):
-            Uniform(1.0, 1.0)
-
 
 class TestBasisFields:
     def test_fourier_first_mode(self):

@@ -687,10 +687,14 @@ class TestAblation:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert read_dataset(out).manifest.num_samples == config.num_samples
 
-    @pytest.mark.parametrize("where", ["everywhere", "one edge node"])
-    def test_pool_off_the_boundary_leaves_the_dataset(self, tmp_path, where):
-        # every u combines the basis, so a basis that is not zero on the
-        # boundary is refused before the dataset in out_dir is touched
+    @pytest.mark.parametrize("where, error", [
+        ("everywhere", "boundary"), ("one edge node", "boundary"),
+        ("one NaN interior node", "not finite")])
+    def test_pool_off_the_boundary_leaves_the_dataset(self, tmp_path, where,
+                                                      error):
+        # every u combines the basis, so a basis that is not finite or not
+        # zero on the boundary is refused before the dataset in out_dir is
+        # touched
         out = tmp_path / "d"
         config = small_config(grid=Grid2D(8))
         generate_diffoas(config, out)
@@ -700,11 +704,25 @@ class TestAblation:
                              [FieldSample.constant(config.grid, 1.0)])
         else:
             pool = make_ablation_pool(config, "fourier")
-            pool.basis[1].values[4, -1] = 1e-300
-        with pytest.raises(GenerationError, match="boundary"):
+            node = (4, -1) if where == "one edge node" else (4, 4)
+            pool.basis[1].values[node] = 1e-300 if error == "boundary" \
+                else np.nan
+        with pytest.raises(GenerationError, match=error):
             generate_diffoas(config, out, pool=pool)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert verify_dataset(read_dataset(out), 1e-12).passed
+
+    @pytest.mark.parametrize("eta", [0.01, 0.0])
+    def test_overflowing_combination_is_a_generation_error(self, tmp_path,
+                                                           eta):
+        # a finite basis passes the door, but its combination overflows
+        config = small_config(grid=Grid2D(8), noise_eta=eta)
+        pool = make_ablation_pool(config, "fourier")
+        pool = BasisPool(config.grid, [FieldSample(config.grid, f.values
+                                                   * 1e308)
+                                       for f in pool.basis])
+        with pytest.raises(GenerationError, match="not finite"):
+            generate_diffoas(config, tmp_path / "d", pool=pool)
 
     def test_empty_given_pool_is_a_generation_error(self, tmp_path):
         pool = BasisPool(Grid2D(10), [])
