@@ -155,8 +155,8 @@ def run_timing_suite(
                 flags = set()
 
                 def solve(k):
-                    _, _, report = solve_sample(config, "sample_params", k,
-                                                opts, preconditioned)
+                    _, report = solve_sample(config, "sample_params", k,
+                                             opts, preconditioned)
                     if not report.converged:
                         flags.add(f"non-convergence at relres "
                                   f"{report.final_relative_residual:.2e}")

@@ -165,14 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report format (default: csv)")
     b.add_argument("--out", required=True, help="report output file")
 
-    i = sub.add_parser("inspect", help="print manifest and field stats")
+    i = sub.add_parser("inspect", help="print the manifest and sample fields")
     i.add_argument("--data", required=True, help="dataset directory")
     i.add_argument("--sample", type=int, default=None,
-                   help="sample index to inspect (default: none)")
+                   help="sample index (default: none; 0 for --stats)")
     i.add_argument("--field", default=None,
                    help="field name to inspect (default: none)")
     i.add_argument("--stats", action="store_true",
-                   help="print per-field summary statistics")
+                   help="print min, max, mean and boundary max |value| of "
+                        "each field of one sample (--sample)")
     return parser
 
 

@@ -29,6 +29,7 @@ import zlib
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -200,24 +201,28 @@ def write_dataset(
     manifest_seed, written once after the last item: the item iterator may
     fill in more of it (say, timings) before it ends.
 
-    An item is a dict of field name -> FieldSample or node array. It holds
-    one sample, or a block of b consecutive samples when every field is a
-    (b, m, m) array; a block costs one write and one CRC-32 update per
-    field. DatasetFormatError is raised before any field of an item is
-    written when its fields disagree on b or hold other than m^2 nodes per
-    sample.
+    An item is a dict of field name -> node array, or anything numpy takes
+    as one, such as a `FieldSample`. It holds one sample, or a block of b
+    consecutive samples when every field is a (b, m, m) array; a block
+    costs one write and one CRC-32 update per field. DatasetFormatError is
+    raised before any field of an item is written when its fields
+    disagree on b or hold other than m^2 nodes per sample.
 
-    An existing manifest.json is removed before any field file is touched,
-    so the directory holds no manifest until the new one is complete. A
-    field file is overwritten in place, which spares the file system
+    The first item is taken before dir is touched, so an iterator that
+    raises there leaves the dataset in dir as it was. Then an existing
+    manifest.json is removed before any field file is touched: dir holds no
+    manifest until the new one is complete, nor after a later item raises.
+    A field file is overwritten in place, which spares the file system
     freeing and allocating it again, and cut to the written length on
-    close, also when writing fails. Files
-    an earlier dataset may have left that the new manifest does not cover
-    are removed too: field files that another registered family stores and
-    this one does not, and the basis_pool.npz pool cache of earlier
-    versions. This is the one place, shared by every generate path, that
-    decides which files a dataset directory holds.
+    close, also when writing fails. Files an earlier dataset may have left
+    that the new manifest does not cover are removed too: field files that
+    another registered family stores and this one does not, and the
+    basis_pool.npz pool cache of earlier versions. This is the one place,
+    shared by every generate path, that decides which files a dataset
+    directory holds.
     """
+    samples = iter(samples)
+    first = list(islice(samples, 1))
     out = Path(dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest_seed
@@ -237,7 +242,7 @@ def write_dataset(
             fd = os.open(out / f"{name}.f64", os.O_WRONLY | os.O_CREAT, 0o666)
             handles[name] = stack.enter_context(open(fd, "wb"))
             stack.callback(handles[name].truncate)  # runs before the close
-        for item in samples:
+        for item in chain(first, samples):
             b, arrays = _item_arrays(item, names, slab)
             for name, arr in arrays.items():
                 handles[name].write(arr)
@@ -266,9 +271,7 @@ def _item_arrays(item: dict, names: tuple, slab: int) -> tuple:
     (b, m, m) arrays."""
     arrays = {}
     for name in names:
-        value = item[name]
-        arr = value.values if isinstance(value, FieldSample) else value
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        arr = np.ascontiguousarray(item[name], dtype="<f8")
         b = arr.shape[0] if arr.ndim == 3 else 1
         if arr.size != b * slab:
             raise DatasetFormatError(

@@ -12,13 +12,12 @@ verification and the CLI's `--pde` choices all read the record at call
 time.
 
 `PdeFamily.stencil` builds the operator's 5-point stencil from the
-record, and `grid_ops` tells how its forms check each other.
-`PdeCoefficients.operator()` wraps one sample's stencil as the
-matrix-free operator the basis and classic solves take, `apply_block`
+record, and `grid_ops` tells how its forms check each other. The solves
+wrap one sample's stencil in a `grid_ops.StencilOperator`, `apply_block`
 applies it to (b, m, m) stacks of samples, as generation does, and
 `PdeCoefficients.assemble()` writes it as a CSR matrix, the tests'
-reference form. `preconditioner()` gives the pool solves' M^{-1}: a
-fast Poisson solve scaled by the flux coefficient,
+reference form. `PdeFamily.preconditioner` gives the pool solves' M^{-1}:
+a fast Poisson solve scaled by the flux coefficient,
 M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973).
 
@@ -119,9 +118,9 @@ class PdeFamily:
     def stencil(self, grid: Grid2D, **fields) -> tuple:
         """(center, north, south, west, east) of the operator, each a
         row-padded (..., n, m) array over the interior rows (`grid_ops`)
-        or a scalar. fields maps each coefficient name to a FieldSample on
-        grid or to (..., m, m) node arrays; every step is elementwise, so a
-        (b, m, m) block gets the bits of each sample alone.
+        or a scalar. fields maps each coefficient name to (..., m, m) node
+        arrays on grid; other names are ignored. Every step is elementwise,
+        so a (b, m, m) block gets the bits of each sample alone.
         EllipticityError unless the flux coefficient is positive
         everywhere."""
         values = {name: _check_field(grid, fields[name], name)
@@ -138,6 +137,14 @@ class PdeFamily:
         for r in values.values():  # the reaction terms
             stencil[0] = stencil[0] + r[..., 1:-1, :]
         return tuple(stencil)
+
+    def preconditioner(self, grid: Grid2D, **fields) -> Callable:
+        """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the flux
+        coefficient of fields (as `stencil` takes them) at the interior
+        nodes, none for c = 1; for a constant one and no reaction, M = A."""
+        coef = None if self.flux is None else _check_field(
+            grid, fields[self.flux], self.flux)[1:-1, 1:-1]
+        return poisson_preconditioner(grid, -self.sign, coef)
 
     @property
     def operator_name(self) -> str:
@@ -205,7 +212,8 @@ def family(pde: str) -> PdeFamily:
 
 
 class PdeCoefficients:
-    """Coefficient fields of one PDE family, sharing one grid."""
+    """Coefficient fields of one PDE family, as `FieldSample`s sharing one
+    grid; kept for the perf harness and the tests."""
 
     def __init__(self, pde: str, **fields: FieldSample):
         names = family(pde).coefficients
@@ -238,14 +246,8 @@ class PdeCoefficients:
         return _five_point(self.grid, *self.stencil())
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the family's
-        flux coefficient at the interior nodes (none for c = 1). For a
-        constant flux coefficient and no reaction term, M is the operator
-        itself."""
-        pde_family = family(self.pde)
-        flux = pde_family.flux
-        coef = None if flux is None else self.fields[flux].interior()
-        return poisson_preconditioner(self.grid, -pde_family.sign, coef)
+        """The family's M^{-1} (`PdeFamily.preconditioner`)."""
+        return family(self.pde).preconditioner(self.grid, **self.fields)
 
 
 def apply_block(pde: str, grid: Grid2D, fields: dict,

@@ -10,8 +10,8 @@ with K = n_interior + 1, so the mode count matches the node count.
 
 Every draw reads a `np.random.Generator`, such as `RngStream.generator()`
 gives: `draw_block` fills (b, m, m) blocks from it, one `draw(grid, gen,
-out)` call of each field's distribution, and `sample_grf` is its
-one-sample case.
+out)` call of each field's distribution, and `sample_grf`, its
+one-sample case, returns one (m, m) node array.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .grid import FieldSample, Grid2D
+from .grid import Grid2D
 
 
 class FieldParameterError(ValueError):
@@ -142,10 +142,10 @@ def draw_block(distributions: dict, grid: Grid2D, gen: np.random.Generator,
 
 
 def sample_grf(grid: Grid2D, params: GrfParams,
-               gen: np.random.Generator) -> FieldSample:
-    """One spectral GRF draw on the full node set: the one-sample case of
-    `draw_block`."""
-    return FieldSample(grid, draw_block({"g": params}, grid, gen, 1)["g"][0])
+               gen: np.random.Generator) -> np.ndarray:
+    """One spectral GRF draw on the full node set, an (m, m) array: the
+    one-sample case of `draw_block`."""
+    return draw_block({"g": params}, grid, gen, 1)["g"][0]
 
 
 def _diagonal_pair(index: int, start: int) -> tuple[int, int]:
@@ -163,40 +163,33 @@ def _diagonal_pair(index: int, start: int) -> tuple[int, int]:
     return k1, k2
 
 
-@lru_cache(maxsize=32)
-def _sine_window(n_interior: int) -> np.ndarray:
-    """sin(pi x) sin(pi y) on the node set, boundary forced to exact zero.
-    Read-only."""
-    x = Grid2D(n_interior).node_coords()
-    w = np.outer(np.sin(np.pi * x), np.sin(np.pi * x))
-    w[0, :] = w[-1, :] = 0.0
-    w[:, 0] = w[:, -1] = 0.0
-    w.flags.writeable = False
-    return w
-
-
-def fourier_basis_field(grid: Grid2D, index: int) -> FieldSample:
-    """sin(pi k1 x) sin(pi k2 y); zero boundary trace by construction."""
+def fourier_basis_field(grid: Grid2D, index: int) -> np.ndarray:
+    """sin(pi k1 x) sin(pi k2 y), an (m, m) array zero on the boundary."""
     k1, k2 = _diagonal_pair(index, start=1)
     x = grid.node_coords()
     v = np.outer(np.sin(np.pi * k1 * x), np.sin(np.pi * k2 * x))
     v[0, :] = v[-1, :] = 0.0
     v[:, 0] = v[:, -1] = 0.0
-    return FieldSample(grid, v)
+    return v
 
 
-def chebyshev_basis_field(grid: Grid2D, index: int) -> FieldSample:
-    """T_k1(2x-1) T_k2(2y-1) truncated by the sin*sin boundary window."""
+def chebyshev_basis_field(grid: Grid2D, index: int) -> np.ndarray:
+    """T_k1(2x-1) T_k2(2y-1) times `boundary_decay_mask`, an (m, m) array."""
     k1, k2 = _diagonal_pair(index, start=0)
     x = grid.node_coords()
     t = 2.0 * x - 1.0
     tx = npcheb.chebval(t, np.eye(k1 + 1)[k1])
     ty = npcheb.chebval(t, np.eye(k2 + 1)[k2])
-    v = np.outer(tx, ty) * _sine_window(grid.n_interior)
-    return FieldSample(grid, v)
+    return np.outer(tx, ty) * boundary_decay_mask(grid)
 
 
-def boundary_decay_mask(grid: Grid2D) -> FieldSample:
-    """Smooth bump sin(pi x) sin(pi y): 1 at the center, 0 on the boundary.
-    Its values are a cached, read-only array."""
-    return FieldSample(grid, _sine_window(grid.n_interior))
+@lru_cache(maxsize=32)
+def boundary_decay_mask(grid: Grid2D) -> np.ndarray:
+    """Smooth bump sin(pi x) sin(pi y): 1 at the center, exactly 0 on the
+    boundary. A cached, read-only (m, m) array."""
+    x = grid.node_coords()
+    w = np.outer(np.sin(np.pi * x), np.sin(np.pi * x))
+    w[0, :] = w[-1, :] = 0.0
+    w[:, 0] = w[:, -1] = 0.0
+    w.flags.writeable = False
+    return w

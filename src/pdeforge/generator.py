@@ -81,7 +81,7 @@ from .fields import (
     sample_grf,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import EllipticityError, stencil_residual
+from .grid_ops import EllipticityError, StencilOperator, stencil_residual
 from .solvers import SolveOptions, gmres
 
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
@@ -209,50 +209,53 @@ class GenerationConfig:
 
 def draw_coefficients(pde: str, grid: Grid2D, gen: np.random.Generator) -> PdeCoefficients:
     """One draw of the coefficient fields for a PDE family: the one-sample
-    case of the `draw_block` that `_diffoas_block` draws its blocks with."""
+    case of the `draw_block` that `_diffoas_block` draws its blocks with.
+    Kept for the perf harness and the tests; no command calls it."""
     fields = draw_block(family(pde).distributions, grid, gen, 1)
     return PdeCoefficients(pde, **{name: FieldSample(grid, values[0])
                                    for name, values in fields.items()})
 
 
 def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSample:
-    return sample_grf(grid, family(pde).forcing, gen)
+    """One forcing draw; kept for the perf harness and the tests."""
+    return FieldSample(grid, sample_grf(grid, family(pde).forcing, gen))
 
 
 def solve_sample(config: GenerationConfig, role: str, k: int,
                  opts: SolveOptions, preconditioned: bool = False) -> tuple:
-    """Draw coefficients and forcing from the (master_seed, role, k) stream
-    and solve with GMRES on the matrix-free operator: (coeffs, forcing,
-    report).
-    preconditioned passes the family's fast-Poisson preconditioner to
-    GMRES as precond."""
+    """Draw the coefficients and then the forcing "f" from the
+    (master_seed, role, k) stream, as `draw_coefficients` then
+    `draw_forcing` do, and solve with GMRES on the matrix-free operator:
+    (fields, report), fields holding (m, m) node arrays. preconditioned
+    passes the family's fast-Poisson preconditioner to GMRES as precond."""
+    pde_family, grid = family(config.pde), config.grid
     gen = RngStream(config.master_seed, role, k).generator()
-    coeffs = draw_coefficients(config.pde, config.grid, gen)
-    forcing = draw_forcing(config.pde, config.grid, gen)
-    precond = coeffs.preconditioner() if preconditioned else None
-    return coeffs, forcing, gmres(coeffs.operator(), forcing.interior(),
-                                  opts=opts, precond=precond)
+    fields = {name: values[0] for name, values in draw_block(
+        {**pde_family.distributions, "f": pde_family.forcing}, grid, gen,
+        1).items()}
+    precond = (pde_family.preconditioner(grid, **fields) if preconditioned
+               else None)
+    A = StencilOperator(grid, pde_family.stencil(grid, **fields))
+    return fields, gmres(A, fields["f"][1:-1, 1:-1].flatten(), opts=opts,
+                         precond=precond)
 
 
 @dataclass
 class BasisPool:
     grid: Grid2D
-    basis: list  # FieldSample solution functions, zero boundary trace
+    basis: np.ndarray  # (l, m, m) solutions, zero boundary trace
     provenance: list = dc_field(default_factory=list)
     key: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self._stack: Optional[np.ndarray] = None
+        """Stack basis, any sequence of (m, m) fields, FieldSamples too,
+        into one fresh, read-only float64 array."""
+        self.basis = np.array(self.basis, dtype=np.float64)
+        self.basis.flags.writeable = False
 
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    def stacked(self) -> np.ndarray:
-        """(l, nodes^2) matrix of basis values, cached."""
-        if self._stack is None:
-            self._stack = np.stack([u.values.reshape(-1) for u in self.basis])
-        return self._stack
 
 
 def pool_cache_key(config: GenerationConfig) -> dict:
@@ -268,17 +271,18 @@ def build_basis_pool(config: GenerationConfig) -> BasisPool:
     solutions seed the pool."""
     grid = config.grid
     opts = SolveOptions.for_grid(grid, config.solver_tol)
-    basis, provenance = [], []
+    basis = np.zeros((config.n_basis, grid.n_nodes, grid.n_nodes))
+    provenance = []
     for i in range(config.n_basis):
-        _, _, report = solve_sample(config, "basis_params", i, opts,
-                                    preconditioned=True)
+        _, report = solve_sample(config, "basis_params", i, opts,
+                                 preconditioned=True)
         if not report.converged:
             raise BasisConstructionError(
                 f"basis solve {i} did not converge: relative residual "
                 f"{report.final_relative_residual:.3e} after "
                 f"{report.iterations} iterations"
             )
-        basis.append(FieldSample.from_interior(grid, report.x))
+        basis[i, 1:-1, 1:-1] = report.x.reshape(grid.n_interior, -1)
         provenance.append({
             "index": i,
             "iterations": report.iterations,
@@ -333,7 +337,7 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
     # a stacked product: each slice is one sample's (1, l) @ (l, m*m) GEMV;
     # an overflow raises GenerationError below, with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.matmul(w, pool.stacked()).reshape(b, m, m)
+        u = np.matmul(w, pool.basis.reshape(pool.size, -1)).reshape(b, m, m)
     # max |u| per sample, with no |u| array; NaN stays NaN
     u_max = np.maximum(u.max(axis=(1, 2), keepdims=True),
                        -u.min(axis=(1, 2), keepdims=True))
@@ -346,7 +350,7 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
                            -g.min(axis=(1, 2), keepdims=True))
         g_max[g_max == 0] = np.inf  # an all-zero draw stays 0, with no 0/0
         g /= g_max
-        g *= eta * u_max * boundary_decay_mask(grid).values
+        g *= eta * u_max * boundary_decay_mask(grid)
         u += g
     return u
 
@@ -441,13 +445,14 @@ def generate_diffoas(
     pool is used as it is; an ablation pool (`make_ablation_pool`) names
     its kind in its key, and the manifest method is then "ablation-<kind>".
     The samples and the manifest take n_basis, and so delta, from the
-    pool's size. An empty pool, one on another grid, or one with a basis
-    that is not finite or not zero on the boundary raises GenerationError
-    before out_dir is touched. Every u is a combination of the basis plus
-    noise masked to zero on the boundary, so u is zero there, as the
-    operator action needs (`apply_block`), as long as the combination is
-    finite; a block whose combination overflows raises GenerationError
-    (`_combine_block`), after out_dir is touched.
+    pool's size. An empty pool, one on another grid, or one whose basis
+    is not zero on the boundary raises GenerationError before out_dir is
+    touched. Every u is a combination of the basis plus noise masked to
+    zero on the boundary, so u is zero there, as the operator action
+    needs (`apply_block`), as long as the combination is finite; a block
+    whose combination is not (a NaN or infinite basis value, or an
+    overflow) raises GenerationError (`_combine_block`). `write_dataset`
+    makes the first block before it touches out_dir.
 
     The manifest records where the pool came from in generation["pool"]:
     "cache" is "solved" (built by this call), "none" (an ablation pool) or
@@ -467,14 +472,12 @@ def generate_diffoas(
     basis_seconds = time.perf_counter() - t0
     if pool.size < 1:
         raise GenerationError("basis pool is empty")
-    if pool.grid != config.grid:
+    m = config.grid.n_nodes
+    if pool.grid != config.grid or pool.basis.shape[1:] != (m, m):
         raise GenerationError(
-            f"pool is on {pool.grid}, the config on {config.grid}")
-    m = pool.grid.n_nodes
-    basis = pool.stacked().reshape(pool.size, m, m)
-    if not np.isfinite(basis).all():
-        raise GenerationError("pool basis is not finite")
-    if basis[:, [0, -1]].any() or basis[:, :, [0, -1]].any():
+            f"pool is on {pool.grid} with {pool.basis.shape[1:]} node "
+            f"arrays, the config on {config.grid}")
+    if pool.basis[:, [0, -1]].any() or pool.basis[:, :, [0, -1]].any():
         raise GenerationError("pool basis does not vanish on the boundary")
     kind = pool.key.get("ablation")
     cache = "solved" if solved else "given" if kind is None else "none"
@@ -515,8 +518,9 @@ def generate_classic(
     threads: int = 1,
 ) -> Dataset:
     """Solve-per-sample generation at solver_tol; samples whose solve does
-    not converge are skipped. When none converges, no manifest is written
-    and GenerationError is raised.
+    not converge are skipped. When none converges, GenerationError is
+    raised before out_dir is touched (`write_dataset` takes the first
+    sample first), so the dataset in out_dir stays as it was.
 
     threads defaults to 1, not to the CPU count as for `generate_diffoas`:
     each solve in flight holds its own Krylov basis, so every thread adds
@@ -524,8 +528,8 @@ def generate_classic(
     if config.method != "classic":
         raise GenerationError("generate_classic requires method='classic'")
     threads = _thread_count(threads)
-    grid = config.grid
-    opts = SolveOptions.for_grid(grid, config.solver_tol)
+    n = config.grid.n_interior
+    opts = SolveOptions.for_grid(config.grid, config.solver_tol)
     skipped = []
     t0 = time.perf_counter()
 
@@ -533,15 +537,14 @@ def generate_classic(
         return solve_sample(config, "sample_params", k, opts)
 
     def emit():
-        for k, (coeffs, forcing, report) in enumerate(_run_samples(
+        for k, (fields, report) in enumerate(_run_samples(
                 worker, range(config.num_samples), threads)):
             if not report.converged:
                 skipped.append(k)
                 continue
-            yield {**coeffs.field_map(), "f": forcing,
-                   "u": FieldSample.from_interior(grid, report.x)}
+            yield {**fields, "u": np.pad(report.x.reshape(n, n), 1)}
         if len(skipped) == config.num_samples:
-            # raised inside write_dataset, before it writes a manifest
+            # raised inside write_dataset, as it takes the first item
             raise GenerationError("all samples failed to converge")
         manifest.skipped_samples = skipped
         manifest.generation["timings"] = {
@@ -561,12 +564,10 @@ def make_ablation_pool(config: GenerationConfig, kind: str) -> BasisPool:
     grid = config.grid
     count = ABLATION_POOL_SIZES[kind]
     if kind == "grf":
-        mask = boundary_decay_mask(grid).values
-        basis = []
-        for i in range(count):
-            g = sample_grf(grid, ABLATION_GRF, RngStream(
-                config.master_seed, "basis_params", i).generator())
-            basis.append(FieldSample(grid, g.values * mask))
+        mask = boundary_decay_mask(grid)
+        basis = [sample_grf(grid, ABLATION_GRF, RngStream(
+            config.master_seed, "basis_params", i).generator()) * mask
+            for i in range(count)]
     elif kind == "fourier":
         basis = [fourier_basis_field(grid, i + 1) for i in range(count)]
     else:

@@ -49,6 +49,7 @@ class FieldSample:
     """A scalar function on the full node set, boundary included.
 
     values is (n+2, n+2) row-major: values[i, j] = field at (i*h, j*h).
+    The program passes such node arrays; numpy takes a FieldSample as one.
     """
 
     grid: Grid2D
@@ -64,6 +65,10 @@ class FieldSample:
                 f"field values shape {self.values.shape} does not match "
                 f"({m}, {m}) node set"
             )
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The node values, as numpy asks for them."""
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     def interior(self) -> np.ndarray:
         """The n^2 interior values, row-major, as a flat vector (copy)."""

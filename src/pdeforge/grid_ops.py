@@ -6,9 +6,9 @@ sign * div(c grad u) + r * u. A `families.PdeFamily` record states it:
 it names none), and each of its other coefficient fields is a reaction
 term r. `PdeFamily.stencil` builds the operator, with `_flux_form` for the
 flux term, as a stencil `(center, north, south, west, east)`, each an
-array or a scalar. It takes the coefficient fields as a `FieldSample` or
-as node arrays of shape (..., m, m), m = n+2, elementwise, so a block of
-samples gets the bits of each sample alone.
+array or a scalar. It takes the coefficient fields as node arrays of shape
+(..., m, m), m = n+2, elementwise, so a block of samples gets the bits of
+each sample alone.
 
 The stencil's arrays are row-padded: (..., n, m), the coefficients of the
 n interior rows at all m columns of each row. Read flat, the interior rows
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FieldSample, Grid2D
+from .grid import Grid2D
 
 
 class DimensionError(ValueError):
@@ -108,12 +108,8 @@ def apply_operator(A, x: np.ndarray) -> np.ndarray:
 
 
 def _check_field(grid: Grid2D, f, name: str) -> np.ndarray:
-    """The node values of f: a FieldSample on grid, or an array of shape
-    (..., m, m) holding the node values of one or more samples."""
-    if isinstance(f, FieldSample):
-        if f.grid != grid:
-            raise DimensionError(f"{name} is defined on a different grid")
-        return f.values
+    """The node values of f, an array of shape (..., m, m) holding the
+    node values of one or more samples on grid."""
     values = np.asarray(f, dtype=np.float64)
     if values.shape[-2:] != (grid.n_nodes, grid.n_nodes):
         raise DimensionError(
@@ -245,9 +241,7 @@ def poisson_preconditioner(grid: Grid2D, sign: float, coef=None):
     """M^{-1} as a callable on interior vectors, for
     M = sign * C^{1/2} (-lap_h) C^{1/2}, C = diag(coef) over the interior
     nodes (the identity when coef is None). One M^{-1} r is a fast Poisson
-    solve: S((S R S) * inv_eig)S with the dense sine table. On one core of
-    a 2-vCPU Xeon with one BLAS thread it took 55 us at n=64 and 386 us at
-    n=128, against 249 and 989 us for scipy.fft's dstn + idstn."""
+    solve: S((S R S) * inv_eig)S with the dense sine table."""
     n = grid.n_interior
     S, inv_eig = _sine_table(n)
     inv_eig = sign * inv_eig

@@ -162,11 +162,11 @@ def test_criterion_06_gmres_bound_suite(report):
         for case in range(50):
             grid = Grid2D(int(rng.integers(3, 21)))  # dim <= 400
             if case % 2 == 0:
-                coeffs = PdeCoefficients(
-                    "darcy", a=sample_grf(grid, darcy_params, rng))
+                coeffs = PdeCoefficients("darcy", a=FieldSample(
+                    grid, sample_grf(grid, darcy_params, rng)))
             else:
-                coeffs = PdeCoefficients(
-                    "helmholtz", k2=sample_grf(grid, helm_params, rng))
+                coeffs = PdeCoefficients("helmholtz", k2=FieldSample(
+                    grid, sample_grf(grid, helm_params, rng)))
             b = rng.standard_normal(grid.n_unknowns)
             rep = gmres(coeffs.operator(), b, opts=opts)
             assert rep.converged
@@ -188,13 +188,14 @@ def test_criterion_07_oracle_equivalence_suite(report):
             kind = case % 3
             if kind == 0:
                 coeffs = PdeCoefficients(
-                    "darcy", a=sample_grf(grid, coef, rng))
+                    "darcy", a=FieldSample(grid, sample_grf(grid, coef, rng)))
             elif kind == 1:
-                coeffs = PdeCoefficients(
-                    "helmholtz", k2=sample_grf(grid, coef, rng))
+                coeffs = PdeCoefficients("helmholtz", k2=FieldSample(
+                    grid, sample_grf(grid, coef, rng)))
             else:
                 coeffs = PdeCoefficients(
-                    "diffusion", k=sample_grf(grid, coef, rng),
+                    "diffusion",
+                    k=FieldSample(grid, sample_grf(grid, coef, rng)),
                     q=FieldSample(grid, draw_block(
                         {"q": Uniform(0.0, 1.0)}, grid, rng, 1)["q"][0]))
             A, dense = coeffs.operator(), coeffs.assemble().toarray()

@@ -9,7 +9,7 @@ import pytest
 
 from pdeforge import cli
 from pdeforge.cli import main
-from pdeforge.dataset_io import FORMAT, checksum_field
+from pdeforge.dataset_io import FORMAT, checksum_field, read_dataset
 
 DOCUMENTED_GENERATE_FLAGS = [
     "--method", "--pde", "--grid", "--samples", "--basis", "--tol",
@@ -333,6 +333,17 @@ class TestGenerateVerifyInspect:
         assert stats["min"] is stats["max"] is stats["mean"] is None
         assert stats["boundary_max_abs"] == 0.0
 
+    def test_inspect_stats_are_those_of_one_sample(self, capsys, dataset_dir):
+        ds = read_dataset(dataset_dir)
+        for flags, k in (([], 0), (["--sample", "1"], 1)):
+            code, out, _ = run(["inspect", "--data", str(dataset_dir),
+                                "--stats", *flags], capsys)
+            assert code == 0
+            u = ds.field_sample("u", k).values
+            assert json.loads(out)["stats"]["u"] == {
+                "min": float(u.min()), "max": float(u.max()),
+                "mean": float(u.mean()), "boundary_max_abs": 0.0}
+
     def test_inspect_sample_field(self, capsys, dataset_dir):
         code, out, _ = run(["inspect", "--data", str(dataset_dir),
                             "--sample", "0", "--field", "f"], capsys)
@@ -499,6 +510,21 @@ class TestFailedGenerate:
         code, out_text, _ = run(["verify", "--data", str(out)], capsys)
         assert code != 0
         assert '"passed": true' not in out_text
+
+    def test_unconverged_classic_rewrite_keeps_the_dataset(self, capsys,
+                                                           tmp_path):
+        # no sample converges, so the rewrite fails before out is touched
+        out = tmp_path / "d"
+        assert main(["generate", "--pde", "darcy", "--grid", "6",
+                     "--samples", "2", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code, _, err = run(["generate", "--method", "classic", "--grid", "6",
+                            "--samples", "2", "--tol", "1e-300",
+                            "--out", str(out)], capsys)
+        assert code == 2 and "all samples failed to converge" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        code, out_text, _ = run(["verify", "--data", str(out)], capsys)
+        assert code == 0 and json.loads(out_text)["passed"] is True
 
     def test_verify_empty_dataset_fails(self, capsys, tmp_path):
         from pdeforge.dataset_io import DatasetManifest, write_dataset

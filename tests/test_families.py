@@ -119,6 +119,15 @@ class TestRegistry:
         with pytest.raises(DimensionError):
             apply_block(pde, grid, fields, FieldSample.from_interior(
                 Grid2D(5), np.ones(25)).values[None])
+        # numpy takes a FieldSample as its node array, whose shape tells
+        # its grid
+        u = FieldSample.constant(Grid2D(5), 0.0)
+        with pytest.raises(DimensionError):
+            apply_block(pde, grid, fields, u)
+        with pytest.raises(DimensionError):
+            FAMILIES[pde].stencil(grid, **{
+                name: FieldSample.constant(Grid2D(5), 1.0)
+                for name in FAMILIES[pde].coefficients})
 
     def test_manifest_field_params(self, pde, tmp_path):
         config = GenerationConfig(pde, Grid2D(4), 2, master_seed=1)

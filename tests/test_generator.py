@@ -88,19 +88,34 @@ class TestBasisPool:
         forcing = draw_forcing("darcy", config.grid, gen)
         A = coeffs.assemble()
         b = forcing.interior()
-        r = apply_operator(A, pool.basis[0].interior()) - b
+        r = apply_operator(A, pool.basis[0, 1:-1, 1:-1].flatten()) - b
         assert np.linalg.norm(r) / np.linalg.norm(b) <= 1e-5
 
     def test_deterministic(self):
         config = small_config()
         p1 = build_basis_pool(config)
         p2 = build_basis_pool(config)
-        np.testing.assert_array_equal(p1.stacked(), p2.stacked())
+        np.testing.assert_array_equal(p1.basis, p2.basis)
 
     def test_zero_boundary_traces(self):
         pool = build_basis_pool(small_config(n_basis=3))
         for u in pool.basis:
-            assert u.boundary_max_abs() == 0.0
+            assert not u[[0, -1]].any() and not u[:, [0, -1]].any()
+
+    def test_basis_is_one_fresh_read_only_array(self):
+        g = Grid2D(5)
+        arrays = np.random.default_rng(4).standard_normal((3, 7, 7))
+        from_list = BasisPool(g, [FieldSample(g, a) for a in arrays])
+        from_array = BasisPool(g, arrays)
+        assert from_list.size == from_array.size == 3
+        np.testing.assert_array_equal(from_list.basis, from_array.basis)
+        np.testing.assert_array_equal(from_array.basis, arrays)
+        for pool in (from_list, from_array):
+            with pytest.raises(ValueError, match="read-only"):
+                pool.basis[0, 1, 1] = 0.0
+        value = arrays[0, 1, 1]
+        arrays[0, 1, 1] = value + 1.0  # the caller's array stays its own
+        assert from_array.basis[0, 1, 1] == value
 
     def test_failed_solve_names_index(self):
         config = small_config(solver_tol=1e-13)
@@ -132,7 +147,7 @@ class TestPreconditionedPool:
             gen = RngStream(0, "basis_params", i).generator()
             A = generator.draw_coefficients(pde, config.grid, gen).assemble()
             b = generator.draw_forcing(pde, config.grid, gen).interior()
-            x = u.interior()
+            x = u[1:-1, 1:-1].flatten()
             assert (np.linalg.norm(A @ x - b)
                     <= config.solver_tol * np.linalg.norm(b))
             if n <= 32:
@@ -179,6 +194,28 @@ class TestPreconditionedPool:
         pool = build_basis_pool(small_config(n_basis=3))
         assert len(builds) == 3
         assert sum(s["iterations"] for s in pool.provenance) > 0
+
+
+@pytest.mark.parametrize("pde", sorted(FAMILIES))
+def test_solve_sample_draws_as_the_one_sample_draws(pde):
+    # the perf harness replays the solves with draw_coefficients and
+    # draw_forcing; solve_sample must draw the same bits from the stream
+    config = GenerationConfig(pde, Grid2D(6), 1, method="classic",
+                              master_seed=3)
+    opts = SolveOptions.for_grid(config.grid, config.solver_tol)
+    fields, report = generator.solve_sample(config, "sample_params", 2, opts)
+    gen = RngStream(3, "sample_params", 2).generator()
+    coeffs = generator.draw_coefficients(pde, config.grid, gen)
+    want = {**coeffs.field_map(),
+            "f": generator.draw_forcing(pde, config.grid, gen)}
+    assert list(fields) == list(want)
+    for name, field in want.items():
+        np.testing.assert_array_equal(fields[name].view(np.uint64),
+                                      field.values.view(np.uint64))
+    ref = gmres(coeffs.operator(), want["f"].interior(), opts=opts)
+    np.testing.assert_array_equal(report.x.view(np.uint64),
+                                  ref.x.view(np.uint64))
+
 
 class TestCombine:
     def test_single_basis_eta_zero(self):
@@ -251,7 +288,8 @@ class TestCombine:
                 while abs(mu.sum()) < delta:
                     mu = gen_w.standard_normal(pool.size)
                 np.testing.assert_array_equal(
-                    row.ravel(), (mu / mu.sum()) @ pool.stacked())
+                    row.ravel(),
+                    (mu / mu.sum()) @ pool.basis.reshape(pool.size, -1))
 
     @pytest.mark.parametrize("eta,delta", [(float("nan"), 1e-3),
                                            (0.01, float("nan"))])
@@ -703,10 +741,10 @@ class TestAblation:
             pool = BasisPool(config.grid,
                              [FieldSample.constant(config.grid, 1.0)])
         else:
-            pool = make_ablation_pool(config, "fourier")
-            node = (4, -1) if where == "one edge node" else (4, 4)
-            pool.basis[1].values[node] = 1e-300 if error == "boundary" \
-                else np.nan
+            basis = make_ablation_pool(config, "fourier").basis.copy()
+            node = (1, 4, -1) if where == "one edge node" else (1, 4, 4)
+            basis[node] = 1e-300 if error == "boundary" else np.nan
+            pool = BasisPool(config.grid, basis)
         with pytest.raises(GenerationError, match=error):
             generate_diffoas(config, out, pool=pool)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -715,14 +753,19 @@ class TestAblation:
     @pytest.mark.parametrize("eta", [0.01, 0.0])
     def test_overflowing_combination_is_a_generation_error(self, tmp_path,
                                                            eta):
-        # a finite basis passes the door, but its combination overflows
+        # a finite basis passes the door, but its combination overflows in
+        # the first block, which is made before the dataset in out_dir is
+        # touched
+        out = tmp_path / "d"
         config = small_config(grid=Grid2D(8), noise_eta=eta)
+        generate_diffoas(config, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         pool = make_ablation_pool(config, "fourier")
-        pool = BasisPool(config.grid, [FieldSample(config.grid, f.values
-                                                   * 1e308)
-                                       for f in pool.basis])
+        pool = BasisPool(config.grid, pool.basis * 1e308)
         with pytest.raises(GenerationError, match="not finite"):
-            generate_diffoas(config, tmp_path / "d", pool=pool)
+            generate_diffoas(config, out, pool=pool)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert verify_dataset(read_dataset(out), 1e-12).passed
 
     def test_empty_given_pool_is_a_generation_error(self, tmp_path):
         pool = BasisPool(Grid2D(10), [])

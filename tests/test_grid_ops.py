@@ -214,8 +214,8 @@ class TestDiffusionReaction:
         g = Grid2D(4)
         k_raw = sample_grf(g, GrfParams(tau=3.0, alpha=2.0, scale=10.0),
                            RngStream(9, "sample_params", 0).generator())
-        shift = max(0.0, 0.1 - k_raw.values.min())
-        k = FieldSample(g, k_raw.values + shift)
+        shift = max(0.0, 0.1 - k_raw.min())
+        k = k_raw + shift
         q = draw_block({"q": Uniform(0.0, 1.0)}, g,
                        RngStream(9, "sample_params", 1).generator(), 1)["q"][0]
         A = _five_point(g, *DIFFUSION.stencil(g, k=k, q=q))

@@ -27,9 +27,10 @@ def darcy_system(n, seed, lognormal=True):
     params = GrfParams(tau=7.0, alpha=2.5,
                        transform="exp" if lognormal else "none")
     a = sample_grf(g, params, RngStream(seed, "basis_params", 0).generator())
-    A = PdeCoefficients("darcy", a=a).assemble()
+    A = PdeCoefficients("darcy", a=FieldSample(g, a)).assemble()
     b = sample_grf(g, GrfParams(tau=7.0, alpha=2.5),
-                   RngStream(seed, "basis_params", 1).generator()).interior()
+                   RngStream(seed, "basis_params", 1).generator())
+    b = b[1:-1, 1:-1].flatten()
     return A, b
 
 
@@ -160,7 +161,7 @@ class TestStorage:
         opts = SolveOptions.for_grid(config.grid, config.solver_tol)
         tracemalloc.start()
         try:
-            _, _, rep = solve_sample(config, role, 0, opts, preconditioned)
+            _, rep = solve_sample(config, role, 0, opts, preconditioned)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
