@@ -12,12 +12,13 @@ verification and the CLI's `--pde` choices all read the record at call
 time.
 
 `PdeFamily.stencil` builds the operator's 5-point stencil from the
-record, and `grid_ops` tells how its forms check each other. The solves
-wrap one sample's stencil in a `grid_ops.StencilOperator`, `apply_block`
+record, and `grid_ops` tells how its forms check each other.
+`PdeCoefficients.operator()` wraps one sample's stencil as the
+matrix-free operator the basis and classic solves take, `apply_block`
 applies it to (b, m, m) stacks of samples, as generation does, and
 `PdeCoefficients.assemble()` writes it as a CSR matrix, the tests'
-reference form. `PdeFamily.preconditioner` gives the pool solves' M^{-1}:
-a fast Poisson solve scaled by the flux coefficient,
+reference form. `preconditioner()` gives the pool solves' M^{-1}: a
+fast Poisson solve scaled by the flux coefficient,
 M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973).
 
@@ -138,14 +139,6 @@ class PdeFamily:
             stencil[0] = stencil[0] + r[..., 1:-1, :]
         return tuple(stencil)
 
-    def preconditioner(self, grid: Grid2D, **fields) -> Callable:
-        """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the flux
-        coefficient of fields (as `stencil` takes them) at the interior
-        nodes, none for c = 1; for a constant one and no reaction, M = A."""
-        coef = None if self.flux is None else _check_field(
-            grid, fields[self.flux], self.flux)[1:-1, 1:-1]
-        return poisson_preconditioner(grid, -self.sign, coef)
-
     @property
     def operator_name(self) -> str:
         """The operator as the manifest records it, such as
@@ -212,8 +205,7 @@ def family(pde: str) -> PdeFamily:
 
 
 class PdeCoefficients:
-    """Coefficient fields of one PDE family, as `FieldSample`s sharing one
-    grid; kept for the perf harness and the tests."""
+    """Coefficient fields of one PDE family, sharing one grid."""
 
     def __init__(self, pde: str, **fields: FieldSample):
         names = family(pde).coefficients
@@ -246,8 +238,14 @@ class PdeCoefficients:
         return _five_point(self.grid, *self.stencil())
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The family's M^{-1} (`PdeFamily.preconditioner`)."""
-        return family(self.pde).preconditioner(self.grid, **self.fields)
+        """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the family's
+        flux coefficient at the interior nodes (none for c = 1). For a
+        constant flux coefficient and no reaction term, M is the operator
+        itself."""
+        pde_family = family(self.pde)
+        flux = pde_family.flux
+        coef = None if flux is None else self.fields[flux].interior()
+        return poisson_preconditioner(self.grid, -pde_family.sign, coef)
 
 
 def apply_block(pde: str, grid: Grid2D, fields: dict,

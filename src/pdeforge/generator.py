@@ -81,7 +81,7 @@ from .fields import (
     sample_grf,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import EllipticityError, StencilOperator, stencil_residual
+from .grid_ops import EllipticityError, stencil_residual
 from .solvers import SolveOptions, gmres
 
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
@@ -209,35 +209,28 @@ class GenerationConfig:
 
 def draw_coefficients(pde: str, grid: Grid2D, gen: np.random.Generator) -> PdeCoefficients:
     """One draw of the coefficient fields for a PDE family: the one-sample
-    case of the `draw_block` that `_diffoas_block` draws its blocks with.
-    Kept for the perf harness and the tests; no command calls it."""
+    case of the `draw_block` that `_diffoas_block` draws its blocks with."""
     fields = draw_block(family(pde).distributions, grid, gen, 1)
     return PdeCoefficients(pde, **{name: FieldSample(grid, values[0])
                                    for name, values in fields.items()})
 
 
 def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSample:
-    """One forcing draw; kept for the perf harness and the tests."""
     return FieldSample(grid, sample_grf(grid, family(pde).forcing, gen))
 
 
 def solve_sample(config: GenerationConfig, role: str, k: int,
                  opts: SolveOptions, preconditioned: bool = False) -> tuple:
-    """Draw the coefficients and then the forcing "f" from the
-    (master_seed, role, k) stream, as `draw_coefficients` then
-    `draw_forcing` do, and solve with GMRES on the matrix-free operator:
-    (fields, report), fields holding (m, m) node arrays. preconditioned
+    """Draw coefficients and forcing from the (master_seed, role, k) stream
+    and solve with GMRES on the matrix-free operator: (fields, report),
+    fields holding the coefficients and "f" as `FieldSample`s. preconditioned
     passes the family's fast-Poisson preconditioner to GMRES as precond."""
-    pde_family, grid = family(config.pde), config.grid
     gen = RngStream(config.master_seed, role, k).generator()
-    fields = {name: values[0] for name, values in draw_block(
-        {**pde_family.distributions, "f": pde_family.forcing}, grid, gen,
-        1).items()}
-    precond = (pde_family.preconditioner(grid, **fields) if preconditioned
-               else None)
-    A = StencilOperator(grid, pde_family.stencil(grid, **fields))
-    return fields, gmres(A, fields["f"][1:-1, 1:-1].flatten(), opts=opts,
-                         precond=precond)
+    coeffs = draw_coefficients(config.pde, config.grid, gen)
+    forcing = draw_forcing(config.pde, config.grid, gen)
+    precond = coeffs.preconditioner() if preconditioned else None
+    return {**coeffs.field_map(), "f": forcing}, gmres(
+        coeffs.operator(), forcing.interior(), opts=opts, precond=precond)
 
 
 @dataclass
@@ -249,9 +242,14 @@ class BasisPool:
 
     def __post_init__(self):
         """Stack basis, any sequence of (m, m) fields, FieldSamples too,
-        into one fresh, read-only float64 array."""
-        self.basis = np.array(self.basis, dtype=np.float64)
-        self.basis.flags.writeable = False
+        into one fresh, read-only float64 array; take a read-only float64
+        array, as this module's pool builders make, as it is."""
+        basis = self.basis
+        if not (isinstance(basis, np.ndarray) and basis.dtype == np.float64
+                and not basis.flags.writeable):
+            basis = np.array(basis, dtype=np.float64)
+            basis.flags.writeable = False
+        self.basis = basis
 
     @property
     def size(self) -> int:
@@ -289,6 +287,7 @@ def build_basis_pool(config: GenerationConfig) -> BasisPool:
             "relative_residual": report.final_relative_residual,
             "wall_time": report.wall_time,
         })
+    basis.flags.writeable = False
     return BasisPool(grid, basis, provenance, pool_cache_key(config))
 
 
@@ -562,16 +561,17 @@ def make_ablation_pool(config: GenerationConfig, kind: str) -> BasisPool:
     if kind not in ABLATION_POOL_SIZES:
         raise GenerationError(f"unknown ablation basis {kind!r}")
     grid = config.grid
-    count = ABLATION_POOL_SIZES[kind]
-    if kind == "grf":
-        mask = boundary_decay_mask(grid)
-        basis = [sample_grf(grid, ABLATION_GRF, RngStream(
-            config.master_seed, "basis_params", i).generator()) * mask
-            for i in range(count)]
-    elif kind == "fourier":
-        basis = [fourier_basis_field(grid, i + 1) for i in range(count)]
-    else:
-        basis = [chebyshev_basis_field(grid, i + 1) for i in range(count)]
+    basis = np.empty((ABLATION_POOL_SIZES[kind], grid.n_nodes, grid.n_nodes))
+    for i, out in enumerate(basis):
+        if kind == "grf":
+            np.multiply(sample_grf(grid, ABLATION_GRF, RngStream(
+                config.master_seed, "basis_params", i).generator()),
+                boundary_decay_mask(grid), out=out)
+        elif kind == "fourier":
+            out[...] = fourier_basis_field(grid, i + 1)
+        else:
+            out[...] = chebyshev_basis_field(grid, i + 1)
+    basis.flags.writeable = False
     return BasisPool(grid, basis, key={"ablation": kind})
 
 

@@ -67,8 +67,9 @@ class FieldSample:
             )
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The node values, as numpy asks for them."""
-        return np.array(self.values, dtype=dtype, copy=copy)
+        """The node values, as numpy 2 (dtype, copy) or 1 (dtype) asks."""
+        values = np.asarray(self.values, dtype=dtype)
+        return values.copy() if copy else values
 
     def interior(self) -> np.ndarray:
         """The n^2 interior values, row-major, as a flat vector (copy)."""

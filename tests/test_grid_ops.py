@@ -49,6 +49,23 @@ class TestGrid:
         assert fs.boundary_max_abs() == 0.0
         np.testing.assert_array_equal(fs.interior(), vals)
 
+    @pytest.mark.parametrize("args,kwargs", [
+        ((), {}), ((np.float32,), {}),  # as numpy 1 calls it
+        ((), {"dtype": None, "copy": None}),  # as numpy 2 calls it
+        ((), {"dtype": None, "copy": True}),
+        ((), {"dtype": None, "copy": False}),
+    ])
+    def test_field_sample_is_its_node_array(self, args, kwargs):
+        fs = random_field(Grid2D(3), 0)
+        arr = fs.__array__(*args, **kwargs)
+        np.testing.assert_array_equal(arr, fs.values.astype(arr.dtype))
+        assert arr.dtype == (args[0] if args else np.float64)
+        if kwargs.get("copy"):
+            assert not np.shares_memory(arr, fs.values)
+        if kwargs.get("copy") is False:
+            assert arr is fs.values
+        np.testing.assert_array_equal(np.asarray(fs), fs.values)
+
 
 class TestDarcy:
     def test_constant_coefficient_golden(self):
