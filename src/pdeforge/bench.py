@@ -12,7 +12,8 @@ of the two paths' per-sample costs; writing the dataset is in neither.
 The `gmres_pc` phase solves the same classic samples with the
 fast-Poisson preconditioner the pool solves use: the speedup over a
 preconditioned solve, reported but not in the regression. The pool build
-is timed once per dim and added in `diffoas_total`. Medians over
+is timed once per dim, on one thread as the solver phases run, and added
+in `diffoas_total`. Medians over
 >= 3 repeats with one discarded warm-up; phases too short for the clock
 trigger automatic sample-count escalation.
 """
@@ -124,7 +125,7 @@ def run_timing_suite(
     records = []
     for dim, config in zip(dims, configs):
         t_pool = time.perf_counter()
-        pool = build_basis_pool(config)
+        pool = build_basis_pool(config, threads=1)
         basis_seconds = time.perf_counter() - t_pool
 
         def action(indices):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -67,6 +68,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _telemetry(**kwargs):
     print(json.dumps(kwargs), file=sys.stderr)
+
+
+def _print_report(report: dict) -> None:
+    """Print a command's report to stdout as strict JSON. A reader that
+    closes the pipe first (`| head -1`) ends the output, not the command:
+    stdout then points at os.devnull, so that the flush at exit cannot
+    raise again, and the command keeps its exit code."""
+    try:
+        print(json.dumps(report, indent=2, allow_nan=False), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _checked(convert, rule: str, check):
@@ -126,10 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed (default: 0)")
     g.add_argument("--out", required=True, help="output dataset directory")
     g.add_argument("--threads", type=COUNT, default=None,
-                   help="generation threads (default: the usable CPU count; "
-                        "1 for --method classic, whose solves each hold "
-                        "their own Krylov basis, so that every thread adds "
-                        "one to peak memory)")
+                   help="threads for the pool solves and the sample blocks "
+                        "(default: the usable CPU count; 1 for --method "
+                        "classic, whose solves each hold their own Krylov "
+                        "basis, so that every thread adds one to peak "
+                        "memory)")
 
     v = sub.add_parser("verify", help="re-check dataset residuals")
     v.add_argument("--data", required=True, help="dataset directory")
@@ -220,7 +233,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify_dataset(read_dataset(args.data), args.tol)
-    print(json.dumps({
+    _print_report({
         "samples": report.num_samples,
         "max_relative_residual": _json_number(report.max_relative_residual),
         "mean_relative_residual": _json_number(
@@ -228,7 +241,7 @@ def cmd_verify(args) -> int:
         "tol": report.tol,
         "failing_indices": report.failing_indices[:32],
         "passed": report.passed,
-    }, indent=2, allow_nan=False))
+    })
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -284,7 +297,7 @@ def cmd_inspect(args) -> int:
                              **_field_stats(fs)}
     except DatasetFormatError as exc:
         return _fail(EXIT_FAIL, exc)
-    print(json.dumps(out, indent=2, allow_nan=False))
+    _print_report(out)
     return EXIT_OK
 
 

@@ -12,15 +12,16 @@ verification and the CLI's `--pde` choices all read the record at call
 time.
 
 `PdeFamily.stencil` builds the operator's 5-point stencil from the
-record, and `grid_ops` tells how its forms check each other.
-`PdeCoefficients.operator()` wraps one sample's stencil as the
-matrix-free operator the basis and classic solves take, `apply_block`
-applies it to (b, m, m) stacks of samples, as generation does, and
+record, one sample's or a (b, m, m) block's, and `grid_ops` tells how its
+forms check each other. `grid_ops.StencilOperator` wraps it as the
+matrix-free operator the basis and classic solves take
+(`PdeCoefficients.operator()` for one sample), `apply_block` applies it
+to (b, m, m) stacks of samples, as generation does, and
 `PdeCoefficients.assemble()` writes it as a CSR matrix, the tests'
-reference form. `preconditioner()` gives the pool solves' M^{-1}: a
-fast Poisson solve scaled by the flux coefficient,
-M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus & Golub, SIAM J. Numer. Anal.
-10, 1973).
+reference form. `PdeFamily.preconditioner` gives the pool solves'
+M^{-1}, likewise for one sample or a block: a fast Poisson solve scaled
+by the flux coefficient, M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus &
+Golub, SIAM J. Numer. Anal. 10, 1973).
 
 Adding a family costs one record. Give each coefficient a distribution
 (anything with `draw(grid, gen, out)`, which fills a (b, m, m) block of
@@ -45,7 +46,7 @@ that order is part of the byte contract of every dataset of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,12 +55,12 @@ from .grid import FieldSample, Grid2D
 from .grid_ops import (
     DimensionError,
     EllipticityError,
+    PoissonPreconditioner,
     StencilOperator,
     _check_field,
     _five_point,
     _flux_form,
     apply_stencil,
-    poisson_preconditioner,
 )
 
 
@@ -138,6 +139,16 @@ class PdeFamily:
         for r in values.values():  # the reaction terms
             stencil[0] = stencil[0] + r[..., 1:-1, :]
         return tuple(stencil)
+
+    def preconditioner(self, grid: Grid2D, **fields) -> PoissonPreconditioner:
+        """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the flux
+        coefficient at the interior nodes (none for c = 1), from fields as
+        `stencil` takes them, so a (b, m, m) block gives the block's
+        preconditioner. For a constant flux coefficient and no reaction
+        term, M is the operator itself."""
+        coef = None if self.flux is None else _check_field(
+            grid, fields[self.flux], self.flux)[..., 1:-1, 1:-1]
+        return PoissonPreconditioner(grid, -self.sign, coef)
 
     @property
     def operator_name(self) -> str:
@@ -237,15 +248,9 @@ class PdeCoefficients:
         (imports scipy.sparse); no command builds it."""
         return _five_point(self.grid, *self.stencil())
 
-    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the family's
-        flux coefficient at the interior nodes (none for c = 1). For a
-        constant flux coefficient and no reaction term, M is the operator
-        itself."""
-        pde_family = family(self.pde)
-        flux = pde_family.flux
-        coef = None if flux is None else self.fields[flux].interior()
-        return poisson_preconditioner(self.grid, -pde_family.sign, coef)
+    def preconditioner(self) -> PoissonPreconditioner:
+        """The pool solves' M^{-1} (`PdeFamily.preconditioner`)."""
+        return family(self.pde).preconditioner(self.grid, **self.fields)
 
 
 def apply_block(pde: str, grid: Grid2D, fields: dict,

@@ -42,8 +42,9 @@ write and one CRC-32 update per field, as the bytes of its samples one
 after another.
 
 Blocks run on `threads` worker threads, by default one per usable CPU,
-and are written in block order; `verify_dataset` reads, CRCs and checks
-blocks on one thread per usable CPU too. The generate paths, the pool
+and are written in block order; the pool's solves run in blocks on those
+threads too (`build_basis_pool`), and `verify_dataset` reads, CRCs and
+checks blocks on one thread per usable CPU. The generate paths, the pool
 build and verification run with numpy's OpenBLAS pinned to one thread
 (`one_blas_thread`): OpenBLAS splits a matrix product, and a dot product
 of a long vector, among its threads in a way that changes its rounding,
@@ -81,7 +82,7 @@ from .fields import (
     sample_grf,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import EllipticityError, stencil_residual
+from .grid_ops import EllipticityError, StencilOperator, stencil_residual
 from .solvers import SolveOptions, gmres
 
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
@@ -90,6 +91,10 @@ NOISE_GRF = GrfParams(tau=3.0, alpha=2.0)
 # consecutive samples per operator-action work item and random stream; part
 # of the byte contract: changing it changes every dataset's bytes
 SAMPLE_BLOCK = 8
+# a pool block solves at most SAMPLE_BLOCK systems and at most this many
+# unknowns in all (SAMPLE_BLOCK systems at n = 64): a larger block's
+# vectors spill the cache, and it holds k x iterations x N of Krylov basis
+POOL_BLOCK_UNKNOWNS = SAMPLE_BLOCK * 64 * 64
 # (get, set) thread-count symbols of the OpenBLAS builds numpy links: its
 # wheels' scipy-openblas (64-bit integers) and a system OpenBLAS
 OPENBLAS_THREAD_SYMBOLS = (
@@ -219,18 +224,45 @@ def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSampl
     return FieldSample(grid, sample_grf(grid, family(pde).forcing, gen))
 
 
+def _draw_systems(config: GenerationConfig, role: str, indices: range,
+                  preconditioned: bool) -> tuple:
+    """The linear systems of indices, each drawn from its own
+    (master_seed, role, i) stream: its coefficients field by field, then
+    its forcing, each with its distribution's `draw` into the row of the
+    block's (k, m, m) buffer, as `draw_block(..., 1)` draws them
+    (`draw_coefficients`, `draw_forcing`). Returns (fields, A, b,
+    precond): field name -> (k, m, m) node arrays, the coefficients then
+    "f"; the block's `StencilOperator`; the (k, n*n) right-hand sides; and
+    the block's fast-Poisson preconditioner, or None. Every step is
+    elementwise or per sample, so each system is the one its index draws
+    alone."""
+    grid, pde_family = config.grid, family(config.pde)
+    draws = {**pde_family.distributions, "f": pde_family.forcing}
+    fields = {name: np.empty((len(indices), grid.n_nodes, grid.n_nodes))
+              for name in draws}
+    for row, i in enumerate(indices):
+        gen = RngStream(config.master_seed, role, i).generator()
+        for name, dist in draws.items():
+            dist.draw(grid, gen, fields[name][row:row + 1])
+    A = StencilOperator(grid, pde_family.stencil(grid, **fields))
+    b = fields["f"][:, 1:-1, 1:-1].reshape(len(indices), -1)
+    precond = (pde_family.preconditioner(grid, **fields) if preconditioned
+               else None)
+    return fields, A, b, precond
+
+
 def solve_sample(config: GenerationConfig, role: str, k: int,
                  opts: SolveOptions, preconditioned: bool = False) -> tuple:
     """Draw coefficients and forcing from the (master_seed, role, k) stream
-    and solve with GMRES on the matrix-free operator: (fields, report),
-    fields holding the coefficients and "f" as `FieldSample`s. preconditioned
+    and solve with GMRES on the matrix-free operator, the one-index case of
+    the pool's block solves (`_draw_systems`): (fields, report), fields
+    holding the coefficients and "f" as `FieldSample`s. preconditioned
     passes the family's fast-Poisson preconditioner to GMRES as precond."""
-    gen = RngStream(config.master_seed, role, k).generator()
-    coeffs = draw_coefficients(config.pde, config.grid, gen)
-    forcing = draw_forcing(config.pde, config.grid, gen)
-    precond = coeffs.preconditioner() if preconditioned else None
-    return {**coeffs.field_map(), "f": forcing}, gmres(
-        coeffs.operator(), forcing.interior(), opts=opts, precond=precond)
+    fields, A, b, precond = _draw_systems(config, role, range(k, k + 1),
+                                          preconditioned)
+    return ({name: FieldSample(config.grid, values[0])
+             for name, values in fields.items()},
+            gmres(A, b[0], opts=opts, precond=precond))
 
 
 @dataclass
@@ -263,30 +295,56 @@ def pool_cache_key(config: GenerationConfig) -> dict:
 
 
 @one_blas_thread()
-def build_basis_pool(config: GenerationConfig) -> BasisPool:
+def build_basis_pool(config: GenerationConfig,
+                     threads: Optional[int] = None) -> BasisPool:
     """Solve n_basis systems at solver_tol with GMRES, right-preconditioned
-    by the family's fast-Poisson preconditioner, with one BLAS thread; the
-    solutions seed the pool."""
+    by the family's fast-Poisson preconditioner; the solutions seed the
+    pool.
+
+    The solves run in blocks of consecutive indices, each block one
+    `gmres` call that advances its systems in lockstep: SAMPLE_BLOCK
+    systems, fewer where they would hold more than POOL_BLOCK_UNKNOWNS
+    unknowns (two at n = 128, one above). The blocks run on threads
+    worker threads, by default one per usable CPU, with one BLAS thread
+    (`_run_samples`). Each system is drawn from its own (master_seed,
+    "basis_params", i) stream and solved with the bits it gets alone
+    (`solvers`), so the pool's bytes, iterations and residuals are the
+    same at any thread count and block size. threads < 1 raises
+    ValueError. A solve that does not converge raises
+    BasisConstructionError naming the lowest such index. Each provenance
+    entry's wall_time is the seconds from its block's start to that
+    solve's exit, so on more than one thread the entries overlap."""
+    threads = _thread_count(threads)
     grid = config.grid
     opts = SolveOptions.for_grid(grid, config.solver_tol)
+
+    def solve(indices: range) -> list:
+        t0 = time.perf_counter()
+        _, A, b, precond = _draw_systems(config, "basis_params", indices,
+                                         preconditioned=True)
+        drawn = time.perf_counter() - t0
+        return [(report, drawn + report.wall_time)
+                for report in gmres(A, b, opts=opts, precond=precond)]
+
     basis = np.zeros((config.n_basis, grid.n_nodes, grid.n_nodes))
     provenance = []
-    for i in range(config.n_basis):
-        _, report = solve_sample(config, "basis_params", i, opts,
-                                 preconditioned=True)
-        if not report.converged:
-            raise BasisConstructionError(
-                f"basis solve {i} did not converge: relative residual "
-                f"{report.final_relative_residual:.3e} after "
-                f"{report.iterations} iterations"
-            )
-        basis[i, 1:-1, 1:-1] = report.x.reshape(grid.n_interior, -1)
-        provenance.append({
-            "index": i,
-            "iterations": report.iterations,
-            "relative_residual": report.final_relative_residual,
-            "wall_time": report.wall_time,
-        })
+    blocks = _sample_blocks(config.n_basis, max(1, min(
+        SAMPLE_BLOCK, POOL_BLOCK_UNKNOWNS // grid.n_unknowns)))
+    for indices, solves in zip(blocks, _run_samples(solve, blocks, threads)):
+        for i, (report, seconds) in zip(indices, solves):
+            if not report.converged:
+                raise BasisConstructionError(
+                    f"basis solve {i} did not converge: relative residual "
+                    f"{report.final_relative_residual:.3e} after "
+                    f"{report.iterations} iterations"
+                )
+            basis[i, 1:-1, 1:-1] = report.x.reshape(grid.n_interior, -1)
+            provenance.append({
+                "index": i,
+                "iterations": report.iterations,
+                "relative_residual": report.final_relative_residual,
+                "wall_time": seconds,
+            })
     basis.flags.writeable = False
     return BasisPool(grid, basis, provenance, pool_cache_key(config))
 
@@ -373,11 +431,12 @@ def _base_manifest(config: GenerationConfig, method: str) -> DatasetManifest:
     )
 
 
-def _sample_blocks(num_samples: int) -> list:
-    """Sample indices 0..num_samples-1 in consecutive ranges of
-    SAMPLE_BLOCK (the last one may be shorter)."""
-    return [range(start, min(start + SAMPLE_BLOCK, num_samples))
-            for start in range(0, num_samples, SAMPLE_BLOCK)]
+def _sample_blocks(num_samples: int, size: Optional[int] = None) -> list:
+    """Sample indices 0..num_samples-1 in consecutive ranges of size,
+    by default SAMPLE_BLOCK (the last one may be shorter)."""
+    size = size or SAMPLE_BLOCK
+    return [range(start, min(start + size, num_samples))
+            for start in range(0, num_samples, size)]
 
 
 def _diffoas_block(config: GenerationConfig, pool: BasisPool,
@@ -440,7 +499,8 @@ def generate_diffoas(
     CPU, with one BLAS thread (module docstring); the bytes are the same at
     any count. threads < 1 raises ValueError.
 
-    pool None solves one with `build_basis_pool`, on every call. A given
+    pool None solves one with `build_basis_pool` on the same threads, on
+    every call. A given
     pool is used as it is; an ablation pool (`make_ablation_pool`) names
     its kind in its key, and the manifest method is then "ablation-<kind>".
     The samples and the manifest take n_basis, and so delta, from the
@@ -459,7 +519,8 @@ def generate_diffoas(
     final relative residual. A solved pool also records the
     "preconditioner" of its solves (from the pool's key). Solve wall times
     go to generation["timings"]["pool_solve_seconds"], so the rest of the
-    manifest stays byte-identical across runs.
+    manifest stays byte-identical across runs; each runs from its block's
+    start, so on more than one thread they overlap (`build_basis_pool`).
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
@@ -467,7 +528,7 @@ def generate_diffoas(
     t0 = time.perf_counter()
     solved = pool is None
     if solved:
-        pool = build_basis_pool(config)
+        pool = build_basis_pool(config, threads)
     basis_seconds = time.perf_counter() - t0
     if pool.size < 1:
         raise GenerationError("basis pool is empty")

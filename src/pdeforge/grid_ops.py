@@ -51,6 +51,7 @@ nothing to a row's sum.
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -173,24 +174,33 @@ def apply_stencil(stencil: tuple, u_nodes: np.ndarray,
 
 
 class StencilOperator:
-    """One sample's stencil as a square operator on the n*n interior
-    unknowns, for GMRES: `A @ x` puts x into a zero-boundary node array
-    and applies the stencil matrix-free (`apply_stencil`), which equals the
-    CSR product bit for bit, and returns a fresh vector. The node arrays
+    """A stencil as a square operator on the n*n interior unknowns, for
+    GMRES. A one-sample stencil (row-padded (n, m) arrays or scalars) maps
+    n*n vectors; a block stencil, (k, n, m) arrays, is k samples'
+    operators and maps (k, n*n) row stacks, row i by sample i's stencil
+    (at k = 1, an n*n vector too). `A @ x` puts x into zero-boundary node
+    arrays and applies the stencil matrix-free (`apply_stencil`), which
+    equals the CSR product bit for bit, and returns a fresh array of x's
+    shape. `A[rows]` is the operator of a block's rows. The node arrays
     are reused, so one operator serves one solve at a time."""
 
     def __init__(self, grid: Grid2D, stencil: tuple):
         n, m = grid.n_interior, grid.n_nodes
         self.grid, self.stencil = grid, stencil
         self.shape = (n * n, n * n)
-        self._nodes = np.zeros((m, m))
-        self._out = np.empty((m, m))
+        lead = np.broadcast_shapes(*map(np.shape, stencil))[:-2]
+        self._nodes = np.zeros((*lead, m, m))
+        self._out = np.empty((*lead, m, m))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        interior = self._nodes[1:-1, 1:-1]
+        interior = self._nodes[..., 1:-1, 1:-1]
         interior[...] = np.reshape(x, interior.shape)
         apply_stencil(self.stencil, self._nodes, self._out)
-        return self._out[1:-1, 1:-1].flatten()
+        return self._out[..., 1:-1, 1:-1].reshape(np.shape(x))
+
+    def __getitem__(self, rows) -> "StencilOperator":
+        return StencilOperator(self.grid, tuple(
+            c[rows] if np.ndim(c) else c for c in self.stencil))
 
 
 def stencil_residual(stencil: tuple, u_nodes: np.ndarray,
@@ -237,21 +247,35 @@ def _sine_table(n: int) -> tuple:
     return S, inv_eig
 
 
-def poisson_preconditioner(grid: Grid2D, sign: float, coef=None):
+class PoissonPreconditioner:
     """M^{-1} as a callable on interior vectors, for
     M = sign * C^{1/2} (-lap_h) C^{1/2}, C = diag(coef) over the interior
-    nodes (the identity when coef is None). One M^{-1} r is a fast Poisson
-    solve: S((S R S) * inv_eig)S with the dense sine table."""
-    n = grid.n_interior
-    S, inv_eig = _sine_table(n)
-    inv_eig = sign * inv_eig
-    d = 1.0 if coef is None else 1.0 / np.sqrt(np.reshape(coef, (n, n)))
+    nodes (the identity when coef is None). coef holds one sample's n*n
+    interior values, or a block's as (k, n, n): then it maps (k, n*n) row
+    stacks, row i with sample i's C (at k = 1, an n*n vector too), and
+    `precond[rows]` is the preconditioner of a block's rows. One M^{-1} r
+    is a fast Poisson solve: S((S R S) * inv_eig)S with the dense sine
+    table, one GEMM per (n, n) slice, so each row gets the bits of a
+    one-sample call."""
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        R = d * r.reshape(n, n)
-        return (d * (S @ ((S @ R @ S) * inv_eig) @ S)).reshape(-1)
+    def __init__(self, grid: Grid2D, sign: float, coef=None):
+        n = grid.n_interior
+        self._S, inv_eig = _sine_table(n)
+        self._inv_eig = sign * inv_eig
+        self._d = (1.0 if coef is None
+                   else 1.0 / np.sqrt(np.reshape(coef, (-1, n, n))))
 
-    return solve
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        S, n = self._S, len(self._S)
+        R = self._d * np.reshape(r, (-1, n, n))
+        return (self._d * (S @ ((S @ R @ S) * self._inv_eig) @ S)).reshape(
+            np.shape(r))
+
+    def __getitem__(self, rows) -> "PoissonPreconditioner":
+        taken = copy.copy(self)
+        if np.ndim(self._d):
+            taken._d = self._d[rows]
+        return taken
 
 
 def _flux_form(grid: Grid2D, coef: np.ndarray, sign: float) -> tuple:

@@ -132,8 +132,9 @@ class TestPhasesRunGeneratePaths:
 
     def test_phases_run_with_one_blas_thread(self, monkeypatch):
         # generate pins OpenBLAS to one thread, so the phases that time
-        # its work items must too
-        count, seen = 2, []
+        # its work items must too; the pool is built on one thread, so
+        # that basis_seconds compares with the one-thread GMRES phases
+        count, seen, pool_threads = 2, [], []
 
         def set_count(threads):
             nonlocal count
@@ -147,11 +148,17 @@ class TestPhasesRunGeneratePaths:
 
         monkeypatch.setattr(generator, "_openblas_thread_calls",
                             lambda: (lambda: count, set_count))
-        for name in ("_diffoas_block", "solve_sample"):
+        def pool_on(config, threads=None):
+            pool_threads.append(threads)
+            return generator.build_basis_pool(config, threads)
+
+        monkeypatch.setattr(bench, "build_basis_pool", pool_on)
+        for name in ("_diffoas_block", "solve_sample", "build_basis_pool"):
             monkeypatch.setattr(bench, name, recording(getattr(bench, name)))
-        run_timing_suite("darcy", [64], [1e-3], 1, 3, master_seed=6,
+        run_timing_suite("darcy", [64, 144], [1e-3], 1, 3, master_seed=6,
                          n_basis=2)
-        assert len(seen) >= 8 and set(seen) == {1}
+        assert len(seen) >= 16 and set(seen) == {1}
+        assert pool_threads == [1, 1]
         assert count == 2
 
     def test_first_gmres_solve_is_classic_sample_0(self, monkeypatch,

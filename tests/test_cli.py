@@ -555,6 +555,25 @@ def test_verify_overflow_prints_only_the_integrity_error(tmp_path):
     assert lines[0].startswith("I/O or integrity error: u.f64")
 
 
+@pytest.mark.parametrize("argv,status", [
+    (["verify", "--tol", "1e-3"], 0), (["verify"], 1),
+    (["inspect", "--stats"], 0)])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, status):
+    # `pdeforge verify --data D | head -1`: a reader gone before the
+    # report is printed is no I/O error of the dataset, and adds no stderr
+    # line; a verify that fails (a classic dataset at 1e-12) still exits 1
+    data = tmp_path / "D"
+    assert main(["generate", "--method", "classic", "--grid", "8",
+                 "--samples", "3", "--out", str(data)]) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "pdeforge.cli", argv[0], "--data",
+             str(data), *argv[1:]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # before the command can write its report
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (status, b"")
+
+
 HEAVY_SCIPY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.sparse")
 
 

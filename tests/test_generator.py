@@ -36,7 +36,7 @@ from pdeforge.generator import (
 )
 from pdeforge.grid import FieldSample, Grid2D
 from pdeforge.grid_ops import EllipticityError, apply_operator
-from pdeforge.solvers import SolveOptions, gmres
+from pdeforge.solvers import SolveOptions, SolveReport, gmres
 
 
 def small_config(**kw):
@@ -168,34 +168,159 @@ class TestPreconditionedPool:
 
     def test_only_pool_solves_are_preconditioned(self, tmp_path,
                                                  monkeypatch):
-        # classic generation is the paper's unpreconditioned baseline
-        preconds = []
+        # classic generation is the paper's unpreconditioned baseline, one
+        # system per gmres call; the pool solves its systems in blocks,
+        # one preconditioned gmres call per block
+        calls = []
 
         def recording(A, b, **kwargs):
-            preconds.append(kwargs.get("precond"))
+            calls.append((np.shape(b), kwargs.get("precond")))
             return gmres(A, b, **kwargs)
 
         monkeypatch.setattr(generator, "gmres", recording)
         generate_classic(small_config(method="classic", num_samples=3),
                          tmp_path / "c")
-        assert preconds == [None] * 3
-        preconds.clear()
-        build_basis_pool(small_config(n_basis=3))
-        assert len(preconds) == 3 and all(map(callable, preconds))
+        assert calls == [((100,), None)] * 3
+        calls.clear()
+        build_basis_pool(small_config(n_basis=generator.SAMPLE_BLOCK + 3),
+                         threads=1)
+        assert [shape for shape, _ in calls] == [
+            (generator.SAMPLE_BLOCK, 100), (3, 100)]
+        assert all(callable(precond) for _, precond in calls)
 
     def test_pool_solve_builds_the_stencil_once(self, monkeypatch):
-        # the preconditioner takes its sign from the record, not a stencil
+        # one stencil per block of solves; the preconditioner takes its
+        # sign from the record, not a stencil
         builds = []
         stencil = PdeFamily.stencil
 
         def counting(record, grid, **fields):
-            builds.append(grid)
+            builds.append(len(fields[record.flux]))
             return stencil(record, grid, **fields)
 
         monkeypatch.setattr(PdeFamily, "stencil", counting)
-        pool = build_basis_pool(small_config(n_basis=3))
-        assert len(builds) == 3
+        pool = build_basis_pool(
+            small_config(n_basis=generator.SAMPLE_BLOCK + 3), threads=1)
+        assert builds == [generator.SAMPLE_BLOCK, 3]
         assert sum(s["iterations"] for s in pool.provenance) > 0
+
+
+class TestBlockPool:
+    """build_basis_pool solves blocks of systems in lockstep on worker
+    threads; none of it shows in the pool."""
+
+    @staticmethod
+    def solves(pool):
+        return [{k: v for k, v in solve.items() if k != "wall_time"}
+                for solve in pool.provenance]
+
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    def test_pool_does_not_depend_on_threads_or_block_size(
+            self, pde, monkeypatch):
+        # 2 full blocks and a short one
+        config = small_config(pde=pde, n_basis=2 * generator.SAMPLE_BLOCK + 3)
+        ref = build_basis_pool(config, threads=1)
+        pools = [build_basis_pool(config, threads=t) for t in (2, 3)]
+        pools.append(build_basis_pool(config))
+        monkeypatch.setattr(generator, "SAMPLE_BLOCK", 1)
+        pools.append(build_basis_pool(config, threads=2))
+        for pool in pools:
+            assert pool.basis.tobytes() == ref.basis.tobytes()
+            assert self.solves(pool) == self.solves(ref)
+            assert pool.key == ref.key
+
+    def test_block_solves_are_the_one_index_solves(self):
+        # each pool solve is solve_sample's, the one-index case
+        config = small_config(pde="diffusion", n_basis=5)
+        pool = build_basis_pool(config)
+        opts = SolveOptions.for_grid(config.grid, config.solver_tol)
+        for i, solve in enumerate(pool.provenance):
+            _, report = generator.solve_sample(config, "basis_params", i,
+                                               opts, preconditioned=True)
+            assert solve["iterations"] == report.iterations
+            assert solve["relative_residual"] == \
+                report.final_relative_residual
+            assert pool.basis[i, 1:-1, 1:-1].tobytes() == report.x.tobytes()
+
+    def test_failed_solve_inside_a_block_names_the_lowest_index(
+            self, monkeypatch):
+        # solves 3 and 11 fail, each inside a block; one thread solves
+        # the blocks in order
+        real = generator.gmres
+        failing = {3, 11}
+
+        def some_fail(A, b, **kwargs):
+            reports = real(A, b, **kwargs)
+            start = some_fail.next
+            some_fail.next += len(reports)
+            return [dataclasses.replace(rep, converged=False)
+                    if start + row in failing else rep
+                    for row, rep in enumerate(reports)]
+
+        some_fail.next = 0
+        monkeypatch.setattr(generator, "gmres", some_fail)
+        with pytest.raises(BasisConstructionError,
+                           match=r"basis solve 3 did not converge"):
+            build_basis_pool(small_config(n_basis=16), threads=1)
+
+    def test_failed_solve_on_threads_names_the_lowest_index(
+            self, monkeypatch):
+        # on 2 threads the second block may finish first; its failure at
+        # 9 must not hide the one at 5 in the first block
+        real = generator.gmres
+
+        def some_fail(A, b, **kwargs):
+            reports = real(A, b, **kwargs)
+            first = len(reports) == generator.SAMPLE_BLOCK and \
+                np.array_equal(b, some_fail.first_b)
+            bad = 5 if first else 1
+            return [dataclasses.replace(rep, converged=False)
+                    if row == bad else rep for row, rep in enumerate(reports)]
+
+        config = small_config(n_basis=16)
+        _, _, some_fail.first_b, _ = generator._draw_systems(
+            config, "basis_params", range(generator.SAMPLE_BLOCK), True)
+        monkeypatch.setattr(generator, "gmres", some_fail)
+        with pytest.raises(BasisConstructionError,
+                           match=r"basis solve 5 did not converge"):
+            build_basis_pool(config, threads=2)
+
+    @pytest.mark.parametrize("n,sizes", [
+        (64, [8, 8, 1]), (100, [3, 3, 3, 3, 3, 2]), (128, [2] * 8 + [1]),
+        (129, [1] * 4)])
+    def test_large_grids_solve_fewer_systems_per_block(self, monkeypatch,
+                                                       n, sizes):
+        # a block holds at most POOL_BLOCK_UNKNOWNS unknowns; gmres is
+        # recorded, not run, as only the block shapes are checked
+        shapes = []
+
+        def shape_only(A, b, **kwargs):
+            shapes.append(len(b))
+            return [SolveReport(np.zeros(A.shape[0]), 1, True, 0.0, 0.0)
+                    for _ in b]
+
+        monkeypatch.setattr(generator, "gmres", shape_only)
+        build_basis_pool(GenerationConfig("helmholtz", Grid2D(n), 1,
+                                          n_basis=sum(sizes)), threads=1)
+        assert shapes == sizes
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            build_basis_pool(small_config(), threads=0)
+
+    def test_generate_passes_its_threads_to_the_pool(self, tmp_path,
+                                                     monkeypatch):
+        seen = []
+        real = generator.build_basis_pool
+
+        def recording(config, threads=None):
+            seen.append(threads)
+            return real(config, threads)
+
+        monkeypatch.setattr(generator, "build_basis_pool", recording)
+        generate_diffoas(small_config(), tmp_path / "a", threads=3)
+        generate_diffoas(small_config(), tmp_path / "b")
+        assert seen == [3, generator._thread_count(None)]
 
 
 class TestCombine:

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdeforge.families import PdeCoefficients
+from pdeforge.families import FAMILIES, PdeCoefficients
 from pdeforge.fields import GrfParams, RngStream, sample_grf
 from pdeforge.generator import (
     GenerationConfig,
+    _draw_systems,
     draw_coefficients,
     draw_forcing,
     solve_sample,
@@ -16,6 +17,7 @@ from pdeforge.grid import FieldSample, Grid2D
 from pdeforge.grid_ops import (
     CsrMatrix,
     DimensionError,
+    StencilOperator,
     apply_operator,
     _five_point,
 )
@@ -280,3 +282,135 @@ class TestOracleEquivalence:
                                             max_iter=A.nrows))
         xd = np.linalg.solve(A.toarray(), b)
         assert np.linalg.norm(rep.x - xd) / np.linalg.norm(xd) <= 1e-6
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_solve(rep, ref):
+    """rep has ref's bits, iterations, residual, trace and basis."""
+    assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+    assert (rep.final_relative_residual.hex()
+            == ref.final_relative_residual.hex())
+    np.testing.assert_array_equal(bits(rep.x), bits(ref.x))
+    assert rep.trace == ref.trace
+    if ref.arnoldi_basis is None:
+        assert rep.arnoldi_basis is None
+    else:
+        np.testing.assert_array_equal(bits(rep.arnoldi_basis),
+                                      bits(ref.arnoldi_basis))
+
+
+class TestBlock:
+    """gmres on a (k, N) block: each row's report is that of its system
+    solved alone, a one-dimensional call on one sample's operator."""
+
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_rows_are_their_systems_alone(self, pde, preconditioned):
+        config = GenerationConfig(pde, Grid2D(16), 1, master_seed=2)
+        opts = SolveOptions(tol=1e-9, max_iter=256, record_trace=True)
+        fields, A, b, precond = _draw_systems(
+            config, "sample_params", range(5), preconditioned)
+        reports = gmres(A, b, opts=opts, keep_basis=True, precond=precond)
+        assert len(reports) == 5
+        for k, rep in enumerate(reports):
+            gen = RngStream(2, "sample_params", k).generator()
+            coeffs = draw_coefficients(pde, config.grid, gen)
+            forcing = draw_forcing(pde, config.grid, gen)
+            ref = gmres(coeffs.operator(), forcing.interior(), opts=opts,
+                        keep_basis=True, precond=(
+                            coeffs.preconditioner() if preconditioned
+                            else None))
+            assert ref.converged
+            assert_same_solve(rep, ref)
+        if pde == "diffusion":  # rows leave the block at different steps
+            assert len({rep.iterations for rep in reports}) > 1
+
+    def test_rows_that_stop_for_every_reason(self):
+        # one helmholtz block: k2 = 0 is the bare Laplacian, which the
+        # preconditioner inverts (a happy breakdown at iteration 1); a
+        # zero right-hand side (0 iterations); a large k2 that max_iter
+        # cuts off unconverged; and one that converges by its tolerance
+        g = Grid2D(12)
+        rng = np.random.default_rng(5)
+        k2 = np.zeros((4, 14, 14))
+        k2[2] = rng.uniform(-2000.0, 2000.0, (14, 14))
+        k2[3] = rng.uniform(-20.0, 20.0, (14, 14))
+        b = rng.standard_normal((4, 144))
+        b[1] = 0.0
+        helmholtz = FAMILIES["helmholtz"]
+        A = StencilOperator(g, helmholtz.stencil(g, k2=k2))
+        precond = helmholtz.preconditioner(g, k2=k2)
+        opts = SolveOptions(tol=1e-10, max_iter=12, record_trace=True)
+        reports = gmres(A, b, opts=opts, keep_basis=True, precond=precond)
+        for k, rep in enumerate(reports):
+            coeffs = PdeCoefficients("helmholtz", k2=FieldSample(g, k2[k]))
+            ref = gmres(coeffs.operator(), b[k], opts=opts, keep_basis=True,
+                        precond=coeffs.preconditioner())
+            assert_same_solve(rep, ref)
+        happy, zero, cut, met = reports
+        assert happy.converged and happy.iterations == 1
+        assert happy.arnoldi_basis.shape == (1, 144)
+        assert zero.converged and zero.iterations == 0
+        assert not zero.x.any() and zero.trace == []
+        assert not cut.converged and cut.iterations == 12
+        assert met.converged and 1 < met.iterations < 12
+
+    def test_rows_leave_the_block_as_they_stop(self):
+        # each step applies A once to the rows still in the block, and a
+        # step where rows stop applies it once more to those rows, for
+        # their true residuals
+        config = GenerationConfig("diffusion", Grid2D(12), 1, master_seed=4)
+        _, A, b, precond = _draw_systems(config, "basis_params", range(6),
+                                         preconditioned=True)
+        calls = []
+
+        class Counting:
+            def __init__(self, op):
+                self.op, self.shape = op, A.shape
+
+            def __matmul__(self, X):
+                calls.append(len(X))
+                return self.op @ X
+
+            def __getitem__(self, rows):
+                return Counting(self.op[rows])
+
+        reports = gmres(Counting(A), b, opts=SolveOptions(tol=1e-10),
+                        precond=precond)
+        iterations = [rep.iterations for rep in reports]
+        assert len(set(iterations)) > 2
+        expected = []
+        for step in range(1, max(iterations) + 1):
+            expected.append(sum(it >= step for it in iterations))
+            if step in iterations:
+                expected.append(iterations.count(step))
+        assert calls == expected
+
+    def test_block_operator_rows_are_one_sample_calls(self):
+        # StencilOperator and PoissonPreconditioner on a (k, N) stack: row
+        # i is sample i's one-dimensional call, and [rows] takes rows
+        config = GenerationConfig("darcy", Grid2D(10), 1, master_seed=1)
+        fields, A, b, precond = _draw_systems(config, "basis_params",
+                                              range(4), True)
+        Ab, Pb = A @ b, precond(b)
+        for k in range(4):
+            coeffs = PdeCoefficients("darcy", a=FieldSample(
+                config.grid, fields["a"][k]))
+            np.testing.assert_array_equal(bits(Ab[k]),
+                                          bits(coeffs.operator() @ b[k]))
+            np.testing.assert_array_equal(
+                bits(Pb[k]), bits(coeffs.preconditioner()(b[k])))
+        np.testing.assert_array_equal(bits(A[[3, 1]] @ b[[3, 1]]),
+                                      bits(Ab[[3, 1]]))
+        np.testing.assert_array_equal(bits(precond[[3, 1]](b[[3, 1]])),
+                                      bits(Pb[[3, 1]]))
+
+    def test_block_shape_mismatch(self):
+        A = CsrMatrix(np.eye(3))
+        with pytest.raises(DimensionError):
+            gmres(A, np.ones((2, 4)))
+        with pytest.raises(DimensionError):
+            gmres(A, np.ones((2, 3, 1)))
