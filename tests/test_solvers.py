@@ -176,8 +176,24 @@ class TestStorage:
         assert iterations <= 16
         assert peak < 6.0
 
+    @pytest.mark.parametrize("pde", ["darcy", "helmholtz", "diffusion"])
+    def test_pool_block(self, pde):
+        # a block of 8 pool solves holds 8 bases of the rows it built
+        config = GenerationConfig(pde, Grid2D(64), 1, master_seed=0)
+        opts = SolveOptions.for_grid(config.grid, config.solver_tol)
+        _, A, b, precond = _draw_systems(config, "basis_params", range(8),
+                                         preconditioned=True)
+        tracemalloc.start()
+        try:
+            reports = gmres(A, b, opts=opts, precond=precond)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert all(rep.converged and rep.iterations <= 16 for rep in reports)
+        assert peak < 16.0
+
     def test_classic_solve(self):
-        # past the basis's first growth: 64 rows are 2 MiB
+        # past the basis's growths from 8 rows: 128 rows are 4 MiB
         iterations, peak = self.peak_mib("helmholtz", "sample_params", False)
         assert 128 < iterations < 256
         assert peak < 16.0
