@@ -6,15 +6,15 @@ paths run it (`one_blas_thread`). The operator-action phase runs
 `_diffoas_block` (draw the coefficients, combine the pool, apply the
 stencil) over blocks of SAMPLE_BLOCK samples as `generate_diffoas` does,
 and its per-sample seconds are the blocks' seconds over the sample count;
-the solver phases run `solve_sample` (draw, solve matrix-free) per sample
-as `generate_classic` does. The GMRES-vs-action speedup is thus the ratio
-of the two paths' per-sample costs; writing the dataset is in neither.
-The `gmres_pc` phase solves the same classic samples with the
-fast-Poisson preconditioner the pool solves use: the speedup over a
-preconditioned solve, reported but not in the regression. The pool build
-is timed once per dim, on one thread as the solver phases run, and added
-in `diffoas_total`. Medians over
->= 3 repeats with one discarded warm-up; phases too short for the clock
+the solver phases run `_solve_blocks` (draw, solve matrix-free) on
+one-sample blocks, on one thread, at each tol, as `generate_classic` does.
+The GMRES-vs-action speedup is thus the ratio of the two paths'
+per-sample costs; writing the dataset is in neither. The `gmres_pc` phase
+solves the same classic samples with the fast-Poisson preconditioner the
+pool solves use: the speedup over a preconditioned solve, reported but not
+in the regression. The pool build is timed once per dim, on one thread as
+the solver phases run, and added in `diffoas_total`. Medians over >= 3
+repeats with one discarded warm-up; phases too short for the clock
 trigger automatic sample-count escalation.
 """
 
@@ -25,7 +25,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -34,9 +34,9 @@ from .generator import (
     GenerationConfig,
     _diffoas_block,
     _sample_blocks,
+    _solve_blocks,
     build_basis_pool,
     one_blas_thread,
-    solve_sample,
 )
 from .grid import Grid2D
 from .solvers import SolveOptions
@@ -150,20 +150,22 @@ def run_timing_suite(
             flags=[f"basis_seconds={basis_seconds:.6g}"]))
 
         for tol in tols:
-            opts = SolveOptions.for_grid(config.grid, tol)
+            tol_config = replace(config, solver_tol=tol)
             for method, preconditioned in (("gmres", False),
                                            ("gmres_pc", True)):
                 flags = set()
 
-                def solve(k):
-                    _, report = solve_sample(config, "sample_params", k,
-                                             opts, preconditioned)
-                    if not report.converged:
-                        flags.add(f"non-convergence at relres "
-                                  f"{report.final_relative_residual:.2e}")
+                def solve(indices):
+                    for _, _, reports in _solve_blocks(
+                            tol_config, "sample_params", [indices], 1,
+                            preconditioned):
+                        flags.update(f"non-convergence at relres "
+                                     f"{rep.final_relative_residual:.2e}"
+                                     for rep in reports if not rep.converged)
 
-                solve(0)  # warm-up
-                runs = [_time_items(solve, range(samples_per_point))
+                solve(range(1))  # warm-up
+                runs = [_time_items(solve,
+                                    _sample_blocks(samples_per_point, 1))
                         for _ in range(repeats)]
                 records.append(BenchRecord(dim, method, tol, samples_per_point,
                                            _median(runs), repeats, runs,

@@ -14,11 +14,10 @@ time.
 `PdeFamily.stencil` builds the operator's 5-point stencil from the
 record, one sample's or a (b, m, m) block's, and `grid_ops` tells how its
 forms check each other. `grid_ops.StencilOperator` wraps it as the
-matrix-free operator the basis and classic solves take
-(`PdeCoefficients.operator()` for one sample), `apply_block` applies it
-to (b, m, m) stacks of samples, as generation does, and
-`PdeCoefficients.assemble()` writes it as a CSR matrix, the tests'
-reference form. `PdeFamily.preconditioner` gives the pool solves'
+matrix-free operator the basis and classic solves take, `apply_block`
+applies it to (b, m, m) stacks of samples, as generation does, and
+`PdeCoefficients.assemble()` writes one sample's as a CSR matrix, the
+tests' reference form. `PdeFamily.preconditioner` gives the pool solves'
 M^{-1}, likewise for one sample or a block: a fast Poisson solve scaled
 by the flux coefficient, M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus &
 Golub, SIAM J. Numer. Anal. 10, 1973).
@@ -56,7 +55,6 @@ from .grid_ops import (
     DimensionError,
     EllipticityError,
     PoissonPreconditioner,
-    StencilOperator,
     _check_field,
     _five_point,
     _flux_form,
@@ -233,24 +231,12 @@ class PdeCoefficients:
     def field_map(self) -> dict:
         return dict(self.fields)
 
-    def stencil(self) -> tuple:
-        """(center, north, south, west, east) of the family's operator."""
-        return family(self.pde).stencil(self.grid, **self.fields)
-
-    def operator(self) -> StencilOperator:
-        """The operator over the interior unknowns, matrix-free, as the
-        GMRES solves take it."""
-        return StencilOperator(self.grid, self.stencil())
-
     def assemble(self):
         """The operator as a `CsrMatrix` over the interior unknowns: the
         reference form that the tests and the perf harness compare with
         (imports scipy.sparse); no command builds it."""
-        return _five_point(self.grid, *self.stencil())
-
-    def preconditioner(self) -> PoissonPreconditioner:
-        """The pool solves' M^{-1} (`PdeFamily.preconditioner`)."""
-        return family(self.pde).preconditioner(self.grid, **self.fields)
+        return _five_point(self.grid, *family(self.pde).stencil(
+            self.grid, **self.fields))
 
 
 def apply_block(pde: str, grid: Grid2D, fields: dict,

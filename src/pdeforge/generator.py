@@ -42,15 +42,16 @@ write and one CRC-32 update per field, as the bytes of its samples one
 after another.
 
 Blocks run on `threads` worker threads, by default one per usable CPU,
-and are written in block order; the pool's solves run in blocks on those
-threads too (`build_basis_pool`), and `verify_dataset` reads, CRCs and
-checks blocks on one thread per usable CPU. The generate paths, the pool
-build and verification run with numpy's OpenBLAS pinned to one thread
-(`one_blas_thread`): OpenBLAS splits a matrix product, and a dot product
-of a long vector, among its threads in a way that changes its rounding,
-and N worker threads x N BLAS threads would oversubscribe the CPUs. With
-the pin, neither a dataset's bytes nor a verify report depends on either
-thread count.
+and are written in block order. Every linear system is drawn and solved by
+`_solve_blocks`, one `gmres` call per block of systems: the pool's blocks
+on those threads too (`build_basis_pool`), the classic samples one per
+block. `verify_dataset` reads, CRCs and checks blocks on one thread per
+usable CPU. The generate paths, the pool build and verification run with
+numpy's OpenBLAS pinned to one thread (`one_blas_thread`): OpenBLAS
+splits a matrix product, and a dot product of a long vector, among its
+threads in a way that changes its rounding, and N worker threads x N BLAS
+threads would oversubscribe the CPUs. With the pin, neither a dataset's
+bytes nor a verify report depends on either thread count.
 """
 
 from __future__ import annotations
@@ -224,45 +225,44 @@ def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSampl
     return FieldSample(grid, sample_grf(grid, family(pde).forcing, gen))
 
 
-def _draw_systems(config: GenerationConfig, role: str, indices: range,
-                  preconditioned: bool) -> tuple:
-    """The linear systems of indices, each drawn from its own
-    (master_seed, role, i) stream: its coefficients field by field, then
-    its forcing, each with its distribution's `draw` into the row of the
-    block's (k, m, m) buffer, as `draw_block(..., 1)` draws them
-    (`draw_coefficients`, `draw_forcing`). Returns (fields, A, b,
-    precond): field name -> (k, m, m) node arrays, the coefficients then
-    "f"; the block's `StencilOperator`; the (k, n*n) right-hand sides; and
-    the block's fast-Poisson preconditioner, or None. Every step is
-    elementwise or per sample, so each system is the one its index draws
-    alone."""
+def _solve_blocks(config: GenerationConfig, role: str, blocks: list,
+                  threads: int, preconditioned: bool):
+    """Draw and solve the linear systems of blocks, ranges of indices, at
+    solver_tol: one `gmres` call per block, which advances its systems in
+    lockstep, with the blocks on threads worker threads (`_run_samples`).
+    Yields (indices, fields, reports) in block order: field name -> the
+    block's (k, m, m) node arrays, the coefficients then "f", and each
+    system's `SolveReport`, whose wall_time counts from the block's start.
+
+    System i is drawn from its own (master_seed, role, i) stream, its
+    coefficients field by field, then its forcing, as `draw_coefficients`
+    and `draw_forcing` draw them. preconditioned gives GMRES the family's
+    fast-Poisson preconditioner. Every step is elementwise or per system,
+    so each system gets the bits it gets alone (`solvers`), in a block of
+    any size."""
     grid, pde_family = config.grid, family(config.pde)
     draws = {**pde_family.distributions, "f": pde_family.forcing}
-    fields = {name: np.empty((len(indices), grid.n_nodes, grid.n_nodes))
-              for name in draws}
-    for row, i in enumerate(indices):
-        gen = RngStream(config.master_seed, role, i).generator()
-        for name, dist in draws.items():
-            dist.draw(grid, gen, fields[name][row:row + 1])
-    A = StencilOperator(grid, pde_family.stencil(grid, **fields))
-    b = fields["f"][:, 1:-1, 1:-1].reshape(len(indices), -1)
-    precond = (pde_family.preconditioner(grid, **fields) if preconditioned
-               else None)
-    return fields, A, b, precond
+    opts = SolveOptions.for_grid(grid, config.solver_tol)
 
+    def solve(indices: range) -> tuple:
+        t0 = time.perf_counter()
+        fields = {name: np.empty((len(indices), grid.n_nodes, grid.n_nodes))
+                  for name in draws}
+        for row, i in enumerate(indices):
+            gen = RngStream(config.master_seed, role, i).generator()
+            for name, dist in draws.items():
+                dist.draw(grid, gen, fields[name][row:row + 1])
+        A = StencilOperator(grid, pde_family.stencil(grid, **fields))
+        b = fields["f"][:, 1:-1, 1:-1].reshape(len(indices), -1)
+        precond = (pde_family.preconditioner(grid, **fields) if preconditioned
+                   else None)
+        drawn = time.perf_counter() - t0
+        reports = gmres(A, b, opts=opts, precond=precond)
+        for report in reports:
+            report.wall_time += drawn
+        return indices, fields, reports
 
-def solve_sample(config: GenerationConfig, role: str, k: int,
-                 opts: SolveOptions, preconditioned: bool = False) -> tuple:
-    """Draw coefficients and forcing from the (master_seed, role, k) stream
-    and solve with GMRES on the matrix-free operator, the one-index case of
-    the pool's block solves (`_draw_systems`): (fields, report), fields
-    holding the coefficients and "f" as `FieldSample`s. preconditioned
-    passes the family's fast-Poisson preconditioner to GMRES as precond."""
-    fields, A, b, precond = _draw_systems(config, role, range(k, k + 1),
-                                          preconditioned)
-    return ({name: FieldSample(config.grid, values[0])
-             for name, values in fields.items()},
-            gmres(A, b[0], opts=opts, precond=precond))
+    return _run_samples(solve, blocks, threads)
 
 
 @dataclass
@@ -301,37 +301,26 @@ def build_basis_pool(config: GenerationConfig,
     by the family's fast-Poisson preconditioner; the solutions seed the
     pool.
 
-    The solves run in blocks of consecutive indices, each block one
-    `gmres` call that advances its systems in lockstep: SAMPLE_BLOCK
-    systems, fewer where they would hold more than POOL_BLOCK_UNKNOWNS
-    unknowns (two at n = 128, one above). The blocks run on threads
-    worker threads, by default one per usable CPU, with one BLAS thread
-    (`_run_samples`). Each system is drawn from its own (master_seed,
-    "basis_params", i) stream and solved with the bits it gets alone
-    (`solvers`), so the pool's bytes, iterations and residuals are the
-    same at any thread count and block size. threads < 1 raises
-    ValueError. A solve that does not converge raises
-    BasisConstructionError naming the lowest such index. Each provenance
-    entry's wall_time is the seconds from its block's start to that
-    solve's exit, so on more than one thread the entries overlap."""
+    The solves run in blocks of consecutive indices (`_solve_blocks`):
+    SAMPLE_BLOCK systems, fewer where they would hold more than
+    POOL_BLOCK_UNKNOWNS unknowns (two at n = 128, one above), on threads
+    worker threads, by default one per usable CPU, with one BLAS thread.
+    Each system is drawn from its own (master_seed, "basis_params", i)
+    stream and solved with the bits it gets alone, so the pool's bytes,
+    iterations and residuals are the same at any thread count and block
+    size. threads < 1 raises ValueError. A solve that does not converge
+    raises BasisConstructionError naming the lowest such index. Each
+    provenance entry's wall_time is the seconds from its block's start to
+    that solve's exit, so on more than one thread the entries overlap."""
     threads = _thread_count(threads)
     grid = config.grid
-    opts = SolveOptions.for_grid(grid, config.solver_tol)
-
-    def solve(indices: range) -> list:
-        t0 = time.perf_counter()
-        _, A, b, precond = _draw_systems(config, "basis_params", indices,
-                                         preconditioned=True)
-        drawn = time.perf_counter() - t0
-        return [(report, drawn + report.wall_time)
-                for report in gmres(A, b, opts=opts, precond=precond)]
-
     basis = np.zeros((config.n_basis, grid.n_nodes, grid.n_nodes))
     provenance = []
     blocks = _sample_blocks(config.n_basis, max(1, min(
         SAMPLE_BLOCK, POOL_BLOCK_UNKNOWNS // grid.n_unknowns)))
-    for indices, solves in zip(blocks, _run_samples(solve, blocks, threads)):
-        for i, (report, seconds) in zip(indices, solves):
+    for indices, _, reports in _solve_blocks(config, "basis_params", blocks,
+                                             threads, preconditioned=True):
+        for i, report in zip(indices, reports):
             if not report.converged:
                 raise BasisConstructionError(
                     f"basis solve {i} did not converge: relative residual "
@@ -343,7 +332,7 @@ def build_basis_pool(config: GenerationConfig,
                 "index": i,
                 "iterations": report.iterations,
                 "relative_residual": report.final_relative_residual,
-                "wall_time": seconds,
+                "wall_time": report.wall_time,
             })
     basis.flags.writeable = False
     return BasisPool(grid, basis, provenance, pool_cache_key(config))
@@ -577,10 +566,11 @@ def generate_classic(
     out_dir: Path,
     threads: int = 1,
 ) -> Dataset:
-    """Solve-per-sample generation at solver_tol; samples whose solve does
-    not converge are skipped. When none converges, GenerationError is
-    raised before out_dir is touched (`write_dataset` takes the first
-    sample first), so the dataset in out_dir stays as it was.
+    """Solve-per-sample generation at solver_tol, unpreconditioned, one
+    sample per block of `_solve_blocks`; samples whose solve does not
+    converge are skipped. When none converges, GenerationError is raised
+    before out_dir is touched (`write_dataset` takes the first sample
+    first), so the dataset in out_dir stays as it was.
 
     threads defaults to 1, not to the CPU count as for `generate_diffoas`:
     each solve in flight holds its own Krylov basis, so every thread adds
@@ -589,20 +579,19 @@ def generate_classic(
         raise GenerationError("generate_classic requires method='classic'")
     threads = _thread_count(threads)
     n = config.grid.n_interior
-    opts = SolveOptions.for_grid(config.grid, config.solver_tol)
     skipped = []
     t0 = time.perf_counter()
 
-    def worker(k: int):
-        return solve_sample(config, "sample_params", k, opts)
-
     def emit():
-        for k, (fields, report) in enumerate(_run_samples(
-                worker, range(config.num_samples), threads)):
+        for indices, fields, (report,) in _solve_blocks(
+                config, "sample_params", _sample_blocks(config.num_samples, 1),
+                threads, preconditioned=False):
             if not report.converged:
-                skipped.append(k)
+                skipped.append(indices.start)
                 continue
-            yield {**fields, "u": np.pad(report.x.reshape(n, n), 1)}
+            u = np.zeros_like(fields["f"])
+            u[0, 1:-1, 1:-1] = report.x.reshape(n, n)
+            yield {**fields, "u": u}
         if len(skipped) == config.num_samples:
             # raised inside write_dataset, as it takes the first item
             raise GenerationError("all samples failed to converge")

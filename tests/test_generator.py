@@ -168,8 +168,8 @@ class TestPreconditionedPool:
 
     def test_only_pool_solves_are_preconditioned(self, tmp_path,
                                                  monkeypatch):
-        # classic generation is the paper's unpreconditioned baseline, one
-        # system per gmres call; the pool solves its systems in blocks,
+        # classic generation is the paper's unpreconditioned baseline, a
+        # block of one system per gmres call; the pool solves its systems in blocks,
         # one preconditioned gmres call per block
         calls = []
 
@@ -180,7 +180,7 @@ class TestPreconditionedPool:
         monkeypatch.setattr(generator, "gmres", recording)
         generate_classic(small_config(method="classic", num_samples=3),
                          tmp_path / "c")
-        assert calls == [((100,), None)] * 3
+        assert calls == [((1, 100), None)] * 3
         calls.clear()
         build_basis_pool(small_config(n_basis=generator.SAMPLE_BLOCK + 3),
                          threads=1)
@@ -230,13 +230,13 @@ class TestBlockPool:
             assert pool.key == ref.key
 
     def test_block_solves_are_the_one_index_solves(self):
-        # each pool solve is solve_sample's, the one-index case
+        # each pool solve is the one-index block's of _solve_blocks
         config = small_config(pde="diffusion", n_basis=5)
         pool = build_basis_pool(config)
-        opts = SolveOptions.for_grid(config.grid, config.solver_tol)
         for i, solve in enumerate(pool.provenance):
-            _, report = generator.solve_sample(config, "basis_params", i,
-                                               opts, preconditioned=True)
+            ((_, _, (report,)),) = generator._solve_blocks(
+                config, "basis_params", [range(i, i + 1)], 1,
+                preconditioned=True)
             assert solve["iterations"] == report.iterations
             assert solve["relative_residual"] == \
                 report.final_relative_residual
@@ -272,14 +272,16 @@ class TestBlockPool:
         def some_fail(A, b, **kwargs):
             reports = real(A, b, **kwargs)
             first = len(reports) == generator.SAMPLE_BLOCK and \
-                np.array_equal(b, some_fail.first_b)
+                np.array_equal(b[0], some_fail.first_b0)
             bad = 5 if first else 1
             return [dataclasses.replace(rep, converged=False)
                     if row == bad else rep for row, rep in enumerate(reports)]
 
         config = small_config(n_basis=16)
-        _, _, some_fail.first_b, _ = generator._draw_systems(
-            config, "basis_params", range(generator.SAMPLE_BLOCK), True)
+        gen = RngStream(config.master_seed, "basis_params", 0).generator()
+        generator.draw_coefficients(config.pde, config.grid, gen)
+        some_fail.first_b0 = generator.draw_forcing(
+            config.pde, config.grid, gen).interior()
         monkeypatch.setattr(generator, "gmres", some_fail)
         with pytest.raises(BasisConstructionError,
                            match=r"basis solve 5 did not converge"):
@@ -678,8 +680,8 @@ def test_manifest_is_written_once_with_its_timings(tmp_path, monkeypatch,
 
     def second_fails(A, b, **kwargs):  # one thread solves in sample order
         solves.append(b)
-        return dataclasses.replace(real_gmres(A, b, **kwargs),
-                                   converged=len(solves) != 2)
+        return [dataclasses.replace(rep, converged=len(solves) != 2)
+                for rep in real_gmres(A, b, **kwargs)]
 
     monkeypatch.setattr(os, "replace", recording)
     if method == "diffoas":

@@ -8,10 +8,9 @@ from pdeforge.families import FAMILIES, PdeCoefficients
 from pdeforge.fields import GrfParams, RngStream, sample_grf
 from pdeforge.generator import (
     GenerationConfig,
-    _draw_systems,
+    _solve_blocks,
     draw_coefficients,
     draw_forcing,
-    solve_sample,
 )
 from pdeforge.grid import FieldSample, Grid2D
 from pdeforge.grid_ops import (
@@ -34,6 +33,37 @@ def darcy_system(n, seed, lognormal=True):
                    RngStream(seed, "basis_params", 1).generator())
     b = b[1:-1, 1:-1].flatten()
     return A, b
+
+
+def operator(coeffs):
+    """The matrix-free operator of one sample's coefficients."""
+    return StencilOperator(coeffs.grid, FAMILIES[coeffs.pde].stencil(
+        coeffs.grid, **coeffs.fields))
+
+
+def preconditioner(coeffs):
+    """The pool solves' M^{-1} for one sample's coefficients."""
+    return FAMILIES[coeffs.pde].preconditioner(coeffs.grid, **coeffs.fields)
+
+
+def draw_systems(config, role, indices, preconditioned):
+    """(fields, A, b, precond) of the systems of indices, each drawn alone
+    from its (master_seed, role, i) stream by draw_coefficients and
+    draw_forcing: coefficient name -> (k, m, m) node arrays, the block's
+    operator, its (k, N) right-hand sides and its preconditioner (None
+    unless preconditioned)."""
+    grid, record = config.grid, FAMILIES[config.pde]
+    coeffs, forcing = [], []
+    for i in indices:
+        gen = RngStream(config.master_seed, role, i).generator()
+        coeffs.append(draw_coefficients(config.pde, grid, gen))
+        forcing.append(draw_forcing(config.pde, grid, gen).interior())
+    fields = {name: np.stack([c.fields[name].values for c in coeffs])
+              for name in record.coefficients}
+    A = StencilOperator(grid, record.stencil(grid, **fields))
+    precond = (record.preconditioner(grid, **fields) if preconditioned
+               else None)
+    return fields, A, np.stack(forcing), precond
 
 
 class TestGmres:
@@ -145,9 +175,9 @@ class TestGmres:
         coeffs = draw_coefficients(pde, Grid2D(12), gen)
         b = draw_forcing(pde, Grid2D(12), gen).interior()
         kwargs = dict(opts=SolveOptions(tol=1e-10), precond=(
-            coeffs.preconditioner() if precond else None))
-        ref = gmres(coeffs.operator(), b, **kwargs)
-        rep = gmres(Bare(coeffs.operator()), b, **kwargs)
+            preconditioner(coeffs) if precond else None))
+        ref = gmres(operator(coeffs), b, **kwargs)
+        rep = gmres(Bare(operator(coeffs)), b, **kwargs)
         assert rep.converged and rep.iterations == ref.iterations
         np.testing.assert_array_equal(rep.x.view(np.uint64),
                                       ref.x.view(np.uint64))
@@ -160,10 +190,10 @@ class TestStorage:
     @staticmethod
     def peak_mib(pde, role, preconditioned):
         config = GenerationConfig(pde, Grid2D(64), 1, master_seed=0)
-        opts = SolveOptions.for_grid(config.grid, config.solver_tol)
         tracemalloc.start()
         try:
-            _, rep = solve_sample(config, role, 0, opts, preconditioned)
+            ((_, _, (rep,)),) = _solve_blocks(config, role, [range(1)], 1,
+                                              preconditioned)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,8 +211,8 @@ class TestStorage:
         # a block of 8 pool solves holds 8 bases of the rows it built
         config = GenerationConfig(pde, Grid2D(64), 1, master_seed=0)
         opts = SolveOptions.for_grid(config.grid, config.solver_tol)
-        _, A, b, precond = _draw_systems(config, "basis_params", range(8),
-                                         preconditioned=True)
+        _, A, b, precond = draw_systems(config, "basis_params", range(8),
+                                        preconditioned=True)
         tracemalloc.start()
         try:
             reports = gmres(A, b, opts=opts, precond=precond)
@@ -241,7 +271,7 @@ class TestPoissonPreconditioner:
         A = coeffs.assemble()
         x = np.random.default_rng(0).standard_normal(A.nrows)
         rep = gmres(A, A @ x, opts=SolveOptions(tol=1e-13), keep_basis=True,
-                    precond=coeffs.preconditioner())
+                    precond=preconditioner(coeffs))
         assert rep.converged and rep.iterations == 1
         assert rep.arnoldi_basis.shape == (1, A.nrows)  # happy breakdown
         assert np.linalg.norm(rep.x - x) <= 1e-12 * np.linalg.norm(x)
@@ -255,7 +285,7 @@ class TestPoissonPreconditioner:
             name: FieldSample.constant(g, v) for name, v in fields.items()})
         A = coeffs.assemble()
         x = np.random.default_rng(1).standard_normal(A.nrows)
-        y = coeffs.preconditioner()(A @ x)
+        y = preconditioner(coeffs)(A @ x)
         assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_breakdown_is_scaled_to_the_preconditioned_operator(self):
@@ -268,7 +298,7 @@ class TestPoissonPreconditioner:
         A = coeffs.assemble()
         b = rng.standard_normal(A.nrows)
         rep = gmres(A, b, opts=SolveOptions(tol=1e-12),
-                    precond=coeffs.preconditioner())
+                    precond=preconditioner(coeffs))
         assert rep.converged and rep.iterations == 2
 
     def test_bound_holds_on_random_preconditioned_traces(self):
@@ -280,7 +310,7 @@ class TestPoissonPreconditioner:
             coeffs = draw_coefficients(pdes[case % 3], grid, rng)
             A = coeffs.assemble()
             b = rng.standard_normal(A.nrows)
-            rep = gmres(A, b, opts=opts, precond=coeffs.preconditioner())
+            rep = gmres(A, b, opts=opts, precond=preconditioner(coeffs))
             assert rep.converged
             violation = max(r.residual_norm - r.h_subdiag * r.y_last_abs
                             for r in rep.trace)
@@ -327,7 +357,7 @@ class TestBlock:
     def test_rows_are_their_systems_alone(self, pde, preconditioned):
         config = GenerationConfig(pde, Grid2D(16), 1, master_seed=2)
         opts = SolveOptions(tol=1e-9, max_iter=256, record_trace=True)
-        fields, A, b, precond = _draw_systems(
+        fields, A, b, precond = draw_systems(
             config, "sample_params", range(5), preconditioned)
         reports = gmres(A, b, opts=opts, keep_basis=True, precond=precond)
         assert len(reports) == 5
@@ -335,9 +365,9 @@ class TestBlock:
             gen = RngStream(2, "sample_params", k).generator()
             coeffs = draw_coefficients(pde, config.grid, gen)
             forcing = draw_forcing(pde, config.grid, gen)
-            ref = gmres(coeffs.operator(), forcing.interior(), opts=opts,
+            ref = gmres(operator(coeffs), forcing.interior(), opts=opts,
                         keep_basis=True, precond=(
-                            coeffs.preconditioner() if preconditioned
+                            preconditioner(coeffs) if preconditioned
                             else None))
             assert ref.converged
             assert_same_solve(rep, ref)
@@ -363,8 +393,8 @@ class TestBlock:
         reports = gmres(A, b, opts=opts, keep_basis=True, precond=precond)
         for k, rep in enumerate(reports):
             coeffs = PdeCoefficients("helmholtz", k2=FieldSample(g, k2[k]))
-            ref = gmres(coeffs.operator(), b[k], opts=opts, keep_basis=True,
-                        precond=coeffs.preconditioner())
+            ref = gmres(operator(coeffs), b[k], opts=opts, keep_basis=True,
+                        precond=preconditioner(coeffs))
             assert_same_solve(rep, ref)
         happy, zero, cut, met = reports
         assert happy.converged and happy.iterations == 1
@@ -379,8 +409,8 @@ class TestBlock:
         # step where rows stop applies it once more to those rows, for
         # their true residuals
         config = GenerationConfig("diffusion", Grid2D(12), 1, master_seed=4)
-        _, A, b, precond = _draw_systems(config, "basis_params", range(6),
-                                         preconditioned=True)
+        _, A, b, precond = draw_systems(config, "basis_params", range(6),
+                                        preconditioned=True)
         calls = []
 
         class Counting:
@@ -409,16 +439,16 @@ class TestBlock:
         # StencilOperator and PoissonPreconditioner on a (k, N) stack: row
         # i is sample i's one-dimensional call, and [rows] takes rows
         config = GenerationConfig("darcy", Grid2D(10), 1, master_seed=1)
-        fields, A, b, precond = _draw_systems(config, "basis_params",
-                                              range(4), True)
+        fields, A, b, precond = draw_systems(config, "basis_params",
+                                             range(4), True)
         Ab, Pb = A @ b, precond(b)
         for k in range(4):
             coeffs = PdeCoefficients("darcy", a=FieldSample(
                 config.grid, fields["a"][k]))
             np.testing.assert_array_equal(bits(Ab[k]),
-                                          bits(coeffs.operator() @ b[k]))
+                                          bits(operator(coeffs) @ b[k]))
             np.testing.assert_array_equal(
-                bits(Pb[k]), bits(coeffs.preconditioner()(b[k])))
+                bits(Pb[k]), bits(preconditioner(coeffs)(b[k])))
         np.testing.assert_array_equal(bits(A[[3, 1]] @ b[[3, 1]]),
                                       bits(Ab[[3, 1]]))
         np.testing.assert_array_equal(bits(precond[[3, 1]](b[[3, 1]])),
