@@ -130,10 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of samples (default: 100)")
     g.add_argument("--basis", type=COUNT, default=None,
                    help="diffoas basis pool size (default: per-PDE)")
-    g.add_argument("--tol", type=POSITIVE, default=1e-5,
-                   help="solver tolerance (default: 1e-5)")
-    g.add_argument("--eta", type=NON_NEGATIVE, default=0.01,
-                   help="noise amplitude factor (default: 0.01)")
+    g.add_argument("--tol", type=POSITIVE, default=None,
+                   help="solver tolerance, not for ablation (default: 1e-5)")
+    g.add_argument("--eta", type=NON_NEGATIVE, default=None,
+                   help="noise amplitude, not for classic (default: 0.01)")
     g.add_argument("--seed", type=SEED, default=0,
                    help="master seed (default: 0)")
     g.add_argument("--out", required=True, help="output dataset directory")
@@ -205,14 +205,20 @@ def _field_stats(fs) -> dict:
 
 
 def cmd_generate(args) -> int:
-    if args.basis is not None and args.method != "diffoas":
-        _usage_error("--basis applies to --method diffoas only")
+    # each flag that the method does not use is a usage error
+    for flag, value, unused in (
+            ("--basis", args.basis, args.method != "diffoas"),
+            ("--tol", args.tol, args.method.startswith("ablation-")),
+            ("--eta", args.eta, args.method == "classic")):
+        if value is not None and unused:
+            _usage_error(f"{flag} does not apply to --method {args.method}")
     config = GenerationConfig(
         pde=args.pde, grid=Grid2D(args.grid), num_samples=args.samples,
         method="classic" if args.method == "classic" else "diffoas",
-        solver_tol=args.tol, n_basis=args.basis,
-        noise_eta=args.eta, master_seed=args.seed,
-    )
+        n_basis=args.basis, master_seed=args.seed, **{
+            key: value for key, value in (("solver_tol", args.tol),
+                                          ("noise_eta", args.eta))
+            if value is not None})
     if args.method == "classic":
         dataset = generate_classic(config, Path(args.out), args.threads or 1)
     else:

@@ -122,31 +122,39 @@ class PdeFamily:
         arrays on grid; other names are ignored. Every step is elementwise,
         so a (b, m, m) block gets the bits of each sample alone.
         EllipticityError unless the flux coefficient is positive
-        everywhere."""
-        values = {name: _check_field(grid, fields[name], name)
-                  for name in self.coefficients}
-        c = values.pop(self.flux, None)
+        everywhere (`_flux_values`)."""
+        c = self._flux_values(grid, fields)
         if c is None:
             h2 = grid.h ** 2
             stencil = [4.0 / (-self.sign * h2)] + [1.0 / (self.sign * h2)] * 4
-        elif c.min() <= 0.0:
-            raise EllipticityError(f"flux coefficient {self.flux} must be "
-                                   f"positive everywhere, min={c.min():g}")
         else:
             stencil = list(_flux_form(grid, c, self.sign))
-        for r in values.values():  # the reaction terms
-            stencil[0] = stencil[0] + r[..., 1:-1, :]
+        for name in self.coefficients:  # the reaction terms
+            if name != self.flux:
+                r = _check_field(grid, fields[name], name)
+                stencil[0] = stencil[0] + r[..., 1:-1, :]
         return tuple(stencil)
 
     def preconditioner(self, grid: Grid2D, **fields) -> PoissonPreconditioner:
         """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the flux
         coefficient at the interior nodes (none for c = 1), from fields as
         `stencil` takes them, so a (b, m, m) block gives the block's
-        preconditioner. For a constant flux coefficient and no reaction
-        term, M is the operator itself."""
-        coef = None if self.flux is None else _check_field(
-            grid, fields[self.flux], self.flux)[..., 1:-1, 1:-1]
-        return PoissonPreconditioner(grid, -self.sign, coef)
+        preconditioner, with the same EllipticityError. For a constant
+        flux coefficient and no reaction term, M is the operator itself."""
+        c = self._flux_values(grid, fields)
+        return PoissonPreconditioner(
+            grid, -self.sign, None if c is None else c[..., 1:-1, 1:-1])
+
+    def _flux_values(self, grid: Grid2D, fields: dict):
+        """The flux coefficient's node arrays from fields (None: c = 1);
+        EllipticityError unless it is positive everywhere."""
+        if self.flux is None:
+            return None
+        c = _check_field(grid, fields[self.flux], self.flux)
+        if c.min() <= 0.0:
+            raise EllipticityError(f"flux coefficient {self.flux} must be "
+                                   f"positive everywhere, min={c.min():g}")
+        return c
 
     @property
     def operator_name(self) -> str:

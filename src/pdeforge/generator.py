@@ -227,19 +227,15 @@ def draw_forcing(pde: str, grid: Grid2D, gen: np.random.Generator) -> FieldSampl
 
 def _solve_blocks(config: GenerationConfig, role: str, blocks: list,
                   threads: int, preconditioned: bool):
-    """Draw and solve the linear systems of blocks, ranges of indices, at
-    solver_tol: one `gmres` call per block, which advances its systems in
-    lockstep, with the blocks on threads worker threads (`_run_samples`).
-    Yields (indices, fields, reports) in block order: field name -> the
-    block's (k, m, m) node arrays, the coefficients then "f", and each
-    system's `SolveReport`, whose wall_time counts from the block's start.
-
-    System i is drawn from its own (master_seed, role, i) stream, its
-    coefficients field by field, then its forcing, as `draw_coefficients`
-    and `draw_forcing` draw them. preconditioned gives GMRES the family's
-    fast-Poisson preconditioner. Every step is elementwise or per system,
-    so each system gets the bits it gets alone (`solvers`), in a block of
-    any size."""
+    """Draw and solve the systems of blocks, ranges of indices, at
+    solver_tol: one `gmres` call per block, the blocks on threads worker
+    threads (`_run_samples`). Yields (indices, fields, reports) in block
+    order: field name -> (k, m, m) node arrays, the coefficients then "f",
+    and each system's `SolveReport`, its wall_time from the block's start.
+    System i is drawn from its (master_seed, role, i) stream as
+    `draw_coefficients` then `draw_forcing` draw it, and, as every step is
+    elementwise or per system, solved with the bits it gets alone
+    (`solvers`). preconditioned: with the family's fast-Poisson M^{-1}."""
     grid, pde_family = config.grid, family(config.pde)
     draws = {**pde_family.distributions, "f": pde_family.forcing}
     opts = SolveOptions.for_grid(grid, config.solver_tol)
@@ -301,14 +297,12 @@ def build_basis_pool(config: GenerationConfig,
     by the family's fast-Poisson preconditioner; the solutions seed the
     pool.
 
-    The solves run in blocks of consecutive indices (`_solve_blocks`):
-    SAMPLE_BLOCK systems, fewer where they would hold more than
-    POOL_BLOCK_UNKNOWNS unknowns (two at n = 128, one above), on threads
-    worker threads, by default one per usable CPU, with one BLAS thread.
-    Each system is drawn from its own (master_seed, "basis_params", i)
-    stream and solved with the bits it gets alone, so the pool's bytes,
-    iterations and residuals are the same at any thread count and block
-    size. threads < 1 raises ValueError. A solve that does not converge
+    The solves run in blocks of consecutive indices (`_solve_blocks`, role
+    "basis_params"): SAMPLE_BLOCK systems, fewer where they would hold more
+    than POOL_BLOCK_UNKNOWNS unknowns (two at n = 128, one above), on
+    threads worker threads, by default one per usable CPU, with one BLAS
+    thread. The pool is the same at any thread count and block size.
+    threads < 1 raises ValueError. A solve that does not converge
     raises BasisConstructionError naming the lowest such index. Each
     provenance entry's wall_time is the seconds from its block's start to
     that solve's exit, so on more than one thread the entries overlap."""
@@ -325,15 +319,12 @@ def build_basis_pool(config: GenerationConfig,
                 raise BasisConstructionError(
                     f"basis solve {i} did not converge: relative residual "
                     f"{report.final_relative_residual:.3e} after "
-                    f"{report.iterations} iterations"
-                )
+                    f"{report.iterations} iterations")
             basis[i, 1:-1, 1:-1] = report.x.reshape(grid.n_interior, -1)
             provenance.append({
-                "index": i,
-                "iterations": report.iterations,
+                "index": i, "iterations": report.iterations,
                 "relative_residual": report.final_relative_residual,
-                "wall_time": report.wall_time,
-            })
+                "wall_time": report.wall_time})
     basis.flags.writeable = False
     return BasisPool(grid, basis, provenance, pool_cache_key(config))
 
@@ -401,23 +392,24 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
     return u
 
 
-def _base_manifest(config: GenerationConfig, method: str) -> DatasetManifest:
-    return DatasetManifest(
-        pde=config.pde,
-        grid_interior=config.grid.n_interior,
-        num_samples=config.num_samples,
-        method=method,
-        generation={
-            "master_seed": config.master_seed,
-            "solver_tol": config.solver_tol,
-            "n_basis": config.n_basis,
-            "noise_eta": config.noise_eta,
-            "delta": config.weight_resample_threshold,
-            "field_params": FAMILIES[config.pde].field_params,
-            "operator": FAMILIES[config.pde].operator_name,
-            "blas_threads": blas_threads(),
-        },
-    )
+def _base_manifest(config: GenerationConfig, method: str,
+                   solved: bool) -> DatasetManifest:
+    """The manifest of a run of method. It records solver_tol only when the
+    run solved (solved: classic, or a pool it built), and n_basis,
+    noise_eta and delta only for an operator-action method."""
+    generation = {"master_seed": config.master_seed}
+    if solved:
+        generation["solver_tol"] = config.solver_tol
+    if method != "classic":
+        generation.update(n_basis=config.n_basis, noise_eta=config.noise_eta,
+                          delta=config.weight_resample_threshold)
+    generation.update(field_params=FAMILIES[config.pde].field_params,
+                      operator=FAMILIES[config.pde].operator_name,
+                      blas_threads=blas_threads())
+    return DatasetManifest(pde=config.pde,
+                           grid_interior=config.grid.n_interior,
+                           num_samples=config.num_samples, method=method,
+                           generation=generation)
 
 
 def _sample_blocks(num_samples: int, size: Optional[int] = None) -> list:
@@ -433,7 +425,9 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
     """The operator-action samples of indices, a range starting at a
     multiple of SAMPLE_BLOCK, as one block item: field name -> (b, m, m)
     node arrays, drawn from the block's three streams; the stencil and its
-    application run on the block (module docstring)."""
+    application run on the block (module docstring). A finite u whose
+    operator action overflows raises GenerationError naming the block's
+    samples, with no numpy warning."""
     pde, grid, seed = config.pde, config.grid, config.master_seed
     gen_c, gen_w, gen_n = (
         RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
@@ -444,7 +438,12 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
         family(pde).distributions, grid, gen_c, SAMPLE_BLOCK).items()}
     u = _combine_block(pool, gen_w, gen_n, len(indices), config.noise_eta,
                        config.weight_resample_threshold)
-    return {**fields, "f": apply_block(pde, grid, fields, u), "u": u}
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = apply_block(pde, grid, fields, u)
+    if not np.isfinite(f).all():
+        raise GenerationError(f"samples {indices.start}..{indices[-1]}: the "
+                              f"operator action A u is not finite")
+    return {**fields, "f": f, "u": u}
 
 
 def _run_samples(worker, items, threads: int):
@@ -499,17 +498,21 @@ def generate_diffoas(
     zero on the boundary, so u is zero there, as the operator action
     needs (`apply_block`), as long as the combination is finite; a block
     whose combination is not (a NaN or infinite basis value, or an
-    overflow) raises GenerationError (`_combine_block`). `write_dataset`
-    makes the first block before it touches out_dir.
+    overflow) raises GenerationError (`_combine_block`), and so does one
+    whose operator action overflows (`_diffoas_block`). `write_dataset`
+    makes the first block before it touches out_dir; an error in a later
+    block leaves out_dir with no manifest.
 
     The manifest records where the pool came from in generation["pool"]:
     "cache" is "solved" (built by this call), "none" (an ablation pool) or
     "given", and "solves" lists each basis solve's index, iterations and
     final relative residual. A solved pool also records the
-    "preconditioner" of its solves (from the pool's key). Solve wall times
-    go to generation["timings"]["pool_solve_seconds"], so the rest of the
-    manifest stays byte-identical across runs; each runs from its block's
-    start, so on more than one thread they overlap (`build_basis_pool`).
+    "preconditioner" of its solves (from the pool's key). solver_tol is
+    recorded only when this call solved the pool (`_base_manifest`). Solve
+    wall times go to generation["timings"]["pool_solve_seconds"], so the
+    rest of the manifest stays byte-identical across runs; each runs from
+    its block's start, so on more than one thread they overlap
+    (`build_basis_pool`).
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
@@ -534,7 +537,7 @@ def generate_diffoas(
 
     t1 = time.perf_counter()
     manifest = _base_manifest(
-        config, "diffoas" if kind is None else f"ablation-{kind}")
+        config, "diffoas" if kind is None else f"ablation-{kind}", solved)
     manifest.generation["pool_size"] = pool.size
     manifest.generation["pool"] = {
         "cache": cache,
@@ -600,7 +603,7 @@ def generate_classic(
             "solve_seconds": time.perf_counter() - t0,
         }
 
-    manifest = _base_manifest(config, "classic")
+    manifest = _base_manifest(config, "classic", solved=True)
     return Dataset(out_dir, write_dataset(out_dir, emit(), manifest))
 
 

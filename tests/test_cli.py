@@ -132,6 +132,23 @@ class TestUsageErrors:
         assert "--basis" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,method", [
+        ("--eta", "5", "classic"), ("--eta", "0", "classic"),
+        ("--tol", "1e-3", "ablation-grf"),
+        ("--tol", "1e-3", "ablation-fourier"),
+        ("--tol", "1e-5", "ablation-chebyshev")])
+    def test_flag_the_method_does_not_use(self, capsys, tmp_path, flag,
+                                          value, method):
+        # a classic dataset has no noise, and an ablation run solves nothing
+        out = tmp_path / "d"
+        code, _, err = run(["generate", "--method", method, "--grid", "4",
+                            "--samples", "2", flag, value, "--out", str(out)],
+                           capsys)
+        assert code == 64
+        assert f"{flag} does not apply to --method {method}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--tols", "-1"), ("--tols", ","), ("--tols", "nan"),
         ("--tols", "inf"), ("--dims", "0"), ("--dims", ","),
@@ -197,6 +214,26 @@ class TestGenerateVerifyInspect:
             ("solved", event["pool_iterations"])
         assert json.loads((tmp_path / "d" / "manifest.json").read_text())[
             "generation"]["pool"]["solves"] == solves
+
+    @pytest.mark.parametrize("method,flags,recorded", [
+        ("classic", ["--tol", "1e-3"], {"solver_tol": 1e-3}),
+        ("ablation-grf", ["--eta", "0.5"], {"noise_eta": 0.5}),
+        ("diffoas", ["--tol", "1e-6", "--eta", "0.5", "--basis", "2"],
+         {"solver_tol": 1e-6, "noise_eta": 0.5, "n_basis": 2})])
+    def test_manifest_records_the_settings_the_run_used(
+            self, capsys, tmp_path, method, flags, recorded):
+        code, _, _ = run(["generate", "--method", method, "--grid", "4",
+                          "--samples", "2", *flags,
+                          "--out", str(tmp_path / "d")], capsys)
+        assert code == 0
+        generation = json.loads((tmp_path / "d" / "manifest.json")
+                                .read_text())["generation"]
+        used = {"classic": {"solver_tol"},
+                "ablation-grf": {"n_basis", "noise_eta", "delta"},
+                "diffoas": {"solver_tol", "n_basis", "noise_eta", "delta"}}
+        assert {key for key in ("solver_tol", "n_basis", "noise_eta", "delta")
+                if key in generation} == used[method]
+        assert {key: generation[key] for key in recorded} == recorded
 
     def test_repeat_invocation_byte_identical(self, capsys, tmp_path):
         args = ["generate", "--grid", "8", "--samples", "3", "--basis", "2",

@@ -188,6 +188,22 @@ def test_matrix_free_path_checks_ellipticity(pde, name, bad):
                     u.values[None])
 
 
+@pytest.mark.parametrize("pde, name", [("darcy", "a"), ("diffusion", "k")])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("method", ["stencil", "preconditioner"])
+def test_stencil_and_preconditioner_check_ellipticity(pde, name, bad,
+                                                      method):
+    # one rule for both: the preconditioner's C^{1/2} would take the square
+    # root of a negative node or divide by a zero one (a numpy warning,
+    # an error under pytest) and return an M^{-1} that gives NaN or inf
+    grid = Grid2D(4)
+    fields = {c: np.ones((6, 6)) for c in FAMILIES[pde].coefficients}
+    fields[name][2, 2] = bad
+    with pytest.raises(EllipticityError,
+                       match=f"flux coefficient {name} must be positive"):
+        getattr(FAMILIES[pde], method)(grid, **fields)
+
+
 def test_new_family_costs_one_record(monkeypatch, tmp_path):
     # -div(c grad u) = f with a constant unit coefficient, registered and
     # nothing else

@@ -648,6 +648,76 @@ class TestClassic:
         assert crcs == self.GOLDEN_CRC32[pde]
 
 
+class TestClassicThreads:
+    """generate_classic solves one-sample blocks on the block runner;
+    neither the bytes nor the skipped samples depend on the thread
+    count."""
+
+    @pytest.mark.parametrize("pde", sorted(FAMILIES))
+    def test_classic_does_not_depend_on_threads(self, pde, tmp_path,
+                                                monkeypatch):
+        # sample 3 of 7 stays unconverged: found by its right-hand side, so
+        # that the skip does not depend on which thread solves it
+        config = GenerationConfig(pde, Grid2D(8), 7, method="classic",
+                                  master_seed=5)
+        gen = RngStream(5, "sample_params", 3).generator()
+        generator.draw_coefficients(pde, config.grid, gen)
+        stuck = generator.draw_forcing(pde, config.grid, gen).interior()
+        real = generator.gmres
+
+        def sample_3_fails(A, b, **kwargs):
+            return [dataclasses.replace(rep, converged=False)
+                    if np.array_equal(row, stuck) else rep
+                    for row, rep in zip(b, real(A, b, **kwargs))]
+
+        monkeypatch.setattr(generator, "gmres", sample_3_fails)
+        for threads in (1, 2, 3):
+            ds = generate_classic(config, tmp_path / f"t{threads}", threads)
+            assert ds.manifest.skipped_samples == [3]
+            assert ds.manifest.num_samples == 6
+        for threads in (2, 3):
+            for name in FAMILIES[pde].field_names:
+                assert (tmp_path / f"t{threads}" / f"{name}.f64").read_bytes() \
+                    == (tmp_path / "t1" / f"{name}.f64").read_bytes(), name
+            assert manifest_without_timings(tmp_path / f"t{threads}") == \
+                manifest_without_timings(tmp_path / "t1")
+
+    def test_items_are_one_sample_blocks(self, tmp_path, monkeypatch):
+        shapes = []
+        real = generator.write_dataset
+
+        def recording(out_dir, items, manifest):
+            def seen():
+                for item in items:
+                    shapes.append({name: a.shape for name, a in item.items()})
+                    yield item
+            return real(out_dir, seen(), manifest)
+
+        monkeypatch.setattr(generator, "write_dataset", recording)
+        generate_classic(small_config(method="classic", num_samples=3),
+                         tmp_path / "c", threads=2)
+        assert shapes == [dict.fromkeys(("a", "f", "u"), (1, 12, 12))] * 3
+
+
+@pytest.mark.parametrize("pool", ["solved", "given", "ablation", "classic"])
+def test_manifest_records_what_the_run_used(tmp_path, pool):
+    # solver_tol only where the run solved; the pool's n_basis, noise_eta
+    # and delta only for operator action
+    config = small_config(n_basis=2)
+    if pool == "classic":
+        ds = generate_classic(small_config(method="classic"), tmp_path)
+    elif pool == "given":
+        ds = generate_diffoas(config, tmp_path, pool=build_basis_pool(config))
+    else:
+        ds = generate_diffoas(config, tmp_path, pool=make_ablation_pool(
+            config, "fourier") if pool == "ablation" else None)
+    generation = read_dataset(tmp_path).manifest.generation
+    assert ("solver_tol" in generation) == (pool in ("solved", "classic"))
+    for key in ("n_basis", "noise_eta", "delta"):
+        assert (key in generation) == (pool != "classic")
+    assert generation == ds.manifest.generation
+
+
 @pytest.mark.parametrize("pool", ["solved", "given", "ablation", "classic"])
 def test_directory_holds_only_manifest_files(tmp_path, pool):
     # a basis_pool.npz pool cache of an earlier version is not covered by
@@ -665,7 +735,7 @@ def test_directory_holds_only_manifest_files(tmp_path, pool):
             config, "fourier") if pool == "ablation" else None)
     files = {entry["filename"] for entry in ds.manifest.field_files.values()}
     assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
-    assert verify_dataset(ds, ds.manifest.generation["solver_tol"]).passed
+    assert verify_dataset(ds, config.solver_tol).passed
 
 
 @pytest.mark.parametrize("method", ["diffoas", "classic"])
@@ -874,6 +944,18 @@ class TestAblation:
             generate_diffoas(config, out, pool=pool)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert verify_dataset(read_dataset(out), 1e-12).passed
+
+    def test_overflowing_operator_action_is_a_generation_error(self,
+                                                               tmp_path):
+        # the combinations of this pool are finite, but A u overflows in
+        # samples 16..23; no numpy warning is raised on the way
+        config = GenerationConfig("darcy", Grid2D(8), 64, master_seed=0)
+        pool = make_ablation_pool(config, "fourier")
+        pool = BasisPool(config.grid, pool.basis * 1e304)
+        with pytest.raises(GenerationError, match=re.escape(
+                "samples 16..23: the operator action A u is not finite")):
+            generate_diffoas(config, tmp_path / "d", pool=pool)
+        assert not (tmp_path / "d" / "manifest.json").exists()
 
     def test_empty_given_pool_is_a_generation_error(self, tmp_path):
         pool = BasisPool(Grid2D(10), [])
