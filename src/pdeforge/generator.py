@@ -319,12 +319,15 @@ def build_basis_pool(config: GenerationConfig,
                 raise BasisConstructionError(
                     f"basis solve {i} did not converge: relative residual "
                     f"{report.final_relative_residual:.3e} after "
-                    f"{report.iterations} iterations")
+                    f"{report.iterations} iterations"
+                )
             basis[i, 1:-1, 1:-1] = report.x.reshape(grid.n_interior, -1)
             provenance.append({
-                "index": i, "iterations": report.iterations,
+                "index": i,
+                "iterations": report.iterations,
                 "relative_residual": report.final_relative_residual,
-                "wall_time": report.wall_time})
+                "wall_time": report.wall_time,
+            })
     basis.flags.writeable = False
     return BasisPool(grid, basis, provenance, pool_cache_key(config))
 
@@ -425,9 +428,8 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
     """The operator-action samples of indices, a range starting at a
     multiple of SAMPLE_BLOCK, as one block item: field name -> (b, m, m)
     node arrays, drawn from the block's three streams; the stencil and its
-    application run on the block (module docstring). A finite u whose
-    operator action overflows raises GenerationError naming the block's
-    samples, with no numpy warning."""
+    application run on the block (module docstring). An operator action
+    that overflows raises GenerationError naming the block's samples."""
     pde, grid, seed = config.pde, config.grid, config.master_seed
     gen_c, gen_w, gen_n = (
         RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
@@ -592,9 +594,7 @@ def generate_classic(
             if not report.converged:
                 skipped.append(indices.start)
                 continue
-            u = np.zeros_like(fields["f"])
-            u[0, 1:-1, 1:-1] = report.x.reshape(n, n)
-            yield {**fields, "u": u}
+            yield {**fields, "u": np.pad(report.x.reshape(n, n), 1)[None]}
         if len(skipped) == config.num_samples:
             # raised inside write_dataset, as it takes the first item
             raise GenerationError("all samples failed to converge")

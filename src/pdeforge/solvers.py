@@ -25,9 +25,8 @@ goes on with `A[rows]` and `precond[rows]`, the operators of the systems
 left, as `StencilOperator` and `grid_ops.PoissonPreconditioner` give
 them. A one-dimensional b is one system, solved as the block of its one
 row (`_OneRow`); A and precond then see its vectors as they are,
-one-dimensional. The program passes only blocks (`generator._solve_blocks`,
-a classic sample as a block of one); the one-dimensional form stays for
-the perf harness, which passes a `CsrMatrix` and a (N,) b, and the tests.
+one-dimensional. The program passes only blocks (`generator._solve_blocks`);
+the perf harness (a `CsrMatrix` and a (N,) b) and the tests pass a 1-D b.
 
 The bit rule: each system of a block gets the bits it gets alone. Every
 per-system step is elementwise or a stacked product whose slices have one

@@ -121,25 +121,18 @@ class TestUsageErrors:
                          capsys)
         assert code == 2 and seen == [threads]
 
-    @pytest.mark.parametrize("method", [
-        "classic", "ablation-grf", "ablation-fourier", "ablation-chebyshev"])
-    def test_basis_is_for_diffoas_only(self, capsys, tmp_path, method):
-        out = tmp_path / "d"
-        code, _, err = run(["generate", "--method", method, "--grid", "4",
-                            "--samples", "2", "--basis", "7",
-                            "--out", str(out)], capsys)
-        assert code == 64
-        assert "--basis" in err and "Traceback" not in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("flag,value,method", [
+        *[("--basis", "7", method) for method in (
+            "classic", "ablation-grf", "ablation-fourier",
+            "ablation-chebyshev")],
         ("--eta", "5", "classic"), ("--eta", "0", "classic"),
         ("--tol", "1e-3", "ablation-grf"),
         ("--tol", "1e-3", "ablation-fourier"),
         ("--tol", "1e-5", "ablation-chebyshev")])
     def test_flag_the_method_does_not_use(self, capsys, tmp_path, flag,
                                           value, method):
-        # a classic dataset has no noise, and an ablation run solves nothing
+        # only diffoas solves a pool of --basis systems; a classic dataset
+        # has no noise, and an ablation run solves nothing
         out = tmp_path / "d"
         code, _, err = run(["generate", "--method", method, "--grid", "4",
                             "--samples", "2", flag, value, "--out", str(out)],

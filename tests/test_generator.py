@@ -169,8 +169,8 @@ class TestPreconditionedPool:
     def test_only_pool_solves_are_preconditioned(self, tmp_path,
                                                  monkeypatch):
         # classic generation is the paper's unpreconditioned baseline, a
-        # block of one system per gmres call; the pool solves its systems in blocks,
-        # one preconditioned gmres call per block
+        # block of one system per gmres call; the pool solves its systems
+        # in blocks, one preconditioned gmres call per block
         calls = []
 
         def recording(A, b, **kwargs):
@@ -676,10 +676,11 @@ class TestClassicThreads:
             assert ds.manifest.skipped_samples == [3]
             assert ds.manifest.num_samples == 6
         for threads in (2, 3):
+            out = tmp_path / f"t{threads}"
             for name in FAMILIES[pde].field_names:
-                assert (tmp_path / f"t{threads}" / f"{name}.f64").read_bytes() \
-                    == (tmp_path / "t1" / f"{name}.f64").read_bytes(), name
-            assert manifest_without_timings(tmp_path / f"t{threads}") == \
+                assert (out / f"{name}.f64").read_bytes() == \
+                    (tmp_path / "t1" / f"{name}.f64").read_bytes(), name
+            assert manifest_without_timings(out) == \
                 manifest_without_timings(tmp_path / "t1")
 
     def test_items_are_one_sample_blocks(self, tmp_path, monkeypatch):
