@@ -147,11 +147,11 @@ class PdeFamily:
 
     def _flux_values(self, grid: Grid2D, fields: dict):
         """The flux coefficient's node arrays from fields (None: c = 1);
-        EllipticityError unless it is positive everywhere."""
+        EllipticityError unless it is positive everywhere (NaN is not)."""
         if self.flux is None:
             return None
         c = _check_field(grid, fields[self.flux], self.flux)
-        if c.min() <= 0.0:
+        if not c.min() > 0.0:  # NaN fails it
             raise EllipticityError(f"flux coefficient {self.flux} must be "
                                    f"positive everywhere, min={c.min():g}")
         return c

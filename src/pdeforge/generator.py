@@ -41,17 +41,21 @@ name -> (b, m, m) node arrays, which `write_dataset` writes with one
 write and one CRC-32 update per field, as the bytes of its samples one
 after another.
 
-Blocks run on `threads` worker threads, by default one per usable CPU,
-and are written in block order. Every linear system is drawn and solved by
-`_solve_blocks`, one `gmres` call per block of systems: the pool's blocks
-on those threads too (`build_basis_pool`), the classic samples one per
-block. `verify_dataset` reads, CRCs and checks blocks on one thread per
-usable CPU. The generate paths, the pool build and verification run with
-numpy's OpenBLAS pinned to one thread (`one_blas_thread`): OpenBLAS
-splits a matrix product, and a dot product of a long vector, among its
-threads in a way that changes its rounding, and N worker threads x N BLAS
-threads would oversubscribe the CPUs. With the pin, neither a dataset's
-bytes nor a verify report depends on either thread count.
+Blocks run on `threads` worker threads and are written in block order.
+Every linear system is drawn and solved by `_solve_blocks`, one `gmres`
+call per block of systems: the pool's blocks on threads too
+(`build_basis_pool`), the classic samples one per block. `verify_dataset`
+reads, CRCs and checks blocks on threads. One rule, `_thread_count`, sets
+the default count of each of these work lists: the calling thread alone
+for fewer than MIN_ITEMS items or items of fewer than MIN_ITEM_NODES
+nodes, where a second worker costs more than it gains, and otherwise one
+thread per usable CPU. The generate paths, the pool build and
+verification run with numpy's OpenBLAS pinned to one thread
+(`one_blas_thread`): OpenBLAS splits a matrix product, and a dot product
+of a long vector, among its threads in a way that changes its rounding,
+and N worker threads x N BLAS threads would oversubscribe the CPUs. With
+the pin, neither a dataset's bytes nor a verify report depends on either
+thread count.
 """
 
 from __future__ import annotations
@@ -96,6 +100,15 @@ SAMPLE_BLOCK = 8
 # unknowns in all (SAMPLE_BLOCK systems at n = 64): a larger block's
 # vectors spill the cache, and it holds k x iterations x N of Krylov basis
 POOL_BLOCK_UNKNOWNS = SAMPLE_BLOCK * 64 * 64
+# by default a work list runs on the calling thread alone when it has fewer
+# items than MIN_ITEMS or items of fewer nodes than MIN_ITEM_NODES, where a
+# second worker does not pay for its time and its malloc arena. On a 2-vCPU
+# box (BENCH_32.json), two threads took 0.80-1.19x the time of one on the
+# default pools at n=64 (4-7 blocks of 8 x 66^2 nodes) and peaked 6-13 MiB
+# higher, and 0.57-0.62x at n=128 (15-25 blocks of 2 x 130^2); they lost on
+# darcy sample blocks at n=32 (8 x 34^2 nodes) and won at n=48 (8 x 50^2)
+MIN_ITEMS = 8
+MIN_ITEM_NODES = 16 * 1024
 # (get, set) thread-count symbols of the OpenBLAS builds numpy links: its
 # wheels' scipy-openblas (64-bit integers) and a system OpenBLAS
 OPENBLAS_THREAD_SYMBOLS = (
@@ -162,16 +175,22 @@ def one_blas_thread():
         set_(previous)
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    """threads, or for None the CPUs this process may run on."""
-    if threads is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # not on every platform
-            return os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+def _thread_count(threads: Optional[int], items: int,
+                  item_nodes: int) -> int:
+    """The worker threads of a list of items work items of item_nodes
+    nodes each: threads when given; for None the calling thread alone
+    (1) when items < MIN_ITEMS or item_nodes < MIN_ITEM_NODES, else the
+    CPUs this process may run on. threads < 1 raises ValueError."""
+    if threads is not None:
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        return threads
+    if items < MIN_ITEMS or item_nodes < MIN_ITEM_NODES:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -267,6 +286,7 @@ class BasisPool:
     basis: np.ndarray  # (l, m, m) solutions, zero boundary trace
     provenance: list = dc_field(default_factory=list)
     key: dict = dc_field(default_factory=dict)
+    threads: Optional[int] = None  # worker threads of its build, if built
 
     def __post_init__(self):
         """Stack basis, any sequence of (m, m) fields, FieldSamples too,
@@ -300,18 +320,21 @@ def build_basis_pool(config: GenerationConfig,
     The solves run in blocks of consecutive indices (`_solve_blocks`, role
     "basis_params"): SAMPLE_BLOCK systems, fewer where they would hold more
     than POOL_BLOCK_UNKNOWNS unknowns (two at n = 128, one above), on
-    threads worker threads, by default one per usable CPU, with one BLAS
-    thread. The pool is the same at any thread count and block size.
+    threads worker threads, by default as `_thread_count` rules for the
+    blocks (the calling thread alone for a default pool at n <= 64), with
+    one BLAS thread; the pool records the count in `BasisPool.threads`.
+    The pool is the same at any thread count and block size.
     threads < 1 raises ValueError. A solve that does not converge
     raises BasisConstructionError naming the lowest such index. Each
     provenance entry's wall_time is the seconds from its block's start to
     that solve's exit, so on more than one thread the entries overlap."""
-    threads = _thread_count(threads)
     grid = config.grid
     basis = np.zeros((config.n_basis, grid.n_nodes, grid.n_nodes))
     provenance = []
     blocks = _sample_blocks(config.n_basis, max(1, min(
         SAMPLE_BLOCK, POOL_BLOCK_UNKNOWNS // grid.n_unknowns)))
+    threads = _thread_count(threads, len(blocks),
+                            len(blocks[0]) * grid.n_nodes ** 2)
     for indices, _, reports in _solve_blocks(config, "basis_params", blocks,
                                              threads, preconditioned=True):
         for i, report in zip(indices, reports):
@@ -329,7 +352,8 @@ def build_basis_pool(config: GenerationConfig,
                 "wall_time": report.wall_time,
             })
     basis.flags.writeable = False
-    return BasisPool(grid, basis, provenance, pool_cache_key(config))
+    return BasisPool(grid, basis, provenance, pool_cache_key(config),
+                     threads)
 
 
 def combine_solution(
@@ -450,7 +474,8 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
 
 def _run_samples(worker, items, threads: int):
     """worker(item) for each of items (any iterable, pulled in the calling
-    thread), yielded in order. With threads > 1 and more than one item
+    thread), yielded in order; threads is the count its caller's
+    `_thread_count` chose. With threads > 1 and more than one item
     they run on that many threads, at most 2 * threads of them pulled and
     submitted ahead of the consumer: a slow consumer holds a bounded number
     of items and results, not all of them. A lone item runs in the calling
@@ -485,12 +510,15 @@ def generate_diffoas(
 ) -> Dataset:
     """Operator-action generation; writes the dataset under out_dir.
 
-    Sample blocks run on threads worker threads, by default one per usable
-    CPU, with one BLAS thread (module docstring); the bytes are the same at
-    any count. threads < 1 raises ValueError.
+    Sample blocks run on threads worker threads, by default as
+    `_thread_count` rules for them (the calling thread alone for fewer
+    than MIN_ITEMS blocks or at n <= 43, else one per usable CPU), with
+    one BLAS thread (module docstring); the bytes are the same at any
+    count. threads < 1 raises ValueError.
 
-    pool None solves one with `build_basis_pool` on the same threads, on
-    every call. A given
+    pool None solves one with `build_basis_pool`, on every call, given the
+    same threads: an explicit count, or None, with which the pool's blocks
+    get their own default. A given
     pool is used as it is; an ablation pool (`make_ablation_pool`) names
     its kind in its key, and the manifest method is then "ablation-<kind>".
     The samples and the manifest take n_basis, and so delta, from the
@@ -514,11 +542,15 @@ def generate_diffoas(
     wall times go to generation["timings"]["pool_solve_seconds"], so the
     rest of the manifest stays byte-identical across runs; each runs from
     its block's start, so on more than one thread they overlap
-    (`build_basis_pool`).
+    (`build_basis_pool`). The timings also hold "sample_threads", the
+    threads of the sample blocks, and for a pool this call solved
+    "pool_threads", those of its solves.
     """
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
-    threads = _thread_count(threads)
+    blocks = _sample_blocks(config.num_samples)
+    sample_threads = _thread_count(threads, len(blocks),
+                                   SAMPLE_BLOCK * config.grid.n_nodes ** 2)
     t0 = time.perf_counter()
     solved = pool is None
     if solved:
@@ -550,19 +582,21 @@ def generate_diffoas(
         manifest.generation["pool"]["preconditioner"] = \
             pool.key["preconditioner"]
 
-    def blocks():
+    def items():
         yield from _run_samples(
-            lambda indices: _diffoas_block(config, pool, indices),
-            _sample_blocks(config.num_samples), threads)
+            lambda indices: _diffoas_block(config, pool, indices), blocks,
+            sample_threads)
         # write_dataset writes the manifest after the last block
         manifest.generation["timings"] = {
             "basis_seconds": basis_seconds,
             "pool_solve_seconds": [solve["wall_time"]
                                    for solve in pool.provenance],
             "action_seconds": time.perf_counter() - t1,
+            **({"pool_threads": pool.threads} if solved else {}),
+            "sample_threads": sample_threads,
         }
 
-    return Dataset(out_dir, write_dataset(out_dir, blocks(), manifest))
+    return Dataset(out_dir, write_dataset(out_dir, items(), manifest))
 
 
 @one_blas_thread()
@@ -577,12 +611,14 @@ def generate_classic(
     before out_dir is touched (`write_dataset` takes the first sample
     first), so the dataset in out_dir stays as it was.
 
-    threads defaults to 1, not to the CPU count as for `generate_diffoas`:
-    each solve in flight holds its own Krylov basis, so every thread adds
-    that much to peak memory. threads < 1 raises ValueError."""
+    threads defaults to 1, not to `_thread_count`'s rule as for
+    `generate_diffoas`: each solve in flight holds its own Krylov basis,
+    so every thread adds that much to peak memory. threads < 1 raises
+    ValueError."""
     if config.method != "classic":
         raise GenerationError("generate_classic requires method='classic'")
-    threads = _thread_count(threads)
+    threads = _thread_count(threads, config.num_samples,
+                            config.grid.n_nodes ** 2)
     n = config.grid.n_interior
     skipped = []
     t0 = time.perf_counter()
@@ -649,10 +685,12 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
     from 2-D neighbor views of u: an independent check of the flat-offset
     `apply_stencil` that computed f (`grid_ops`).
 
-    The dataset is checked SAMPLE_BLOCK samples at a time on one worker
-    thread per usable CPU with one BLAS thread, at most two blocks per
-    thread ahead (`_run_samples`). Each worker reads its block, CRCs its
-    bytes, builds its stencil and applies it once, on the (b, m, m)
+    The dataset is checked SAMPLE_BLOCK samples at a time on worker
+    threads as `_thread_count` rules for the blocks (the calling thread
+    alone for fewer than MIN_ITEMS blocks or at n <= 43, else one per
+    usable CPU), with one BLAS thread, at most two blocks per thread
+    ahead (`_run_samples`). Each worker reads its block, CRCs its bytes,
+    builds its stencil and applies it once, on the (b, m, m)
     arrays, and takes the norms of f and of the residual per sample as
     one stacked product, each slice the dot product `np.linalg.norm`
     takes; the calling thread folds the CRC-32s in block order
@@ -673,7 +711,9 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
     whose coefficients are not elliptic."""
     pde_family = family(dataset.manifest.pde)
     grid = dataset.grid
-    threads = _thread_count(None)
+    threads = _thread_count(
+        None, math.ceil(dataset.manifest.num_samples / SAMPLE_BLOCK),
+        SAMPLE_BLOCK * grid.n_nodes ** 2)
 
     def check(start: int, block: dict) -> tuple:
         """(residuals, failing sample indices) of the block of samples

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from pdeforge import cli
+from pdeforge import cli, generator
 from pdeforge.cli import main
 from pdeforge.dataset_io import FORMAT, checksum_field, read_dataset
 
@@ -190,6 +190,21 @@ class TestGenerateVerifyInspect:
         assert event["event"] == "generate-done"
         assert "basis_seconds" in event and "action_seconds" in event
 
+    @pytest.mark.parametrize("flags,threads",
+                             [([], 1), (["--threads", "2"], 2)])
+    def test_generate_telemetry_reports_threads(self, capsys, tmp_path,
+                                                flags, threads):
+        # by default a 16 x 16 pool and its 8 samples are too small for a
+        # second thread; --threads sets both
+        out = tmp_path / "d"
+        _, _, stderr = run(["generate", "--grid", "16", "--samples", "8",
+                            "--out", str(out), *flags], capsys)
+        event = json.loads(stderr.strip().splitlines()[-1])
+        timings = json.loads((out / "manifest.json").read_text())[
+            "generation"]["timings"]
+        for key in ("pool_threads", "sample_threads"):
+            assert event[key] == timings[key] == threads
+
     def test_generate_telemetry_reports_pool(self, capsys, tmp_path):
         args = ["generate", "--grid", "8", "--samples", "2", "--basis", "2",
                 "--out", str(tmp_path / "d")]
@@ -260,7 +275,10 @@ class TestGenerateVerifyInspect:
                                                monkeypatch, name):
         # the corrupt byte makes its block raise (a) or its residual NaN
         # (f); the CRC-32 mismatch is reported first, as corruption. On one
-        # CPU the last block raises before the end of the file is read
+        # CPU the last block raises before the end of the file is read; the
+        # thread rule is lifted, so that two CPUs check the blocks on two
+        monkeypatch.setattr(generator, "MIN_ITEMS", 0)
+        monkeypatch.setattr(generator, "MIN_ITEM_NODES", 0)
         out = tmp_path / "d"
         run(["generate", "--grid", "8", "--samples", "10", "--basis", "2",
              "--out", str(out)], capsys)

@@ -189,13 +189,14 @@ def test_matrix_free_path_checks_ellipticity(pde, name, bad):
 
 
 @pytest.mark.parametrize("pde, name", [("darcy", "a"), ("diffusion", "k")])
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 @pytest.mark.parametrize("method", ["stencil", "preconditioner"])
 def test_stencil_and_preconditioner_check_ellipticity(pde, name, bad,
                                                       method):
     # one rule for both: the preconditioner's C^{1/2} would take the square
     # root of a negative node or divide by a zero one (a numpy warning,
-    # an error under pytest) and return an M^{-1} that gives NaN or inf
+    # an error under pytest) and return an M^{-1} that gives NaN or inf;
+    # a NaN node passes a `<= 0` test and gives a NaN stencil and M^{-1}
     grid = Grid2D(4)
     fields = {c: np.ones((6, 6)) for c in FAMILIES[pde].coefficients}
     fields[name][2, 2] = bad

@@ -322,7 +322,8 @@ class TestBlockPool:
         monkeypatch.setattr(generator, "build_basis_pool", recording)
         generate_diffoas(small_config(), tmp_path / "a", threads=3)
         generate_diffoas(small_config(), tmp_path / "b")
-        assert seen == [3, generator._thread_count(None)]
+        # None: the pool's blocks get their own default
+        assert seen == [3, None]
 
 
 class TestCombine:
@@ -1043,7 +1044,9 @@ class TestBlockVerify:
 
     def test_report_does_not_depend_on_the_cpu_count(self, tmp_path,
                                                        monkeypatch):
-        # verify checks blocks on one thread per usable CPU
+        # verify checks blocks on one thread per usable CPU where the
+        # thread rule lets a list run on more than one
+        thread_every_list(monkeypatch)
         ds = generate_classic(GenerationConfig(
             "darcy", Grid2D(6), self.COUNT, method="classic",
             solver_tol=1e-4, master_seed=3), tmp_path / "c")
@@ -1140,6 +1143,101 @@ def use_cpus(monkeypatch, cpus: int) -> None:
                         lambda pid: set(range(cpus)), raising=False)
 
 
+def thread_every_list(monkeypatch) -> None:
+    """Lift the thread rule's serial cases: a default list of two items or
+    more runs on one thread per usable CPU, however short or small."""
+    monkeypatch.setattr(generator, "MIN_ITEMS", 0)
+    monkeypatch.setattr(generator, "MIN_ITEM_NODES", 0)
+
+
+class TestThreadRule:
+    def test_explicit_threads_win(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        rule = generator._thread_count
+        big = (10 * generator.MIN_ITEMS, 10 * generator.MIN_ITEM_NODES)
+        assert rule(1, *big) == 1
+        assert rule(7, *big) == 7  # more threads than CPUs
+        assert rule(3, 1, 1) == 3
+        with pytest.raises(ValueError, match="threads"):
+            rule(0, *big)
+
+    def test_each_constant_alone_forces_one_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        rule = generator._thread_count
+        items, nodes = generator.MIN_ITEMS, generator.MIN_ITEM_NODES
+        assert rule(None, items, nodes) == 4
+        assert rule(None, items - 1, 100 * nodes) == 1
+        assert rule(None, 100 * items, nodes - 1) == 1
+
+    @pytest.mark.parametrize("n,threads", [(64, 1), (128, 2)])
+    @pytest.mark.parametrize("pde", list(FAMILIES))
+    def test_default_pool_threads(self, monkeypatch, pde, n, threads):
+        # n=64: 4-7 blocks, every one on the calling thread; n=128: 15-25
+        # blocks on both CPUs. gmres is recorded, not run
+        use_cpus(monkeypatch, 2)
+        solved_on = set()
+
+        def thread_only(A, b, **kwargs):
+            solved_on.add(threading.get_ident())
+            return [SolveReport(np.zeros(A.shape[0]), 1, True, 0.0, 0.0)
+                    for _ in b]
+
+        monkeypatch.setattr(generator, "gmres", thread_only)
+        pool = build_basis_pool(GenerationConfig(pde, Grid2D(n), 1))
+        assert pool.threads == threads
+        if threads == 1:
+            assert solved_on == {threading.get_ident()}
+
+    def test_500_samples_at_64_use_every_cpu(self, tmp_path, monkeypatch):
+        # the sample blocks' count is recorded, and the run stopped there
+        use_cpus(monkeypatch, 3)
+        config = GenerationConfig("darcy", Grid2D(64), 500)
+        threads_used = []
+
+        class Stop(Exception):
+            pass
+
+        def recording(worker, items, threads):
+            threads_used.append((len(items), threads))
+            raise Stop
+
+        monkeypatch.setattr(generator, "_run_samples", recording)
+        with pytest.raises(Stop):
+            generate_diffoas(config, tmp_path / "d",
+                             pool=make_ablation_pool(config, "fourier"))
+        assert threads_used == [(63, 3)]
+
+    def test_timings_record_the_thread_counts(self, tmp_path, monkeypatch):
+        config = small_config(num_samples=2 * generator.SAMPLE_BLOCK + 5)
+        generation = generate_diffoas(config, tmp_path / "a").manifest \
+            .generation
+        assert (generation["timings"]["pool_threads"],
+                generation["timings"]["sample_threads"]) == (1, 1)
+        generation = generate_diffoas(config, tmp_path / "b", threads=3,
+                                      pool=build_basis_pool(config)) \
+            .manifest.generation
+        assert "pool_threads" not in generation["timings"]
+        assert generation["timings"]["sample_threads"] == 3
+
+    def test_lifted_rule_writes_the_bytes_of_one_thread(self, tmp_path,
+                                                        monkeypatch):
+        # the default path on two threads, pool and samples: three sample
+        # blocks, the last one partial
+        use_cpus(monkeypatch, 2)
+        thread_every_list(monkeypatch)
+        config = small_config(num_samples=2 * generator.SAMPLE_BLOCK + 5,
+                              n_basis=20)
+        default = generate_diffoas(config, tmp_path / "default")
+        timings = default.manifest.generation["timings"]
+        assert (timings["pool_threads"], timings["sample_threads"]) == (2, 2)
+        generate_diffoas(config, tmp_path / "t1", threads=1)
+        for name in ("a", "f", "u"):
+            assert (tmp_path / "default" / f"{name}.f64").read_bytes() == \
+                (tmp_path / "t1" / f"{name}.f64").read_bytes(), name
+        assert manifest_without_timings(tmp_path / "default") == \
+            manifest_without_timings(tmp_path / "t1")
+
+
 def copy_dataset(ds, out: Path) -> Path:
     out.mkdir()
     names = [f"{name}.f64" for name in ds.manifest.field_names]
@@ -1165,6 +1263,7 @@ class TestVerifyCanFail:
     def test_one_ulp_of_f_fails_that_sample_alone(self, source, tmp_path,
                                                   monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
+        thread_every_list(monkeypatch)
         out = copy_dataset(source, tmp_path / "d")
         f = read_field(source, "f")
         f[self.BAD, 5, 3] = np.nextafter(f[self.BAD, 5, 3], np.inf)
@@ -1181,6 +1280,7 @@ class TestVerifyCanFail:
         # a boundary node of u is read by one interior row alone, through
         # the neighbor view of one direction
         use_cpus(monkeypatch, cpus)
+        thread_every_list(monkeypatch)
         out = copy_dataset(source, tmp_path / "d")
         u = read_field(source, "u")
         u[(self.BAD, *node)] = 1e-3
@@ -1198,6 +1298,7 @@ class TestVerifyCanFail:
         # the worker that reads the cut block raises; no other error, and
         # the run ends
         use_cpus(monkeypatch, cpus)
+        thread_every_list(monkeypatch)
         out = copy_dataset(source, tmp_path / "d")
         ds = read_dataset(out)
         path = out / "u.f64"
