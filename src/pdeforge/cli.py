@@ -141,9 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads for the pool solves and the sample blocks "
                         "(default: for each, 1 when it has fewer than 8 "
                         "blocks or blocks of fewer than 16384 nodes, else "
-                        "the usable CPU count; 1 for --method classic, "
-                        "whose solves each hold their own Krylov basis, so "
-                        "that every thread adds one to peak memory)")
+                        "the usable CPU count, and the pool that of the "
+                        "samples when they run on more than one; 1 for "
+                        "--method classic, whose solves each hold their "
+                        "own Krylov basis, so that every thread adds one "
+                        "to peak memory)")
 
     v = sub.add_parser("verify", help="re-check dataset residuals")
     v.add_argument("--data", required=True, help="dataset directory")

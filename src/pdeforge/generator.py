@@ -49,13 +49,14 @@ reads, CRCs and checks blocks on threads. One rule, `_thread_count`, sets
 the default count of each of these work lists: the calling thread alone
 for fewer than MIN_ITEMS items or items of fewer than MIN_ITEM_NODES
 nodes, where a second worker costs more than it gains, and otherwise one
-thread per usable CPU. The generate paths, the pool build and
-verification run with numpy's OpenBLAS pinned to one thread
-(`one_blas_thread`): OpenBLAS splits a matrix product, and a dot product
-of a long vector, among its threads in a way that changes its rounding,
-and N worker threads x N BLAS threads would oversubscribe the CPUs. With
-the pin, neither a dataset's bytes nor a verify report depends on either
-thread count.
+thread per usable CPU; a pool that `generate_diffoas` solves ahead of
+sample blocks on more threads than one takes their count. The generate
+paths, the pool build and verification run with numpy's OpenBLAS pinned
+to one thread (`one_blas_thread`): OpenBLAS splits a matrix product, and
+a dot product of a long vector, among its threads in a way that changes
+its rounding, and N worker threads x N BLAS threads would oversubscribe
+the CPUs. With the pin, neither a dataset's bytes nor a verify report
+depends on either thread count.
 """
 
 from __future__ import annotations
@@ -516,9 +517,11 @@ def generate_diffoas(
     one BLAS thread (module docstring); the bytes are the same at any
     count. threads < 1 raises ValueError.
 
-    pool None solves one with `build_basis_pool`, on every call, given the
-    same threads: an explicit count, or None, with which the pool's blocks
-    get their own default. A given
+    pool None solves one with `build_basis_pool`, on every call, on the
+    sample blocks' threads when they run on more than one, else given
+    threads: an explicit 1, or None, with which the pool's blocks get
+    their own default. A serial pool ahead of threaded samples left the
+    second CPU idle for half of a cold n=64 generate. A given
     pool is used as it is; an ablation pool (`make_ablation_pool`) names
     its kind in its key, and the manifest method is then "ablation-<kind>".
     The samples and the manifest take n_basis, and so delta, from the
@@ -554,7 +557,8 @@ def generate_diffoas(
     t0 = time.perf_counter()
     solved = pool is None
     if solved:
-        pool = build_basis_pool(config, threads)
+        pool = build_basis_pool(
+            config, sample_threads if sample_threads > 1 else threads)
     basis_seconds = time.perf_counter() - t0
     if pool.size < 1:
         raise GenerationError("basis pool is empty")

@@ -1207,6 +1207,29 @@ class TestThreadRule:
                              pool=make_ablation_pool(config, "fourier"))
         assert threads_used == [(63, 3)]
 
+    @pytest.mark.parametrize("samples,pool_threads", [(100, 2), (10, None)])
+    def test_cold_pool_takes_threaded_samples_count(
+            self, tmp_path, monkeypatch, samples, pool_threads):
+        # helmholtz at n=64: 100 samples make 13 blocks on both CPUs, and
+        # the pool solved for them gets those threads, though its own 7
+        # blocks would run on one; 10 samples make 2 blocks on the calling
+        # thread, and the pool its own default. The run stops at the pool
+        use_cpus(monkeypatch, 2)
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def recording(config, threads=None):
+            seen.append(threads)
+            raise Stop
+
+        monkeypatch.setattr(generator, "build_basis_pool", recording)
+        with pytest.raises(Stop):
+            generate_diffoas(GenerationConfig("helmholtz", Grid2D(64),
+                                              samples), tmp_path / "d")
+        assert seen == [pool_threads]
+
     def test_timings_record_the_thread_counts(self, tmp_path, monkeypatch):
         config = small_config(num_samples=2 * generator.SAMPLE_BLOCK + 5)
         generation = generate_diffoas(config, tmp_path / "a").manifest \
