@@ -25,8 +25,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
     BenchConfigError,
     emit_report,
@@ -139,13 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output dataset directory")
     g.add_argument("--threads", type=COUNT, default=None,
                    help="threads for the pool solves and the sample blocks "
-                        "(default: for each, 1 when it has fewer than 8 "
-                        "blocks or blocks of fewer than 16384 nodes, else "
-                        "the usable CPU count, and the pool that of the "
-                        "samples when they run on more than one; 1 for "
-                        "--method classic, whose solves each hold their "
-                        "own Krylov basis, so that every thread adds one "
-                        "to peak memory)")
+                        "(default: by the thread rule that "
+                        "pdeforge.generator._thread_count states)")
 
     v = sub.add_parser("verify", help="re-check dataset residuals")
     v.add_argument("--data", required=True, help="dataset directory")

@@ -13,11 +13,9 @@ per field and block, on the thread that processes the block.
 
 `read_dataset` judges the manifest and each field file's presence and
 length up front. The bytes are checked against the manifest's CRC-32s as
-they are read, so that a full pass reads each byte once: each block's
-bytes are CRCed as they are read and the blocks' CRC-32s folded in order
-(`crc32_combine`) and checked after the last block, and
-`Dataset.field_sample` CRCs a field once, on its first read.
-DatasetIntegrityError names the field file that does not match.
+they are read, so that a full pass reads each byte once (`Dataset.blocks`,
+`Dataset.field_sample`); DatasetIntegrityError names the field file that
+does not match.
 """
 
 from __future__ import annotations
@@ -322,11 +320,9 @@ class Dataset:
         return values
 
     def field_sample(self, field_name: str, k: int) -> FieldSample:
-        """Sample k of a field. The first read of a field from this Dataset
-        CRCs its whole file (`checksum_field`), unless `blocks` has
-        already checked it, so a corrupt byte anywhere in the field raises
-        DatasetIntegrityError at any k; later reads of the field read one
-        sample."""
+        """Sample k of a field. The first read of a field CRCs its whole
+        file (`checksum_field`) unless `blocks` has checked it, so a
+        corrupt byte anywhere in it raises DatasetIntegrityError at any k."""
         if field_name not in self.manifest.field_names:
             raise DatasetFormatError(
                 f"field {field_name!r} not in pde {self.manifest.pde!r}"
@@ -398,9 +394,8 @@ class Dataset:
 
 
 def read_dataset(dir: os.PathLike) -> Dataset:
-    """Open a dataset: its manifest as DatasetManifest.from_dict judges it,
-    then each field file's presence and length. No field byte is read
-    here; the Dataset checks the CRC-32s as it reads (module docstring)."""
+    """Open a dataset, judging its manifest and each field file's
+    presence and length (module docstring); no field byte is read here."""
     out = Path(dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():

@@ -14,9 +14,9 @@ time.
 `PdeFamily.stencil` builds the operator's 5-point stencil from the
 record, one sample's or a (b, m, m) block's, and `grid_ops` tells how its
 forms check each other. `grid_ops.StencilOperator` wraps it as the
-matrix-free operator the basis and classic solves take, `apply_block`
-applies it to (b, m, m) stacks of samples, as generation does, and
-`PdeCoefficients.assemble()` writes one sample's as a CSR matrix, the
+matrix-free operator the basis and classic solves take, generation
+applies it to (b, m, m) stacks of samples with `grid_ops.apply_stencil`,
+and `PdeCoefficients.assemble()` writes one sample's as a CSR matrix, the
 tests' reference form. `PdeFamily.preconditioner` gives the pool solves'
 M^{-1}, likewise for one sample or a block: a fast Poisson solve scaled
 by the flux coefficient, M = -sign C^{1/2} (-lap_h) C^{1/2} (Concus &
@@ -58,7 +58,6 @@ from .grid_ops import (
     _check_field,
     _five_point,
     _flux_form,
-    apply_stencil,
 )
 
 
@@ -245,17 +244,3 @@ class PdeCoefficients:
         (imports scipy.sparse); no command builds it."""
         return _five_point(self.grid, *family(self.pde).stencil(
             self.grid, **self.fields))
-
-
-def apply_block(pde: str, grid: Grid2D, fields: dict,
-                u: np.ndarray) -> np.ndarray:
-    """f = A u matrix-free for a block of samples, with zero boundary:
-    fields maps each coefficient name of the family to (b, m, m) node
-    arrays, and u holds b samples' (m, m) node arrays on grid. The rows
-    next to the boundary read u's boundary nodes, so f is the operator's
-    only when u vanishes there, as a pool that `generator.generate_diffoas`
-    accepts makes it. Every step is elementwise, so sample i of f is
-    bit-identical to the same call on sample i alone."""
-    u = _check_field(grid, u, "u")
-    return apply_stencil(family(pde).stencil(grid, **fields), u,
-                         np.empty(u.shape))

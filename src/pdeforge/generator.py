@@ -34,29 +34,35 @@ runs once on the contiguous block and is elementwise or a per-sample
 reduction: the GRFs' scale and exp, a shift to a minimum, the
 noise normalization (max |g| as max(max g, -min g)) and amplitude, the
 mask, the stencil and its application in the row-padded layout of
-`grid_ops`. Verification takes each norm per sample, as one stacked
-product of per-sample dot products. So sample i of a block gets the bits
+`grid_ops`. Verification takes each norm per sample with `solvers._norms`,
+the stacked dot products GMRES takes. So sample i of a block gets the bits
 it would get alone. A block item is a dict of field
 name -> (b, m, m) node arrays, which `write_dataset` writes with one
 write and one CRC-32 update per field, as the bytes of its samples one
 after another.
 
-Blocks run on `threads` worker threads and are written in block order.
-Every linear system is drawn and solved by `_solve_blocks`, one `gmres`
-call per block of systems: the pool's blocks on threads too
+The zero-boundary rule, stated here once: the stencil's rows next to the
+boundary read u's boundary nodes (no row reads a corner), so a stored f
+is A u of the zero-Dirichlet problem only when u is zero on the boundary.
+Every u is a combination of the pool plus noise masked to zero there, so
+`generate_diffoas` refuses, before out_dir is touched, a pool whose basis
+is not zero there, and `verify_dataset` fails a sample whose stored u is
+not; `_off_boundary` is the one test of both.
+
+Blocks run on worker threads and are written in block order. Every
+linear system is drawn and solved by `_solve_blocks`, one `gmres` call
+per block of systems: the pool's blocks on threads too
 (`build_basis_pool`), the classic samples one per block. `verify_dataset`
-reads, CRCs and checks blocks on threads. One rule, `_thread_count`, sets
-the default count of each of these work lists: the calling thread alone
-for fewer than MIN_ITEMS items or items of fewer than MIN_ITEM_NODES
-nodes, where a second worker costs more than it gains, and otherwise one
-thread per usable CPU; a pool that `generate_diffoas` solves ahead of
-sample blocks on more threads than one takes their count. The generate
-paths, the pool build and verification run with numpy's OpenBLAS pinned
-to one thread (`one_blas_thread`): OpenBLAS splits a matrix product, and
-a dot product of a long vector, among its threads in a way that changes
-its rounding, and N worker threads x N BLAS threads would oversubscribe
-the CPUs. With the pin, neither a dataset's bytes nor a verify report
-depends on either thread count.
+reads, CRCs and checks blocks on threads. `_thread_count` states the one
+rule that sets the thread count of each of these work lists.
+
+The BLAS pin, stated here once: the generate paths, the pool build and
+verification run with numpy's OpenBLAS pinned to one thread
+(`one_blas_thread`). OpenBLAS splits a matrix product, and a dot product
+of a long vector, among its threads in a way that changes its rounding,
+and N worker threads x N BLAS threads would oversubscribe the CPUs. With
+the pin, neither a dataset's bytes nor a verify report depends on either
+thread count.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -77,7 +84,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset_io import Dataset, DatasetManifest, write_dataset
-from .families import FAMILIES, PdeCoefficients, apply_block, family
+from .families import FAMILIES, PdeCoefficients, family
 from .fields import (
     GrfParams,
     RngStream,
@@ -88,8 +95,9 @@ from .fields import (
     sample_grf,
 )
 from .grid import FieldSample, Grid2D
-from .grid_ops import EllipticityError, StencilOperator, stencil_residual
-from .solvers import SolveOptions, gmres
+from .grid_ops import (EllipticityError, StencilOperator, apply_stencil,
+                       stencil_residual)
+from .solvers import SolveOptions, _norms, gmres
 
 ABLATION_POOL_SIZES = {"grf": 30, "fourier": 100, "chebyshev": 100}
 ABLATION_GRF = GrfParams(tau=7.0, alpha=2.5)
@@ -101,13 +109,7 @@ SAMPLE_BLOCK = 8
 # unknowns in all (SAMPLE_BLOCK systems at n = 64): a larger block's
 # vectors spill the cache, and it holds k x iterations x N of Krylov basis
 POOL_BLOCK_UNKNOWNS = SAMPLE_BLOCK * 64 * 64
-# by default a work list runs on the calling thread alone when it has fewer
-# items than MIN_ITEMS or items of fewer nodes than MIN_ITEM_NODES, where a
-# second worker does not pay for its time and its malloc arena. On a 2-vCPU
-# box (BENCH_32.json), two threads took 0.80-1.19x the time of one on the
-# default pools at n=64 (4-7 blocks of 8 x 66^2 nodes) and peaked 6-13 MiB
-# higher, and 0.57-0.62x at n=128 (15-25 blocks of 2 x 130^2); they lost on
-# darcy sample blocks at n=32 (8 x 34^2 nodes) and won at n=48 (8 x 50^2)
+# the thread rule's sizes (`_thread_count`; measured in BENCH_32.json)
 MIN_ITEMS = 8
 MIN_ITEM_NODES = 16 * 1024
 # (get, set) thread-count symbols of the OpenBLAS builds numpy links: its
@@ -156,32 +158,49 @@ def blas_threads() -> Optional[int]:
     return None if calls is None else calls[0]()
 
 
+# the BLAS thread count that each pin in force found, under _pin_lock
+_pins = []
+_pin_lock = threading.Lock()
+
+
 @contextmanager
 def one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread, then restore the
-    count it had; a no-op when the count is not known (`blas_threads`).
-    The count is process-wide: pins nest, but two that overlap in
-    different Python threads do not, as the first to end restores the
-    count while the other runs."""
+    """Run the body with numpy's OpenBLAS on one thread (the BLAS pin of
+    the module docstring); a no-op when the count is not known
+    (`blas_threads`). The count is process-wide, and pins may overlap in
+    any Python threads: each saves the count it finds on one stack and
+    sets 1, and each exit restores the count saved last. Every count but
+    the first pin's is then 1, so the count stays 1 while a pin is in
+    force, and the last exit restores the count the first one found."""
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
-    previous = get()
-    set_(1)
+    with _pin_lock:
+        _pins.append(get())
+        set_(1)
     try:
         yield
     finally:
-        set_(previous)
+        with _pin_lock:
+            set_(_pins.pop())
 
 
 def _thread_count(threads: Optional[int], items: int,
                   item_nodes: int) -> int:
     """The worker threads of a list of items work items of item_nodes
-    nodes each: threads when given; for None the calling thread alone
-    (1) when items < MIN_ITEMS or item_nodes < MIN_ITEM_NODES, else the
-    CPUs this process may run on. threads < 1 raises ValueError."""
+    nodes each, by the one thread rule: threads when given (< 1 raises
+    ValueError); for None the calling thread alone (1) when items <
+    MIN_ITEMS or item_nodes < MIN_ITEM_NODES, where a second worker does
+    not pay for its time and its malloc arena, else the CPUs this process
+    may run on. The pool build, the sample blocks of `generate_diffoas`
+    and `verify_dataset`'s blocks apply it to their own lists, but for two
+    exceptions: a pool that `generate_diffoas` solves ahead of sample
+    blocks on more threads than one takes their count, as a serial pool
+    would leave the other CPUs idle for half of a cold generate, and
+    `generate_classic` defaults to 1, as each solve in flight holds its
+    own Krylov basis, so every thread adds one to peak memory."""
     if threads is not None:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
@@ -321,14 +340,11 @@ def build_basis_pool(config: GenerationConfig,
     The solves run in blocks of consecutive indices (`_solve_blocks`, role
     "basis_params"): SAMPLE_BLOCK systems, fewer where they would hold more
     than POOL_BLOCK_UNKNOWNS unknowns (two at n = 128, one above), on
-    threads worker threads, by default as `_thread_count` rules for the
-    blocks (the calling thread alone for a default pool at n <= 64), with
-    one BLAS thread; the pool records the count in `BasisPool.threads`.
-    The pool is the same at any thread count and block size.
-    threads < 1 raises ValueError. A solve that does not converge
-    raises BasisConstructionError naming the lowest such index. Each
-    provenance entry's wall_time is the seconds from its block's start to
-    that solve's exit, so on more than one thread the entries overlap."""
+    threads worker threads (`_thread_count`), recorded in
+    `BasisPool.threads`. The pool is the same at any thread count and
+    block size. A solve that does not converge raises
+    BasisConstructionError naming the lowest such index. Each provenance
+    entry's wall_time runs from its block's start to that solve's exit."""
     grid = config.grid
     basis = np.zeros((config.n_basis, grid.n_nodes, grid.n_nodes))
     provenance = []
@@ -365,7 +381,12 @@ def combine_solution(
     delta: float,
 ) -> FieldSample:
     """Normalized Gaussian-weighted combination of the pool plus masked
-    noise: the one-sample case of `_combine_block`."""
+    noise: the one-sample case of `_combine_block`. An empty pool, or eta
+    or delta out of range, raises GenerationError."""
+    if pool.size < 1:
+        raise GenerationError("basis pool is empty")
+    if not (eta >= 0 and delta > 0):  # NaN fails it
+        raise GenerationError("need eta >= 0 and delta > 0")
     return FieldSample(pool.grid, _combine_block(
         pool, rng_weights.generator(), rng_noise.generator(), 1, eta,
         delta)[0])
@@ -379,12 +400,8 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
     order. The weights @ pool product is one stacked product of one GEMV
     per sample, and the noise GRFs are drawn in one block (`draw_block`);
     the noise normalization, its amplitude and the mask act on the whole
-    block (module docstring). A combination that is not finite raises
-    GenerationError."""
-    if pool.size < 1:
-        raise GenerationError("basis pool is empty")
-    if not (eta >= 0 and delta > 0):  # NaN fails it
-        raise GenerationError("need eta >= 0 and delta > 0")
+    block (module docstring). Its callers check the pool, eta and delta;
+    a combination that is not finite raises GenerationError."""
     grid = pool.grid
     m = grid.n_nodes
     w = np.empty((b, 1, pool.size))
@@ -440,6 +457,14 @@ def _base_manifest(config: GenerationConfig, method: str,
                            generation=generation)
 
 
+def _off_boundary(nodes: np.ndarray) -> np.ndarray:
+    """Per sample of the (b, m, m) node arrays, whether one of its
+    boundary nodes is not zero (a NaN is not zero): the one test of the
+    zero-boundary rule (module docstring)."""
+    return (nodes[:, [0, -1]].any(axis=(1, 2))
+            | nodes[:, :, [0, -1]].any(axis=(1, 2)))
+
+
 def _sample_blocks(num_samples: int, size: Optional[int] = None) -> list:
     """Sample indices 0..num_samples-1 in consecutive ranges of size,
     by default SAMPLE_BLOCK (the last one may be shorter)."""
@@ -455,18 +480,20 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
     node arrays, drawn from the block's three streams; the stencil and its
     application run on the block (module docstring). An operator action
     that overflows raises GenerationError naming the block's samples."""
-    pde, grid, seed = config.pde, config.grid, config.master_seed
+    grid, seed = config.grid, config.master_seed
+    pde_family = family(config.pde)
     gen_c, gen_w, gen_n = (
         RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
         for role in ("sample_params", "weights", "noise"))
     # a full block of coefficients, so that no field's stream position
     # depends on the length of a short last block
     fields = {name: values[:len(indices)] for name, values in draw_block(
-        family(pde).distributions, grid, gen_c, SAMPLE_BLOCK).items()}
+        pde_family.distributions, grid, gen_c, SAMPLE_BLOCK).items()}
     u = _combine_block(pool, gen_w, gen_n, len(indices), config.noise_eta,
                        config.weight_resample_threshold)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = apply_block(pde, grid, fields, u)
+        f = apply_stencil(pde_family.stencil(grid, **fields), u,
+                          np.empty(u.shape))
     if not np.isfinite(f).all():
         raise GenerationError(f"samples {indices.start}..{indices[-1]}: the "
                               f"operator action A u is not finite")
@@ -475,13 +502,11 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
 
 def _run_samples(worker, items, threads: int):
     """worker(item) for each of items (any iterable, pulled in the calling
-    thread), yielded in order; threads is the count its caller's
-    `_thread_count` chose. With threads > 1 and more than one item
-    they run on that many threads, at most 2 * threads of them pulled and
-    submitted ahead of the consumer: a slow consumer holds a bounded number
-    of items and results, not all of them. A lone item runs in the calling
-    thread: a thread gains it nothing. Items not started when the consumer
-    stops are cancelled."""
+    thread), yielded in order, on threads worker threads
+    (`_thread_count`), at most 2 * threads of them pulled and submitted
+    ahead of the consumer: a slow consumer holds a bounded number of items
+    and results. A lone item runs in the calling thread. Items not started
+    when the consumer stops are cancelled."""
     todo = iter(items)
     first = [] if threads == 1 else list(islice(todo, 2))
     todo = chain(first, todo)
@@ -511,44 +536,30 @@ def generate_diffoas(
 ) -> Dataset:
     """Operator-action generation; writes the dataset under out_dir.
 
-    Sample blocks run on threads worker threads, by default as
-    `_thread_count` rules for them (the calling thread alone for fewer
-    than MIN_ITEMS blocks or at n <= 43, else one per usable CPU), with
-    one BLAS thread (module docstring); the bytes are the same at any
-    count. threads < 1 raises ValueError.
-
-    pool None solves one with `build_basis_pool`, on every call, on the
-    sample blocks' threads when they run on more than one, else given
-    threads: an explicit 1, or None, with which the pool's blocks get
-    their own default. A serial pool ahead of threaded samples left the
-    second CPU idle for half of a cold n=64 generate. A given
-    pool is used as it is; an ablation pool (`make_ablation_pool`) names
-    its kind in its key, and the manifest method is then "ablation-<kind>".
-    The samples and the manifest take n_basis, and so delta, from the
-    pool's size. An empty pool, one on another grid, or one whose basis
-    is not zero on the boundary raises GenerationError before out_dir is
-    touched. Every u is a combination of the basis plus noise masked to
-    zero on the boundary, so u is zero there, as the operator action
-    needs (`apply_block`), as long as the combination is finite; a block
-    whose combination is not (a NaN or infinite basis value, or an
-    overflow) raises GenerationError (`_combine_block`), and so does one
-    whose operator action overflows (`_diffoas_block`). `write_dataset`
-    makes the first block before it touches out_dir; an error in a later
-    block leaves out_dir with no manifest.
+    Sample blocks run on threads worker threads (`_thread_count`); the
+    bytes are the same at any count. pool None solves one with
+    `build_basis_pool`, on every call, on the sample blocks' threads when
+    they run on more than one, else given threads. A given pool is used
+    as it is; an ablation pool (`make_ablation_pool`) names its kind in
+    its key, and the manifest method is then "ablation-<kind>". The
+    samples and the manifest take n_basis, and so delta, from the pool's
+    size. An empty pool, one on another grid, or one whose basis is not
+    zero on the boundary (module docstring) raises GenerationError before
+    out_dir is touched. A block whose combination is not finite (a NaN or
+    infinite basis value, or an overflow) raises GenerationError
+    (`_combine_block`), and so does one whose operator action overflows
+    (`_diffoas_block`). `write_dataset` makes the first block before it
+    touches out_dir; an error in a later block leaves out_dir with no
+    manifest.
 
     The manifest records where the pool came from in generation["pool"]:
     "cache" is "solved" (built by this call), "none" (an ablation pool) or
-    "given", and "solves" lists each basis solve's index, iterations and
-    final relative residual. A solved pool also records the
-    "preconditioner" of its solves (from the pool's key). solver_tol is
-    recorded only when this call solved the pool (`_base_manifest`). Solve
-    wall times go to generation["timings"]["pool_solve_seconds"], so the
-    rest of the manifest stays byte-identical across runs; each runs from
-    its block's start, so on more than one thread they overlap
-    (`build_basis_pool`). The timings also hold "sample_threads", the
-    threads of the sample blocks, and for a pool this call solved
-    "pool_threads", those of its solves.
-    """
+    "given", "solves" lists each basis solve's index, iterations and final
+    relative residual, and a solved pool adds the "preconditioner" of its
+    solves. Only generation["timings"] differs between runs: the solve
+    wall times ("pool_solve_seconds", from `build_basis_pool`), the
+    seconds of the pool and of the samples, "sample_threads" and, for a
+    pool this call solved, "pool_threads"."""
     if config.method != "diffoas":
         raise GenerationError("generate_diffoas requires method='diffoas'")
     blocks = _sample_blocks(config.num_samples)
@@ -567,7 +578,7 @@ def generate_diffoas(
         raise GenerationError(
             f"pool is on {pool.grid} with {pool.basis.shape[1:]} node "
             f"arrays, the config on {config.grid}")
-    if pool.basis[:, [0, -1]].any() or pool.basis[:, :, [0, -1]].any():
+    if _off_boundary(pool.basis).any():
         raise GenerationError("pool basis does not vanish on the boundary")
     kind = pool.key.get("ablation")
     cache = "solved" if solved else "given" if kind is None else "none"
@@ -610,15 +621,11 @@ def generate_classic(
     threads: int = 1,
 ) -> Dataset:
     """Solve-per-sample generation at solver_tol, unpreconditioned, one
-    sample per block of `_solve_blocks`; samples whose solve does not
-    converge are skipped. When none converges, GenerationError is raised
-    before out_dir is touched (`write_dataset` takes the first sample
-    first), so the dataset in out_dir stays as it was.
-
-    threads defaults to 1, not to `_thread_count`'s rule as for
-    `generate_diffoas`: each solve in flight holds its own Krylov basis,
-    so every thread adds that much to peak memory. threads < 1 raises
-    ValueError."""
+    sample per block of `_solve_blocks`, on threads worker threads
+    (`_thread_count`); samples whose solve does not converge are skipped.
+    When none converges, GenerationError is raised before out_dir is
+    touched (`write_dataset` takes the first sample first), so the dataset
+    in out_dir stays as it was."""
     if config.method != "classic":
         raise GenerationError("generate_classic requires method='classic'")
     threads = _thread_count(threads, config.num_samples,
@@ -690,29 +697,20 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
     `apply_stencil` that computed f (`grid_ops`).
 
     The dataset is checked SAMPLE_BLOCK samples at a time on worker
-    threads as `_thread_count` rules for the blocks (the calling thread
-    alone for fewer than MIN_ITEMS blocks or at n <= 43, else one per
-    usable CPU), with one BLAS thread, at most two blocks per thread
-    ahead (`_run_samples`). Each worker reads its block, CRCs its bytes,
-    builds its stencil and applies it once, on the (b, m, m)
-    arrays, and takes the norms of f and of the residual per sample as
-    one stacked product, each slice the dot product `np.linalg.norm`
-    takes; the calling thread folds the CRC-32s in block order
-    (`Dataset.blocks`). Each residual is bit-identical to that of the
-    sample's CSR matrix alone (module docstring), at any thread count. A
-    sample fails when its residual is not within tol, or when its stored u
-    is not zero on the boundary: the residual reads the boundary nodes
-    next to the interior, and no row reads the corners. A block's
-    arithmetic runs with numpy's overflow and invalid warnings off: a NaN
-    or infinite residual fails its sample, and a corrupt byte that causes
-    one raises DatasetIntegrityError.
-
-    Integrity comes first: a field file whose CRC-32 is not the manifest's
-    raises DatasetIntegrityError after the last block. When a block
-    raises, every field file is CRCed, and a mismatch raises
-    DatasetIntegrityError in place of the block's error, since a corrupt
-    byte may be its cause. Otherwise EllipticityError names the block
-    whose coefficients are not elliptic."""
+    threads (`_thread_count`), at most two blocks per thread ahead
+    (`_run_samples`). Each worker reads its block, CRCs its bytes, builds
+    its stencil and applies it once, on the (b, m, m) arrays, and takes
+    the norms of f and of the residual per sample (`solvers._norms`); the
+    calling thread folds the CRC-32s in block order (`Dataset.blocks`).
+    Each residual is bit-identical to that of the sample's CSR matrix
+    alone (module docstring), at any thread count. A sample fails when its
+    residual is not within tol, or when its stored u is not zero on the
+    boundary (module docstring). A block's arithmetic runs with numpy's
+    overflow and invalid warnings off: a NaN or infinite residual fails
+    its sample. A CRC-32 mismatch raises DatasetIntegrityError, also in
+    place of a block's error (`Dataset.blocks`); otherwise
+    EllipticityError names the block whose coefficients are not
+    elliptic."""
     pde_family = family(dataset.manifest.pde)
     grid = dataset.grid
     threads = _thread_count(
@@ -731,16 +729,11 @@ def verify_dataset(dataset: Dataset, tol: float) -> VerificationReport:
             except EllipticityError as exc:
                 raise EllipticityError(
                     f"samples {start}..{start + b - 1}: {exc}") from exc
-            r = stencil_residual(stencil, u, block["f"]).reshape(b, 1, -1)
-            f_int = block["f"][:, 1:-1, 1:-1].reshape(b, 1, -1)
-            # per sample, sqrt(v . v): the ddot of np.linalg.norm, stacked
-            f_norm, r_norm = (np.sqrt(np.matmul(v, v.transpose(0, 2, 1)))
-                              .reshape(b) for v in (f_int, r))
+            r_norm = _norms(stencil_residual(stencil, u, block["f"])
+                            .reshape(b, -1))
+            f_norm = _norms(block["f"][:, 1:-1, 1:-1].reshape(b, -1))
             rel = r_norm / np.maximum(f_norm, 1e-300)
-        # NaN counts as nonzero
-        off_boundary = (u[:, [0, -1], :].any(axis=(1, 2))
-                        | u[:, :, [0, -1]].any(axis=(1, 2)))
-        failing = ~(rel <= tol) | off_boundary  # a NaN residual fails
+        failing = ~(rel <= tol) | _off_boundary(u)  # a NaN residual fails
         return rel.tolist(), (start + np.flatnonzero(failing)).tolist()
 
     residuals = []

@@ -58,8 +58,6 @@ class FieldSample:
     def __post_init__(self):
         m = self.grid.n_nodes
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape == (m * m,):
-            self.values = self.values.reshape(m, m)
         if self.values.shape != (m, m):
             raise GridError(
                 f"field values shape {self.values.shape} does not match "

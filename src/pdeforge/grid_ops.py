@@ -146,12 +146,10 @@ def _five_point(grid: Grid2D, center, north, south, west, east):
 def apply_stencil(stencil: tuple, u_nodes: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """Write to out, a C-contiguous array of u_nodes' shape, and return
-    f = A u for the (..., m, m) node arrays u_nodes: the interior rows
-    summed N, W, C, E, S as the CSR rows are, from u's flat neighbors at
-    -m, -1, +1 and +m, then +0.0 at every boundary node. With a zero
-    boundary the interior equals `apply_operator` bit for bit. stencil is
-    (center, north, south, west, east), each a row-padded (..., n, m)
-    array or a scalar (module docstring)."""
+    f = A u for the (..., m, m) node arrays u_nodes, from u's flat
+    neighbors at -m, -1, +1 and +m, then +0.0 at every boundary node
+    (module docstring). stencil is (center, north, south, west, east),
+    each a row-padded (..., n, m) array or a scalar."""
     if out.shape != u_nodes.shape or not out.flags.c_contiguous:
         raise DimensionError("out must be a C-contiguous array of u's shape")
     center, north, south, west, east = stencil
@@ -206,13 +204,10 @@ class StencilOperator:
 def stencil_residual(stencil: tuple, u_nodes: np.ndarray,
                      f_nodes: np.ndarray) -> np.ndarray:
     """A u - f over the interior nodes of the (..., m, m) node arrays
-    u_nodes and f_nodes, as a fresh (..., n, n) array: the 5-point
-    operator applied through the 2-D neighbor views of u over the interior
-    (`u[..., :-2, 1:-1]` for the north neighbors, `u[..., 1:-1, :-2]` for
-    the west ones, and so on), each times the stencil's interior columns,
-    the terms summed N, W, C, E, S, then f subtracted. Boundary nodes are
-    read, not assumed zero. stencil is (center, north, south, west, east),
-    each a row-padded (..., n, m) array or a scalar."""
+    u_nodes and f_nodes, as a fresh (..., n, n) array, from the 2-D
+    neighbor views of u (module docstring); boundary nodes are read, not
+    assumed zero. stencil is (center, north, south, west, east), each a
+    row-padded (..., n, m) array or a scalar."""
     center, north, south, west, east = stencil
     u = u_nodes
     terms = ((north, u[..., :-2, 1:-1]), (west, u[..., 1:-1, :-2]),

@@ -63,11 +63,9 @@ so far. The factor sqrt(N) is the growth of the rounding error of one
 application of A M^{-1}: the fast Poisson solve is four dense n x n
 products (n = sqrt(N)), and an n-term dot product's rounding error bound
 grows like n * eps. At an exact preconditioner the first subdiagonal is
-that rounding alone; with the bare Laplacian it measured
-1.1-2.1e-16 * sqrt(N) for n = 4..128. Without the factor the threshold
-falls below it from n = 64 on, and GMRES iterated on rounding noise until
-max_iter. Without a preconditioner ||A v_j|| <= ||A||_2, so for a stencil,
-whose N rows have similar norms, the scale is at most about ||A||_F.
+that rounding alone. Without a preconditioner ||A v_j|| <= ||A||_2, so
+for a stencil, whose N rows have similar norms, the scale is at most
+about ||A||_F.
 """
 
 from __future__ import annotations

@@ -117,14 +117,14 @@ class TestPhasesRunGeneratePaths:
     def test_action_phase_applies_the_stencil(self, monkeypatch):
         # the phase runs generate_diffoas's block function, which applies
         # the stencil to a block of samples at once
-        real = generator.apply_block
+        real = generator.apply_stencil
         applied = []
 
-        def counting(pde, grid, fields, u):
+        def counting(stencil, u, out):
             applied.append(len(u))
-            return real(pde, grid, fields, u)
+            return real(stencil, u, out)
 
-        monkeypatch.setattr(generator, "apply_block", counting)
+        monkeypatch.setattr(generator, "apply_stencil", counting)
         records = run_timing_suite("darcy", [64], [1e-3], 2, 3,
                                    master_seed=4, n_basis=2)
         action = next(r for r in records if r.method == "diffoas_action")

@@ -213,6 +213,12 @@ class TestRead:
         with pytest.raises(DatasetFormatError):
             read_dataset(tmp_path)
 
+    def test_missing_field_file(self, tmp_path):
+        write_small(tmp_path)
+        (tmp_path / "f.f64").unlink()
+        with pytest.raises(DatasetIntegrityError, match="missing field file"):
+            read_dataset(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetIntegrityError):
             read_dataset(tmp_path)

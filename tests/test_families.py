@@ -7,11 +7,12 @@ from pdeforge.families import (
     PdeCoefficients,
     PdeFamily,
     Uniform,
-    apply_block,
 )
 from pdeforge.fields import FieldParameterError, GrfParams, RngStream
 from pdeforge.generator import (
+    BasisPool,
     GenerationConfig,
+    GenerationError,
     draw_coefficients,
     generate_diffoas,
     make_ablation_pool,
@@ -37,6 +38,12 @@ def operator(coeffs):
 def block_of(coeffs):
     """The coefficient fields of one sample as (1, m, m) node arrays."""
     return {name: fs.values[None] for name, fs in coeffs.fields.items()}
+
+
+def apply_block(pde, grid, fields, u):
+    """f = A u for (b, m, m) node arrays u, as generation computes it."""
+    return apply_stencil(FAMILIES[pde].stencil(grid, **fields), u,
+                         np.empty(np.shape(u)))
 
 
 @pytest.mark.parametrize("pde", sorted(FAMILIES))
@@ -119,18 +126,18 @@ class TestRegistry:
                 f[i, 1:-1, 1:-1].reshape(-1).view(np.uint64),
                 (csr @ x).view(np.uint64))
 
-    def test_apply_rejects_foreign_u(self, pde):
+    def test_foreign_grid_is_refused(self, pde, tmp_path):
+        # every u is a combination of the pool, so a u on another grid
+        # never reaches the operator action: generate_diffoas refuses its
+        # pool, by its grid or by its node arrays' shape
         grid = Grid2D(4)
-        gen = RngStream(0, "sample_params", 0).generator()
-        fields = block_of(draw_coefficients(pde, grid, gen))
-        with pytest.raises(DimensionError):
-            apply_block(pde, grid, fields, FieldSample.from_interior(
-                Grid2D(5), np.ones(25)).values[None])
-        # numpy takes a FieldSample as its node array, whose shape tells
-        # its grid
-        u = FieldSample.constant(Grid2D(5), 0.0)
-        with pytest.raises(DimensionError):
-            apply_block(pde, grid, fields, u)
+        config = GenerationConfig(pde, grid, 2)
+        for pool in (BasisPool(Grid2D(5), [FieldSample.constant(
+                         Grid2D(5), 0.0)]),
+                     BasisPool(grid, np.zeros((1, 7, 7)))):
+            with pytest.raises(GenerationError, match="Grid2D"):
+                generate_diffoas(config, tmp_path, pool=pool)
+            assert not tmp_path.joinpath("manifest.json").exists()
         with pytest.raises(DimensionError):
             FAMILIES[pde].stencil(grid, **{
                 name: FieldSample.constant(Grid2D(5), 1.0)
@@ -153,6 +160,12 @@ class TestRegistry:
             PdeCoefficients(pde, **fields, extra=FieldSample.constant(grid, 1.0))
         with pytest.raises(DimensionError):
             PdeCoefficients(pde)
+
+
+def test_coefficients_must_share_one_grid():
+    with pytest.raises(DimensionError, match="one grid"):
+        PdeCoefficients("diffusion", k=FieldSample.constant(Grid2D(3), 1.0),
+                        q=FieldSample.constant(Grid2D(4), 1.0))
 
 
 @pytest.mark.parametrize("pde, operator", [

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdeforge import families, generator, grid_ops
+from pdeforge import generator, grid_ops
 from pdeforge.dataset_io import (
     DatasetIntegrityError,
     DatasetManifest,
@@ -35,7 +35,7 @@ from pdeforge.generator import (
     verify_dataset,
 )
 from pdeforge.grid import FieldSample, Grid2D
-from pdeforge.grid_ops import EllipticityError, apply_operator
+from pdeforge.grid_ops import EllipticityError, apply_operator, apply_stencil
 from pdeforge.solvers import SolveOptions, SolveReport, gmres
 
 
@@ -67,6 +67,17 @@ class TestConfig:
             GenerationConfig("darcy", g, 1, n_basis=0)
         with pytest.raises(ValueError):
             GenerationConfig("burgers", g, 1)
+
+    @pytest.mark.parametrize("name,value", [
+        ("method", "spectral"), ("master_seed", -1),
+        ("solver_tol", 0.0), ("solver_tol", -1.0), ("solver_tol", math.nan),
+        ("solver_tol", math.inf), ("noise_eta", -1.0),
+        ("noise_eta", math.nan), ("noise_eta", math.inf)])
+    def test_library_calls_check_each_setting(self, name, value):
+        # the CLI checks these flags itself; a library call reaches these
+        with pytest.raises(ValueError, match=name.replace("_", ".")
+                           if name != "method" else "unknown method"):
+            GenerationConfig("darcy", Grid2D(4), 1, **{name: value})
 
     def test_resample_threshold_follows_pool_size(self):
         config = GenerationConfig("darcy", Grid2D(4), 1, n_basis=16)
@@ -530,7 +541,8 @@ class TestDiffoas:
                     u = generator._combine_block(
                         pool, gen_w, gen_n, 1, config.noise_eta,
                         config.weight_resample_threshold)
-                    f = generator.apply_block(pde, config.grid, fields, u)
+                    f = apply_stencil(FAMILIES[pde].stencil(
+                        config.grid, **fields), u, np.empty(u.shape))
                     yield {**fields, "f": f, "u": u}
 
         write_dataset(tmp_path / "ref", one_at_a_time(),
@@ -850,6 +862,40 @@ class TestThreads:
         finally:
             set_threads(previous)
 
+    def test_overlapping_pins_in_two_threads(self, monkeypatch):
+        # A pins, B pins, A ends while B runs: the count must stay 1 until
+        # B ends, and B's end must restore the count A found
+        count = [4]
+
+        def set_count(threads):
+            count[0] = threads
+
+        monkeypatch.setattr(generator, "_openblas_thread_calls",
+                            lambda: (lambda: count[0], set_count))
+        a_in, b_in, a_out, b_seen = (threading.Event() for _ in range(4))
+        seen = []
+
+        def a():
+            with generator.one_blas_thread():
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+
+        def b():
+            a_in.wait(5)
+            with generator.one_blas_thread():
+                b_in.set()
+                a_out.wait(5)
+                seen.append(count[0])
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == [1]
+        assert count == [4]
+
     def test_manifest_records_the_blas_threads(self, tmp_path, monkeypatch):
         ds = generate_diffoas(small_config(), tmp_path / "pinned")
         known = generator.blas_threads() is not None
@@ -1108,7 +1154,7 @@ class TestBlockVerify:
                                  u_nodes, out)
 
         monkeypatch.setattr(grid_ops, "apply_stencil", north_south_swapped)
-        monkeypatch.setattr(families, "apply_stencil", north_south_swapped)
+        monkeypatch.setattr(generator, "apply_stencil", north_south_swapped)
         ds = generate_diffoas(small_config(num_samples=self.COUNT),
                               tmp_path / "d")
         report = verify_dataset(ds, 1e-12)

@@ -13,6 +13,7 @@ from pdeforge.grid_ops import (
     DimensionError,
     EllipticityError,
     apply_operator,
+    apply_stencil,
     stencil_residual,
 )
 
@@ -48,6 +49,26 @@ class TestGrid:
         fs = FieldSample.from_interior(g, vals)
         assert fs.boundary_max_abs() == 0.0
         np.testing.assert_array_equal(fs.interior(), vals)
+
+    @pytest.mark.parametrize("shape", [(5, 6), (25,), (1, 5, 5)])
+    def test_field_sample_needs_the_node_set(self, shape):
+        # (5, 5) is Grid2D(3)'s node set; flat values are not taken
+        with pytest.raises(GridError, match="node set"):
+            FieldSample(Grid2D(3), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (10,), (5, 5)])
+    def test_from_interior_needs_the_interior(self, shape):
+        with pytest.raises(GridError, match="interior shape"):
+            FieldSample.from_interior(Grid2D(3), np.zeros(shape))
+
+    def test_apply_stencil_needs_a_contiguous_out(self):
+        g = Grid2D(3)
+        stencil = DARCY.stencil(g, a=np.ones((5, 5)))
+        u = np.ones((5, 5))
+        with pytest.raises(DimensionError, match="C-contiguous"):
+            apply_stencil(stencil, u, np.empty((5, 10))[:, ::2])
+        with pytest.raises(DimensionError, match="C-contiguous"):
+            apply_stencil(stencil, u, np.empty((5, 6)))
 
     @pytest.mark.parametrize("args,kwargs", [
         ((), {}), ((np.float32,), {}),  # as numpy 1 calls it

@@ -20,7 +20,7 @@ from pdeforge.grid_ops import (
     apply_operator,
     _five_point,
 )
-from pdeforge.solvers import SolveOptions, gmres
+from pdeforge.solvers import NumericalBreakdownError, SolveOptions, gmres
 
 
 def darcy_system(n, seed, lognormal=True):
@@ -33,6 +33,27 @@ def darcy_system(n, seed, lognormal=True):
                    RngStream(seed, "basis_params", 1).generator())
     b = b[1:-1, 1:-1].flatten()
     return A, b
+
+
+class InfRows:
+    """An identity operator on 4 unknowns that returns inf in the rows of
+    a block that mask marks (in every entry for a 1-D x)."""
+
+    shape = (4, 4)
+
+    def __init__(self, mask):
+        self.mask = np.array(mask)
+
+    def __matmul__(self, x):
+        y = np.array(x, dtype=np.float64)
+        if y.ndim == 1:
+            y[:] = np.inf
+        else:
+            y[self.mask] = np.inf
+        return y
+
+    def __getitem__(self, rows):
+        return InfRows(self.mask[rows])
 
 
 def operator(coeffs):
@@ -113,6 +134,26 @@ class TestGmres:
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 SolveOptions(tol=tol)
+
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolveOptions(max_iter=0)
+
+    def test_operator_must_be_square(self):
+        with pytest.raises(DimensionError, match="square"):
+            gmres(CsrMatrix(np.ones((3, 4))), np.ones(3))
+
+    def test_non_finite_operator_names_its_system(self):
+        # system 0 has b = 0 and stops at once, so system 2 is row 1 of
+        # the block that runs; its operator returns inf
+        b = np.ones((3, 4))
+        b[0] = 0.0
+        with pytest.raises(NumericalBreakdownError,
+                           match="iteration 1 of system 2$"):
+            gmres(InfRows([False, False, True]), b)
+        with pytest.raises(NumericalBreakdownError,
+                           match="at iteration 1$"):
+            gmres(InfRows([True]), np.ones(4))
 
     def test_residual_monotonicity(self):
         A, b = darcy_system(9, 17)
