@@ -8,8 +8,7 @@ crashed write never leaves a readable dataset.
 `write_dataset` takes items of one sample or of a block of samples as
 (b, m, m) arrays, with the same bytes on disk either way (the `generator`
 docstring tells why a block holds the bits of its samples alone);
-`Dataset.blocks` is the one reader of blocks, one seek and one `readinto`
-per field and block, on the thread that processes the block.
+`Dataset.blocks` is the one reader of blocks.
 
 `read_dataset` judges the manifest and each field file's presence and
 length up front. The bytes are checked against the manifest's CRC-32s as

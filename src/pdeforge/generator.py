@@ -158,9 +158,10 @@ def blas_threads() -> Optional[int]:
     return None if calls is None else calls[0]()
 
 
-# the BLAS thread count that each pin in force found, under _pin_lock
-_pins = []
+# the pins in force and the BLAS thread count the first one found, both
+# under _pin_lock
 _pin_lock = threading.Lock()
+_pin_depth, _pin_saved = 0, None
 
 
 @contextmanager
@@ -168,23 +169,26 @@ def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread (the BLAS pin of
     the module docstring); a no-op when the count is not known
     (`blas_threads`). The count is process-wide, and pins may overlap in
-    any Python threads: each saves the count it finds on one stack and
-    sets 1, and each exit restores the count saved last. Every count but
-    the first pin's is then 1, so the count stays 1 while a pin is in
-    force, and the last exit restores the count the first one found."""
+    any Python threads, so they are counted: the first to enter saves the
+    count and sets 1, and the last to exit restores the saved count."""
+    global _pin_depth, _pin_saved
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
     with _pin_lock:
-        _pins.append(get())
-        set_(1)
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
     try:
         yield
     finally:
         with _pin_lock:
-            set_(_pins.pop())
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
 
 
 def _thread_count(threads: Optional[int], items: int,
@@ -480,10 +484,9 @@ def _diffoas_block(config: GenerationConfig, pool: BasisPool,
     node arrays, drawn from the block's three streams; the stencil and its
     application run on the block (module docstring). An operator action
     that overflows raises GenerationError naming the block's samples."""
-    grid, seed = config.grid, config.master_seed
-    pde_family = family(config.pde)
-    gen_c, gen_w, gen_n = (
-        RngStream(seed, role, indices.start // SAMPLE_BLOCK).generator()
+    grid, pde_family = config.grid, family(config.pde)
+    gen_c, gen_w, gen_n = (RngStream(
+        config.master_seed, role, indices.start // SAMPLE_BLOCK).generator()
         for role in ("sample_params", "weights", "noise"))
     # a full block of coefficients, so that no field's stream position
     # depends on the length of a short last block
