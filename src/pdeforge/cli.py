@@ -10,8 +10,10 @@ Exit codes, with the prefix of the one stderr line that names the error:
                                          "pdeforge <command>: error: "
 
 A flag's value is checked where argparse reads it, so its usage error
-names the flag as typed. `main` maps the library's errors to 1-3; a
-verify report that does not pass exits 1 with no stderr line.
+names the flag as typed; the checks that read more than one flag call
+their subcommand parser's `error` (`args.error`), the same path. `main`
+maps the library's errors to 1-3; a verify report that does not pass
+exits 1 with no stderr line.
 `generate`, and `bench` when it flags records, also write one JSON
 telemetry line to stderr.
 """
@@ -139,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads for the pool solves and the sample blocks "
                         "(default: by the thread rule that "
                         "pdeforge.generator._thread_count states)")
+    g.set_defaults(error=g.error)
 
     v = sub.add_parser("verify", help="re-check dataset residuals")
     v.add_argument("--data", required=True, help="dataset directory")
@@ -156,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 2500,10000)")
     b.add_argument("--tols", default="1e-1,1e-3,1e-5",
                    type=_list_of(POSITIVE),
-                   help="comma-separated GMRES tolerances "
-                        "(default: 1e-1,1e-3,1e-5)")
+                   help="comma-separated GMRES tolerances; the speedup "
+                        "regression uses the last (default: 1e-1,1e-3,1e-5)")
     b.add_argument("--samples", type=COUNT, default=10,
                    help="samples per timing point (default: 10)")
     b.add_argument("--repeats", type=_checked(int, ">= 3", lambda v: v >= 3),
@@ -167,12 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="basis pool size (default: per-PDE)")
     b.add_argument("--seed", type=SEED, default=0,
                    help="master seed (default: 0)")
-    b.add_argument("--regress-tol", type=float, default=None,
-                   help="tolerance for the speedup regression, one of "
-                        "--tols (default: last of --tols)")
     b.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format (default: csv)")
     b.add_argument("--out", required=True, help="report output file")
+    b.set_defaults(error=b.error)
 
     i = sub.add_parser("inspect", help="print the manifest and sample fields")
     i.add_argument("--data", required=True, help="dataset directory")
@@ -207,7 +208,7 @@ def cmd_generate(args) -> int:
             ("--tol", args.tol, args.method.startswith("ablation-")),
             ("--eta", args.eta, args.method == "classic")):
         if value is not None and unused:
-            _usage_error(f"{flag} does not apply to --method {args.method}")
+            args.error(f"{flag} does not apply to --method {args.method}")
     config = GenerationConfig(
         pde=args.pde, grid=Grid2D(args.grid), num_samples=args.samples,
         method="classic" if args.method == "classic" else "diffoas",
@@ -248,23 +249,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims, tols = args.dims, args.tols
-    regress_tol = args.regress_tol
-    # NaN is in no list
-    if regress_tol is not None and regress_tol not in tols:
-        _usage_error(f"--regress-tol must be one of --tols, got {regress_tol}")
     try:
         records = run_timing_suite(
-            args.pde, dims, tols, args.samples, args.repeats,
+            args.pde, args.dims, args.tols, args.samples, args.repeats,
             master_seed=args.seed, n_basis=args.basis,
         )
         # with fewer than 3 dims there is no regression: records only
         regression = fit_speedup_regression(
-            records, tols[-1] if regress_tol is None else regress_tol,
-        ) if len(set(dims)) >= 3 else None
+            records, args.tols[-1]) if len(set(args.dims)) >= 3 else None
         text = emit_report(records, regression, args.format, pde=args.pde)
     except BenchConfigError as exc:
-        _usage_error(str(exc))
+        args.error(str(exc))
     Path(args.out).write_text(text)
     flagged = [r for r in records if r.method != "diffoas_total" and r.flags]
     if flagged:
@@ -301,11 +296,6 @@ def cmd_inspect(args) -> int:
         return _fail(EXIT_FAIL, exc)
     _print_report(out)
     return EXIT_OK
-
-
-def _usage_error(message: str):
-    print(f"pdeforge: error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
 
 
 def _fail(code: int, exc: Exception) -> int:

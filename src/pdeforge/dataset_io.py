@@ -200,8 +200,9 @@ def write_dataset(
 
     An item is a dict of field name -> node array, or anything numpy takes
     as one, such as a `FieldSample`. It holds one sample, or a block of b
-    consecutive samples when every field is a (b, m, m) array; a block
-    costs one write and one CRC-32 update per field. DatasetFormatError is
+    consecutive samples when every field is a (b, m, m) array (bit rule:
+    `generator` module docstring); a block costs one write and one CRC-32
+    update per field. DatasetFormatError is
     raised before any field of an item is written when its fields
     disagree on b or hold other than m^2 nodes per sample.
 

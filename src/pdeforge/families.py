@@ -69,6 +69,11 @@ class ShiftedGrf:
     grf: GrfParams
     min_value: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.min_value):  # a NaN would shift nothing
+            raise FieldParameterError(
+                f"min_value must be finite, got {self.min_value}")
+
     def draw(self, grid: Grid2D, gen, out: np.ndarray) -> None:
         """The GRF's draw into the (b, m, m) out, then each (m, m) draw
         shifted alone."""
@@ -118,10 +123,9 @@ class PdeFamily:
         """(center, north, south, west, east) of the operator, each a
         row-padded (..., n, m) array over the interior rows (`grid_ops`)
         or a scalar. fields maps each coefficient name to (..., m, m) node
-        arrays on grid; other names are ignored. Every step is elementwise,
-        so a (b, m, m) block gets the bits of each sample alone.
-        EllipticityError unless the flux coefficient is positive
-        everywhere (`_flux_values`)."""
+        arrays on grid, one sample's or a block's (bit rules: `grid_ops`);
+        other names are ignored. EllipticityError unless the flux
+        coefficient is positive everywhere (`_flux_values`)."""
         c = self._flux_values(grid, fields)
         if c is None:
             h2 = grid.h ** 2
@@ -138,8 +142,9 @@ class PdeFamily:
         """M^{-1} for M = -sign C^{1/2} (-lap_h) C^{1/2}: C is the flux
         coefficient at the interior nodes (none for c = 1), from fields as
         `stencil` takes them, so a (b, m, m) block gives the block's
-        preconditioner, with the same EllipticityError. For a constant
-        flux coefficient and no reaction term, M is the operator itself."""
+        preconditioner (bit rule: `solvers` module docstring), with the
+        same EllipticityError. For a constant flux coefficient and no
+        reaction term, M is the operator itself."""
         c = self._flux_values(grid, fields)
         return PoissonPreconditioner(
             grid, -self.sign, None if c is None else c[..., 1:-1, 1:-1])

@@ -73,13 +73,16 @@ class GrfParams:
     transform: str = "none"  # "none" | "exp"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise FieldParameterError(f"tau must be positive, got {self.tau}")
-        if self.alpha <= 1:
+        # each test is written so that NaN fails it
+        if not 0 < self.tau < np.inf:
             raise FieldParameterError(
-                f"alpha must exceed 1 for a trace-class 2D covariance, "
-                f"got {self.alpha}"
-            )
+                f"tau must be > 0 and finite, got {self.tau}")
+        if not 1 < self.alpha < np.inf:  # a trace-class 2D covariance
+            raise FieldParameterError(
+                f"alpha must be > 1 and finite, got {self.alpha}")
+        if not np.isfinite(self.scale):
+            raise FieldParameterError(
+                f"scale must be finite, got {self.scale}")
         if self.transform not in ("none", "exp"):
             raise FieldParameterError(f"unknown transform {self.transform!r}")
 
@@ -90,8 +93,8 @@ class GrfParams:
     def draw(self, grid: Grid2D, gen: np.random.Generator,
              out: np.ndarray) -> None:
         """Fill out, a (b, m, m) block, with b draws: one call for all the
-        normal draws, in sample order, then two stacked GEMMs, each slice
-        one sample's, then scale and transform, each value alone."""
+        normal draws, in sample order, then the synthesis, scale and
+        transform (bit rule: `generator` module docstring)."""
         gen.standard_normal(out=out)
         out *= _spectral_amplitudes(grid.n_interior, self.tau, self.alpha)
         B = _cosine_table(grid.n_interior)
@@ -128,11 +131,9 @@ def draw_block(distributions: dict, grid: Grid2D, gen: np.random.Generator,
     The fields are drawn in dict order, each field's b samples in one
     `draw(grid, gen, out)` call of its distribution, which fills the
     field's whole block from the stream in sample order (field-major: all
-    b samples of the first field, then all b of the next). Every step of a
-    draw is elementwise, a per-sample reduction or a stacked product whose
-    slices are one sample's products, so sample i gets the bits of a
-    one-sample draw from the same stream position. `GrfParams` is such a
-    distribution."""
+    b samples of the first field, then all b of the next). Sample i gets
+    the bits of a one-sample draw from the same stream position (the bit
+    rule, `generator` module docstring)."""
     m = grid.n_nodes
     block = {}
     for name, dist in distributions.items():

@@ -24,22 +24,19 @@ redraws, and noise GRFs in sample order. So sample k's bytes are a pure
 function of (seed, k) at any thread and sample count; SAMPLE_BLOCK is
 part of that contract.
 
-Why a block has the bits of its samples alone, stated here once: each
-field is drawn in one call (`fields.draw_block`) that fills the block's
-(b, m, m) buffer in sample order, and its two GEMMs, like the weights @
-pool product that writes u, are stacked: numpy runs one product per
-sample, with one sample's operand shapes, as BLAS results can depend on
-shapes (one (b, l) @ (l, m*m) GEMM rounds otherwise). Everything else
-runs once on the contiguous block and is elementwise or a per-sample
-reduction: the GRFs' scale and exp, a shift to a minimum, the
-noise normalization (max |g| as max(max g, -min g)) and amplitude, the
-mask, the stencil and its application in the row-padded layout of
-`grid_ops`. Verification takes each norm per sample with `solvers._norms`,
-the stacked dot products GMRES takes. So sample i of a block gets the bits
-it would get alone. A block item is a dict of field
-name -> (b, m, m) node arrays, which `write_dataset` writes with one
-write and one CRC-32 update per field, as the bytes of its samples one
-after another.
+The bit rule of sample blocks, stated here once: sample i of a block
+gets the bits it would get alone. Each field is drawn in one call
+(`fields.draw_block`) that fills the block's (b, m, m) buffer in sample
+order, and its two GEMMs, like the weights @ pool product that writes u,
+are stacked: numpy runs one product per sample, with one sample's operand
+shapes, as BLAS results can depend on shapes (one (b, l) @ (l, m*m) GEMM
+rounds otherwise). Everything else runs once on the contiguous block and
+is elementwise or a per-sample reduction: the GRFs' scale and exp, a
+shift to a minimum, the noise normalization (max |g| as max(max g,
+-min g)) and amplitude, the mask, the stencil and its application in the
+row-padded layout of `grid_ops`. Verification takes each norm per sample
+with `solvers._norms`, the stacked dot products GMRES takes, and
+`write_dataset` writes a block's field as its samples' bytes in turn.
 
 The zero-boundary rule, stated here once: the stencil's rows next to the
 boundary read u's boundary nodes (no row reads a corner), so a stored f
@@ -276,9 +273,9 @@ def _solve_blocks(config: GenerationConfig, role: str, blocks: list,
     order: field name -> (k, m, m) node arrays, the coefficients then "f",
     and each system's `SolveReport`, its wall_time from the block's start.
     System i is drawn from its (master_seed, role, i) stream as
-    `draw_coefficients` then `draw_forcing` draw it, and, as every step is
-    elementwise or per system, solved with the bits it gets alone
-    (`solvers`). preconditioned: with the family's fast-Poisson M^{-1}."""
+    `draw_coefficients` then `draw_forcing` draw it, and solved with the
+    bits it gets alone (the bit rule, `solvers` module docstring).
+    preconditioned: with the family's fast-Poisson M^{-1}."""
     grid, pde_family = config.grid, family(config.pde)
     draws = {**pde_family.distributions, "f": pde_family.forcing}
     opts = SolveOptions.for_grid(grid, config.solver_tol)
@@ -401,11 +398,9 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
                    delta: float) -> np.ndarray:
     """(b, m, m) node arrays: b samples, each the pool combined with
     weights drawn from gen_w plus masked noise drawn from gen_n, in sample
-    order. The weights @ pool product is one stacked product of one GEMV
-    per sample, and the noise GRFs are drawn in one block (`draw_block`);
-    the noise normalization, its amplitude and the mask act on the whole
-    block (module docstring). Its callers check the pool, eta and delta;
-    a combination that is not finite raises GenerationError."""
+    order, each with the bits it gets alone (the bit rule, module
+    docstring). Its callers check the pool, eta and delta; a combination
+    that is not finite raises GenerationError."""
     grid = pool.grid
     m = grid.n_nodes
     w = np.empty((b, 1, pool.size))
@@ -420,8 +415,8 @@ def _combine_block(pool: BasisPool, gen_w: np.random.Generator,
                 "100 consecutive weight draws below the resample threshold"
             )
         np.divide(mu, total, out=w[i, 0])
-    # a stacked product: each slice is one sample's (1, l) @ (l, m*m) GEMV;
-    # an overflow raises GenerationError below, with no numpy warning
+    # one (1, l) @ (l, m*m) GEMV per sample; an overflow raises
+    # GenerationError below, with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.matmul(w, pool.basis.reshape(pool.size, -1)).reshape(b, m, m)
     # max |u| per sample, with no |u| array; NaN stays NaN

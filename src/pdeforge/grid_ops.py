@@ -7,8 +7,8 @@ it names none), and each of its other coefficient fields is a reaction
 term r. `PdeFamily.stencil` builds the operator, with `_flux_form` for the
 flux term, as a stencil `(center, north, south, west, east)`, each an
 array or a scalar. It takes the coefficient fields as node arrays of shape
-(..., m, m), m = n+2, elementwise, so a block of samples gets the bits of
-each sample alone.
+(..., m, m), m = n+2, one sample's or a block's (bit rules: the `generator`
+and `solvers` module docstrings).
 
 The stencil's arrays are row-padded: (..., n, m), the coefficients of the
 n interior rows at all m columns of each row. Read flat, the interior rows
@@ -250,8 +250,7 @@ class PoissonPreconditioner:
     stacks, row i with sample i's C (at k = 1, an n*n vector too), and
     `precond[rows]` is the preconditioner of a block's rows. One M^{-1} r
     is a fast Poisson solve: S((S R S) * inv_eig)S with the dense sine
-    table, one GEMM per (n, n) slice, so each row gets the bits of a
-    one-sample call."""
+    table (bit rule: `solvers` module docstring)."""
 
     def __init__(self, grid: Grid2D, sign: float, coef=None):
         n = grid.n_interior

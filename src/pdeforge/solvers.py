@@ -28,14 +28,16 @@ row (`_OneRow`); A and precond then see its vectors as they are,
 one-dimensional. The program passes only blocks (`generator._solve_blocks`);
 the perf harness (a `CsrMatrix` and a (N,) b) and the tests pass a 1-D b.
 
-The bit rule: each system of a block gets the bits it gets alone. Every
-per-system step is elementwise or a stacked product whose slices have one
-system's shapes, as numpy runs one BLAS call per slice: the norms are
-stacked dot products (the ddot of `np.linalg.norm`), CGS2 is stacked
-GEMVs ((k, j+1, N) @ (k, N, 1) and back), the triangular solve is one
-stacked `np.linalg.solve`, and the Givens rotations are Python floats per
-system, their norm `math.hypot` (numpy's `hypot` rounds differently on
-some pairs).
+The bit rule of solve blocks, stated here once: each system of a block
+gets the bits it gets alone. Every per-system step is elementwise or a
+stacked product whose slices have one system's shapes, as numpy runs one
+BLAS call per slice: the norms are stacked dot products (the ddot of
+`np.linalg.norm`), CGS2 is stacked GEMVs ((k, j+1, N) @ (k, N, 1) and
+back), the triangular solve is one stacked `np.linalg.solve`, and the
+Givens rotations are Python floats per system, their norm `math.hypot`
+(numpy's `hypot` rounds differently on some pairs). The program's A and
+precond keep it too: the stencil is elementwise, and the fast Poisson
+solve is one GEMM per (n, n) slice.
 
 The least-squares problem is solved incrementally with Givens rotations. The
 trace records, per iteration, the recurrence residual norm, the Arnoldi
@@ -140,24 +142,30 @@ class _OneRow:
         return self.op(X[0])[None]
 
 
-class _Givens:
-    """One system's least-squares state, as Python floats: the rotated
-    Hessenberg columns (R[i] holds rows 0..i of column i), the rotations
-    and the rotated right-hand side ||b|| e_1."""
+class _System:
+    """One system of a block: its index in the block, its stopping scale
+    (||b||, or 1.0 when that is 0 or NaN), its happy-breakdown scale
+    (module docstring), its trace, and its least-squares state as Python
+    floats: the rotated Hessenberg columns (R[i] holds rows 0..i of column
+    i), the rotations and the rotated right-hand side ||b|| e_1."""
 
-    def __init__(self, beta: float):
+    def __init__(self, index: int, beta: float, record_trace: bool):
+        self.index, self.op_scale = index, 0.0
+        self.scale = beta if beta > 0 else 1.0
+        self.trace = [] if record_trace else None
         self.R, self.cs, self.sn, self.g = [], [], [], [beta]
 
-    def rotate(self, h: list, h_subdiag: float, j: int) -> tuple:
-        """Add column j, h[0..j] over h_subdiag; returns the recurrence
-        residual norm and |y_j| of the square Hessenberg solve."""
+    def rotate(self, h: list, h_subdiag: float, j: int) -> float:
+        """Add column j, h[0..j] over h_subdiag, and its trace record;
+        returns the recurrence residual norm."""
         cs, sn, g = self.cs, self.sn, self.g
         # previous rotations act on rows 0..j only
         for i in range(j):
             hi, hi1 = h[i], h[i + 1]
             h[i] = cs[i] * hi + sn[i] * hi1
             h[i + 1] = -sn[i] * hi + cs[i] * hi1
-        r_diag = h[j]  # pre-rotation diagonal of the square Hessenberg solve
+        # |y_j| of the square Hessenberg solve, whose diagonal is h[j]
+        y_last = abs(g[j] / h[j]) if h[j] != 0.0 else math.inf
         nu = math.hypot(h[j], h_subdiag)
         if nu == 0.0:
             raise NumericalBreakdownError(
@@ -166,11 +174,12 @@ class _Givens:
         sn.append(h_subdiag / nu)
         h[j] = nu
         self.R.append(h)
-        g_pre = g[j]
-        g[j] = cs[j] * g_pre
-        g.append(-sn[j] * g_pre)
-        y_last = abs(g_pre / r_diag) if r_diag != 0.0 else math.inf
-        return abs(g[j + 1]), y_last
+        g.append(-sn[j] * g[j])  # from g[j] before its rotation
+        g[j] = cs[j] * g[j]
+        if self.trace is not None:
+            self.trace.append(IterationRecord(j + 1, abs(g[j + 1]),
+                                              h_subdiag, y_last))
+        return abs(g[j + 1])
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
@@ -225,49 +234,42 @@ def _gmres_block(A, B: np.ndarray, opts: SolveOptions, keep_basis: bool,
     k, n = B.shape
     tol = opts.tol
     reports = [None] * k
-    beta = _norms(B).tolist()
-    scales = [bt if bt > 0 else 1.0 for bt in beta]
 
-    def stop(s: int, x, iterations: int, relres: float, trace, basis=None):
-        reports[s] = SolveReport(x, iterations, relres <= tol, relres,
-                                 time.perf_counter() - t0, trace, basis)
+    def stop(system, x, iterations: int, relres: float, basis=None):
+        reports[system.index] = SolveReport(
+            x, iterations, relres <= tol, relres, time.perf_counter() - t0,
+            system.trace, basis)
 
-    # system s of the block is row `active.index(s)` of V, B, A and precond
-    active = []
-    for s in range(k):
-        if beta[s] / scales[s] <= tol:  # b = 0
-            stop(s, np.zeros(n), 0, beta[s] / scales[s],
-                 [] if opts.record_trace else None)
+    systems = []  # systems[row] is row `row` of V, B, A and precond
+    for s, beta in enumerate(_norms(B).tolist()):
+        system = _System(s, beta, opts.record_trace)
+        if beta / system.scale <= tol:  # b = 0
+            stop(system, np.zeros(n), 0, beta / system.scale)
         else:
-            active.append(s)
-    if not active:
+            systems.append(system)
+    if not systems:
         return reports
-    A, precond, B = (_rows(op, active, k) for op in (A, precond, B))
-    scales = [scales[s] for s in active]
-    givens = [_Givens(beta[s]) for s in active]
-    traces = [[] if opts.record_trace else None for _ in active]
-    # the happy-breakdown scale (module docstring): sqrt(N) times the
-    # largest ||A M^{-1} v_j|| seen so far, per system
-    op_scales = [0.0] * len(active)
+    A, precond, B = (_rows(op, [system.index for system in systems], k)
+                     for op in (A, precond, B))
 
     m_cap = min(opts.max_iter, n)
     cap = min(BASIS_ROWS, m_cap + 1)
-    V = np.empty((len(active), cap, n))
-    V[:, 0] = B / np.array(scales)[:, None]
+    V = np.empty((len(systems), cap, n))
+    V[:, 0] = B / np.array([system.scale for system in systems])[:, None]
 
     for j in range(m_cap):
-        ka = len(active)
+        ka = len(systems)
         Vj = V[:, j]
         W = A @ (Vj if precond is None else precond(Vj))
         w_norms = _norms(W).tolist()
-        op_scales = [max(op, math.sqrt(n) * w)
-                     for op, w in zip(op_scales, w_norms)]
+        for system, w in zip(systems, w_norms):
+            system.op_scale = max(system.op_scale, math.sqrt(n) * w)
         # a finite norm has finite terms; an infinite one may overflow
         if not all(map(math.isfinite, w_norms)):
             finite = np.isfinite(W).all(axis=1)
             if not finite.all():
-                where = ("" if k == 1
-                         else f" of system {active[finite.argmin()]}")
+                where = ("" if k == 1 else
+                         f" of system {systems[finite.argmin()].index}")
                 raise NumericalBreakdownError(
                     f"non-finite SpMV at iteration {j + 1}{where}")
         # classical Gram-Schmidt, applied twice, one GEMV per system
@@ -279,8 +281,8 @@ def _gmres_block(A, B: np.ndarray, opts: SolveOptions, keep_basis: bool,
         h_cols = (c + c2)[:, :, 0].tolist()
         h_subdiag = _norms(W)
         subs = h_subdiag.tolist()
-        happy = [sub <= HAPPY_BREAKDOWN_REL * op
-                 for sub, op in zip(subs, op_scales)]
+        happy = [sub <= HAPPY_BREAKDOWN_REL * system.op_scale
+                 for sub, system in zip(subs, systems)]
 
         # a happy system's w is numerically in span(V): no V[j + 1]
         if not all(happy):
@@ -297,21 +299,18 @@ def _gmres_block(A, B: np.ndarray, opts: SolveOptions, keep_basis: bool,
 
         check = []  # rows whose x and true residual are computed
         last = happy if j + 1 < m_cap else [True] * ka
-        for row, sub in enumerate(subs):
-            res_norm, y_last = givens[row].rotate(h_cols[row], sub, j)
-            if traces[row] is not None:
-                traces[row].append(IterationRecord(j + 1, res_norm, sub,
-                                                   y_last))
-            if last[row] or res_norm / scales[row] <= tol:
+        for row, system in enumerate(systems):
+            res_norm = system.rotate(h_cols[row], subs[row], j)
+            if last[row] or res_norm / system.scale <= tol:
                 check.append(row)
         if not check:
             continue
 
         T = np.zeros((len(check), j + 1, j + 1))
         for i, row in enumerate(check):
-            for col, column in enumerate(givens[row].R):
+            for col, column in enumerate(systems[row].R):
                 T[i, :col + 1, col] = column
-        g = np.array([givens[row].g[:j + 1] for row in check])
+        g = np.array([systems[row].g[:j + 1] for row in check])
         y = np.linalg.solve(T, g[:, :, None]).transpose(0, 2, 1)
         z = np.matmul(y, _rows(V[:, :j + 1], check, ka))[:, 0]
         x = z if precond is None else _rows(precond, check, ka)(z)
@@ -320,10 +319,10 @@ def _gmres_block(A, B: np.ndarray, opts: SolveOptions, keep_basis: bool,
                          - _rows(A, check, ka) @ x).tolist()
         leaving = []
         for i, row in enumerate(check):
-            relres = r_norms[i] / scales[row]
+            relres = r_norms[i] / systems[row].scale
             if last[row] or relres <= tol:
                 rows = j + 1 if happy[row] else j + 2
-                stop(active[row], x[i], j + 1, relres, traces[row],
+                stop(systems[row], x[i], j + 1, relres,
                      V[row, :rows].copy() if keep_basis else None)
                 leaving.append(row)
         if len(leaving) == ka:
@@ -335,7 +334,5 @@ def _gmres_block(A, B: np.ndarray, opts: SolveOptions, keep_basis: bool,
                     V[to, :j + 2] = V[row, :j + 2]
             V = V[:len(keep)]
             A, precond, B = (_rows(op, keep, ka) for op in (A, precond, B))
-            active, scales, op_scales, givens, traces = (
-                [items[row] for row in keep]
-                for items in (active, scales, op_scales, givens, traces))
+            systems = [systems[row] for row in keep]
     return reports

@@ -47,6 +47,13 @@ class TestRegression:
         with pytest.raises(BenchConfigError):
             fit_speedup_regression(records, 1e-5)
 
+    def test_zero_action_time(self):
+        records = synthetic_records([(n, n) for n in (100, 400, 900)])
+        records[3].wall_seconds = 0.0  # the action record of dim 400
+        with pytest.raises(BenchConfigError,
+                           match="zero action time at dim 400"):
+            fit_speedup_regression(records, 1e-5)
+
     def test_missing_tolerance(self):
         records = synthetic_records([(n, n) for n in (100, 400, 900)])
         with pytest.raises(BenchConfigError):
@@ -88,6 +95,22 @@ class TestTimingSuite:
             run_timing_suite("darcy", [100], [1e-3], 0, 3)
         with pytest.raises(BenchConfigError):
             run_timing_suite("darcy", [100], [1e-3], 2, 2)
+        for dims, tols in (([], [1e-3]), ([16], [])):
+            with pytest.raises(BenchConfigError, match="at least one dim"):
+                run_timing_suite("darcy", dims, tols, 2, 3)
+
+    def test_short_action_phase_takes_ten_times_the_samples(self,
+                                                            monkeypatch):
+        # a clock that reads 2e-5 s per sample and runs nothing: one
+        # sample is under MIN_PHASE_SECONDS (1e-4 s), ten are not
+        def clock(run, items):
+            return 2e-5 * sum(len(item) for item in items)
+
+        monkeypatch.setattr(bench, "_time_items", clock)
+        records = run_timing_suite("darcy", [16], [1e-3], 1, 3, n_basis=2)
+        assert {r.method: r.samples for r in records} == {
+            "diffoas_action": 10, "diffoas_total": 10, "gmres": 1,
+            "gmres_pc": 1}
 
     def test_small_suite_structure(self):
         records = run_timing_suite("darcy", [64, 144], [1e-3, 1e-5],

@@ -157,17 +157,6 @@ class TestUsageErrors:
         assert not out.exists()
         assert f"argument {flag}: " in err
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "1e-4"])
-    def test_regress_tol_not_among_tols(self, capsys, tmp_path, value):
-        out = tmp_path / "r.csv"
-        code, _, err = run(["bench", "--dims", "16,36,64", "--tols", "1e-3",
-                            "--samples", "1", "--basis", "2",
-                            "--regress-tol", value, "--out", str(out)],
-                           capsys)
-        assert code == 64
-        assert "--regress-tol" in err and "Traceback" not in err
-        assert not out.exists()
-
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -433,6 +422,38 @@ class TestBenchCommand:
         assert code == 0
         payload = json.loads(report.read_text())
         assert len(payload["records"]) == 2 * 4
+
+    def test_unconverged_records_are_flagged_on_stderr(self, capsys,
+                                                       tmp_path):
+        # no solve meets tol 1e-300, so every GMRES record is flagged
+        code, _, err = run(
+            ["bench", "--dims", "1,4,9", "--tols", "1e-300", "--samples",
+             "1", "--basis", "2", "--out", str(tmp_path / "r.csv")], capsys)
+        assert code == 0
+        event = json.loads(err.strip().splitlines()[-1])
+        assert event["event"] == "bench-warnings"
+        assert [(method, dim) for method, dim, _ in event["flagged"]] == [
+            (method, dim) for dim in (1, 4, 9)
+            for method in ("gmres", "gmres_pc")]
+        assert all(flags and flags[0].startswith("non-convergence")
+                   for _, _, flags in event["flagged"])
+
+    def test_regression_at_the_last_tol(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, _, _ = run(
+            ["bench", "--dims", "16,36,64", "--tols", "1e-1,1e-3",
+             "--samples", "1", "--basis", "2", "--format", "json",
+             "--out", str(report)], capsys)
+        assert code == 0
+        payload = json.loads(report.read_text())
+        per_sample = {(r["method"], r["dim"], r["tol"]):
+                      r["median_seconds"] / r["samples"]
+                      for r in payload["records"]}
+        # each point is the dim's gmres time at 1e-3 over its action time
+        assert payload["regression"]["points"] == [
+            [dim, per_sample["gmres", dim, 1e-3]
+             / per_sample["diffoas_action", dim, None]]
+            for dim in (16, 36, 64)]
 
 
 # one darcy sample on a 2 x 2 interior: fields of 16 nodes, zero bytes

@@ -6,6 +6,7 @@ from pdeforge.families import (
     FAMILIES,
     PdeCoefficients,
     PdeFamily,
+    ShiftedGrf,
     Uniform,
 )
 from pdeforge.fields import FieldParameterError, GrfParams, RngStream
@@ -245,6 +246,13 @@ def test_new_family_costs_one_record(monkeypatch, tmp_path):
 def test_uniform_needs_lo_below_hi(lo, hi):
     with pytest.raises(FieldParameterError, match="need lo < hi"):
         Uniform(lo, hi)
+
+
+@pytest.mark.parametrize("min_value", [float("nan"), float("inf")])
+def test_shift_needs_a_finite_minimum(min_value):
+    # a NaN minimum compares false, so it would shift no draw
+    with pytest.raises(FieldParameterError, match="min_value must be finite"):
+        ShiftedGrf(GrfParams(tau=3.0, alpha=2.0), min_value)
 
 
 def test_unknown_family_rejected():

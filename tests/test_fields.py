@@ -56,6 +56,16 @@ class TestGrfParams:
         with pytest.raises(FieldParameterError):
             GrfParams(tau=3.0, alpha=2.0, transform="log")
 
+    @pytest.mark.parametrize("name,settings", [
+        ("tau", {"tau": float("nan")}), ("tau", {"tau": float("inf")}),
+        ("alpha", {"alpha": float("nan")}),
+        ("alpha", {"alpha": float("inf")}),
+        ("scale", {"scale": float("nan")}),
+        ("scale", {"scale": float("-inf")})])
+    def test_non_finite_settings_are_refused(self, name, settings):
+        with pytest.raises(FieldParameterError, match=f"{name} must"):
+            GrfParams(**{"tau": 3.0, "alpha": 2.0, **settings})
+
 
 class TestSampleGrf:
     @pytest.mark.parametrize("n", [9, 64])

@@ -420,6 +420,12 @@ class TestCombine:
             combine_solution(pool, RngStream(1, "weights", 0),
                              RngStream(1, "noise", 0), eta=eta, delta=delta)
 
+    def test_empty_pool_rejected(self):
+        pool = BasisPool(Grid2D(3), [])
+        with pytest.raises(GenerationError, match="basis pool is empty"):
+            combine_solution(pool, RngStream(1, "weights", 0),
+                             RngStream(1, "noise", 0), eta=0.0, delta=1e-3)
+
     def test_degenerate_weights_error(self):
         g = Grid2D(3)
         pool = BasisPool(g, [FieldSample.constant(g, 0.0)])
@@ -606,6 +612,12 @@ class TestDiffoas:
         crcs = {name: entry["crc32"]
                 for name, entry in ds.manifest.field_files.items()}
         assert crcs == {"a": 3715607628, "f": 3526646039, "u": 2400467316}
+
+    def test_method_mismatch(self, tmp_path):
+        with pytest.raises(GenerationError,
+                           match="generate_diffoas requires method='diffoas'"):
+            generate_diffoas(small_config(method="classic"), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
     def test_boundary_zero_everywhere(self, tmp_path):
         config = small_config(num_samples=5)
@@ -923,6 +935,11 @@ class TestAblation:
         assert verify_dataset(ds, 1e-12).passed
         for k in range(3):
             assert ds.field_sample("u", k).boundary_max_abs() == 0.0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(GenerationError,
+                           match="unknown ablation basis 'wavelet'"):
+            make_ablation_pool(small_config(), "wavelet")
 
     @pytest.mark.parametrize("kind", ["grf", "fourier", "chebyshev", "given"])
     def test_manifest_describes_the_pool_used(self, tmp_path, kind):

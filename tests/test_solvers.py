@@ -143,6 +143,13 @@ class TestGmres:
         with pytest.raises(DimensionError, match="square"):
             gmres(CsrMatrix(np.ones((3, 4))), np.ones(3))
 
+    def test_zero_givens_norm(self):
+        # A = 0 maps v_1 to 0: h_{1,1} and h_{2,1} are both 0, so the
+        # first rotation has no norm to divide by
+        with pytest.raises(NumericalBreakdownError,
+                           match="zero Givens norm at iteration 1$"):
+            gmres(CsrMatrix(np.zeros((3, 3))), np.ones(3))
+
     def test_non_finite_operator_names_its_system(self):
         # system 0 has b = 0 and stops at once, so system 2 is row 1 of
         # the block that runs; its operator returns inf
